@@ -15,11 +15,11 @@ import sys
 from dataclasses import dataclass
 
 from basislam import (
-    Lam,
     Ortho,
     TermDist,
     Undecidable,
     check_unitary,
+    curried_bases,
     is_member,
     uncurry2,
 )
@@ -33,29 +33,12 @@ class Config:
     max_steps: int = 100000
 
 
-def curried_parts(term: TermDist):
-    """(outer basis, inner basis) when the term is a curried two-argument
-    abstraction with orthonormal annotations, else None."""
-    if len(term) != 1:
-        return None
-    outer = term.terms()[0]
-    if not isinstance(outer, Lam) or not isinstance(outer.basis, Ortho):
-        return None
-    body = outer.body
-    if len(body) != 1:
-        return None
-    inner = body.terms()[0]
-    if not isinstance(inner, Lam) or not isinstance(inner.basis, Ortho):
-        return None
-    return outer.basis, inner.basis
-
-
 def basis_label(b: Ortho) -> str:
     return b.name or f"<{len(b.elements)} elements>"
 
 
 def survey(name: str, term: TermDist, cfg: Config) -> bool:
-    parts = curried_parts(term)
+    parts = curried_bases(term)
     note = ""
     if parts is not None:
         left, right = parts

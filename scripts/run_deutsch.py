@@ -4,8 +4,8 @@
 For each oracle the discriminator is applied and reduced to normal form;
 the answer bit is read off the final one-qubit state (diagonal-basis
 encoding) or the first wire of the final two-qubit state (standard-basis
-encoding).  With --check the stated goal types are re-derived and the
-derivations are scanned for sharp-typed bindings.
+encoding).  Unless --no-check is given, the stated goal types are also
+re-derived and the derivations are scanned for sharp-typed bindings.
 """
 
 from __future__ import annotations

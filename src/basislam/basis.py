@@ -13,13 +13,13 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    EPS,
     Ket,
     Ortho,
     Pair,
     PureTerm,
     TermDist,
     add,
+    first_overlap,
     inner_product,
     mk_pair,
     norm,
@@ -53,10 +53,9 @@ def multi_ket(bits: str) -> TermDist:
     return out
 
 
-def qubit_arity(d: TermDist) -> Optional[int]:
-    """Number of qubits if d is a qubit distribution, else None."""
-    if d.is_zero():
-        return None
+def support_arity(d: TermDist) -> Optional[int]:
+    """Qubit count of a nonzero distribution supported on same-length ket
+    tuples, with no constraint on its norm; else None."""
     n: Optional[int] = None
     for t, _ in d.entries:
         bits = ket_bits(t)
@@ -66,13 +65,15 @@ def qubit_arity(d: TermDist) -> Optional[int]:
             n = len(bits)
         elif n != len(bits):
             return None
-    if not sc_eq(norm(d), 1.0):
-        return None
     return n
 
 
-def is_qubit(d: TermDist) -> bool:
-    return qubit_arity(d) is not None
+def qubit_arity(d: TermDist) -> Optional[int]:
+    """Number of qubits if d is a qubit distribution, else None."""
+    n = support_arity(d)
+    if n is None or not sc_eq(norm(d), 1.0):
+        return None
+    return n
 
 
 def to_vector(d: TermDist, n: int) -> np.ndarray:
@@ -118,19 +119,11 @@ def validate_basis(b: Ortho) -> int:
     assert arity is not None
     if len(b.elements) > 2 ** arity:
         raise BasisError("more elements than the space has dimensions")
-    for i in range(len(b.elements)):
-        for j in range(i + 1, len(b.elements)):
-            ip = inner_product(b.elements[i], b.elements[j])
-            if not sc_is_zero(ip):
-                raise BasisError(f"basis elements {i} and {j} not orthogonal")
+    overlap = first_overlap(b.elements)
+    if overlap is not None:
+        i, j = overlap
+        raise BasisError(f"basis elements {i} and {j} not orthogonal")
     return arity
-
-
-def basis_arity(b: Ortho) -> int:
-    n = qubit_arity(b.elements[0])
-    if n is None:
-        raise BasisError("basis element 0 is not a qubit value")
-    return n
 
 
 def decompose(
@@ -138,12 +131,11 @@ def decompose(
 ) -> Optional[list[complex]]:
     """Coefficients of v over b, or None when v has a component outside
     the span (residual norm above eps)."""
-    tol = EPS if eps is None else eps
     coeffs = [inner_product(e, v) for e in b.elements]
     residual = v
     for c, e in zip(coeffs, b.elements):
         residual = sub(residual, scale(c, e))
-    if norm(residual) > tol:
+    if not sc_is_zero(norm(residual), eps):
         return None
     return coeffs
 

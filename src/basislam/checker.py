@@ -15,11 +15,10 @@ generator.  Both fallbacks are recorded in the derivation, never hidden.
 
 from __future__ import annotations
 
+import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Union
-
-import numpy as np
+from typing import Iterator, Optional, Union
 
 from .core import (
     App,
@@ -35,6 +34,7 @@ from .core import (
     add,
     basis_eq,
     dist_eq,
+    first_overlap,
     free_vars,
     inner_product,
     is_closed,
@@ -47,7 +47,7 @@ from .core import (
     term_eq,
 )
 from .basis import NAMED_BASES, qubit_arity
-from .reduction import NormalForm, evaluate
+from .reduction import NormalForm, evaluate, evaluate_value
 from .subst import apply_sigma, fresh_name, subst_dist
 from .typesem import (
     Arrow,
@@ -56,6 +56,7 @@ from .typesem import (
     Sharp,
     Type,
     Undecidable,
+    factor_rank1,
     finite_members,
     format_type,
     is_member,
@@ -77,11 +78,25 @@ class Binding:
 Context = dict[str, Binding]
 
 
+class ErrorKind(enum.IntEnum):
+    """What a failed premise says, most telling first: when alternatives
+    all fail, the lowest kind is the one reported."""
+
+    LINEAR = 0
+    ORTHOGONALITY = 1
+    SUBTYPE = 2
+    CONTEXT = 3
+    OTHER = 4
+
+
 class CheckError(Exception):
-    def __init__(self, message: str, note: str = ""):
+    def __init__(
+        self, message: str, note: str = "", kind: ErrorKind = ErrorKind.OTHER
+    ):
         super().__init__(message if not note else f"{message} ({note})")
         self.message = message
         self.note = note
+        self.kind = kind
 
 
 @dataclass
@@ -115,16 +130,6 @@ def uses_sharp_binding(d: Derivation) -> bool:
     )
 
 
-def sdom(ctx: Context) -> frozenset[str]:
-    """Variables whose type already denotes a span: exactly the sharp
-    headed types after normalization."""
-    return frozenset(
-        x
-        for x, b in ctx.items()
-        if isinstance(sharp_normalize(b.type), Sharp)
-    )
-
-
 def _snapshot(ctx: Context) -> tuple[tuple[str, Binding], ...]:
     return tuple(sorted(ctx.items()))
 
@@ -155,8 +160,16 @@ def _usable(ctx: Context, d: TermDist) -> Context:
         if x in fv:
             used[x] = b
         elif not isinstance(sharp_normalize(b.type), BasisType):
-            raise CheckError(f"linear variable dropped: {x}")
+            raise CheckError(
+                f"linear variable dropped: {x}", kind=ErrorKind.LINEAR
+            )
     return used
+
+
+def _restrict(ctx: Context, d: TermDist) -> Context:
+    """The bindings of the variables free in d."""
+    fv = free_vars(d)
+    return {x: b for x, b in ctx.items() if x in fv}
 
 
 def _split(ctx: Context, parts: list[frozenset[str]]) -> list[Context]:
@@ -166,7 +179,9 @@ def _split(ctx: Context, parts: list[frozenset[str]]) -> list[Context]:
         if len(hits) > 1 and not isinstance(
             sharp_normalize(b.type), BasisType
         ):
-            raise CheckError(f"linear variable duplicated: {x}")
+            raise CheckError(
+                f"linear variable duplicated: {x}", kind=ErrorKind.LINEAR
+            )
         for i in hits:
             out[i][x] = b
     return out
@@ -187,51 +202,20 @@ def _rebind(ctx: Context, var: str, body: TermDist) -> tuple[str, TermDist]:
 # step, not a new rule.
 
 
-def _classes(terms: list[PureTerm]) -> list[PureTerm]:
-    reps: list[PureTerm] = []
-    for t in terms:
-        if not any(term_eq(t, r) for r in reps):
-            reps.append(t)
-    return reps
-
-
-def _class_of(reps: list[PureTerm], t: PureTerm) -> int:
-    for i, r in enumerate(reps):
-        if term_eq(t, r):
-            return i
-    raise AssertionError("unclassified term")
-
-
-def _factor_bilinear(
-    d: TermDist, left_of, right_of
-) -> Optional[tuple[TermDist, TermDist]]:
-    """Write d as (sum of lefts) x (sum of rights) when its coefficient
-    matrix has rank one."""
-    lefts = _classes([left_of(t) for t, _ in d.entries])
-    rights = _classes([right_of(t) for t, _ in d.entries])
-    m = np.zeros((len(lefts), len(rights)), dtype=complex)
-    for t, c in d.entries:
-        m[_class_of(lefts, left_of(t)), _class_of(rights, right_of(t))] += c
-    u, s, vh = np.linalg.svd(m)
-    if len(s) > 1 and not sc_is_zero(s[1]):
+def _factor_bilinear(d: TermDist) -> Optional[tuple[TermDist, TermDist]]:
+    """Write a sum of applications (or of pairs) as one application (or
+    pair) of two sums when its coefficient matrix has rank one and the
+    rebuilt term is d again."""
+    if isinstance(d.entries[0][0], App):
+        entries = [(t.fun, t.arg, c) for t, c in d.entries]
+        rebuild = mk_app
+    else:
+        entries = [(t.left, t.right, c) for t, c in d.entries]
+        rebuild = mk_pair
+    factors = factor_rank1(entries)
+    if factors is None or not dist_eq(rebuild(*factors), d):
         return None
-    rebuilt = add(
-        *(scale(u[i, 0], single(t)) for i, t in enumerate(lefts))
-    ), add(
-        *(scale(s[0] * vh[0, j], single(t)) for j, t in enumerate(rights))
-    )
-    if not dist_eq(
-        _rebuild_bilinear(d, rebuilt[0], rebuilt[1], left_of, right_of), d
-    ):
-        return None
-    return rebuilt
-
-
-def _rebuild_bilinear(d, left, right, left_of, right_of) -> TermDist:
-    sample = d.entries[0][0]
-    if isinstance(sample, App):
-        return mk_app(left, right)
-    return mk_pair(left, right)
+    return factors
 
 
 def _factor_scrutinee(
@@ -350,14 +334,14 @@ class _Checker:
             except CheckError as e:
                 errors.append(e)
         if kinds == {App}:
-            fact = _factor_bilinear(d, lambda t: t.fun, lambda t: t.arg)
+            fact = _factor_bilinear(d)
             if fact is not None:
                 try:
                     return self._check_app(ctx, d, fact[0], fact[1], goal)
                 except CheckError as e:
                     errors.append(e)
         if kinds == {Pair}:
-            fact = _factor_bilinear(d, lambda t: t.left, lambda t: t.right)
+            fact = _factor_bilinear(d)
             if fact is not None:
                 try:
                     return self._check_pair(ctx, d, fact[0], fact[1], goal)
@@ -390,7 +374,7 @@ class _Checker:
         # The evaluation fallback must not mask a linearity violation
         # that the structural rules diagnosed.
         if is_closed(d) and not any(
-            "linear variable" in e.message for e in errors
+            e.kind is ErrorKind.LINEAR for e in errors
         ):
             try:
                 return self._check_lit(ctx, d, goal)
@@ -436,6 +420,7 @@ class _Checker:
         raise CheckError(
             f"subtype check failed {format_type(have)} ≤ {format_type(goal)}",
             note,
+            ErrorKind.SUBTYPE,
         )
 
     def _check_lit(self, ctx: Context, d: TermDist, goal: Type) -> Derivation:
@@ -554,38 +539,26 @@ class _Checker:
             return value_type
         kinds = {type(t) for t, _ in d.entries}
         if kinds == {App}:
-            fact = _factor_bilinear(d, lambda t: t.fun, lambda t: t.arg)
+            fact = _factor_bilinear(d)
             if fact is None:
                 return None
-            fun_type = self.synth(
-                {x: b for x, b in ctx.items() if x in free_vars(fact[0])},
-                fact[0],
-            )
+            fun_type = self.synth(_restrict(ctx, fact[0]), fact[0])
             if fun_type is None or not isinstance(
                 sharp_normalize(fun_type), Arrow
             ):
                 return None
             arrow = sharp_normalize(fun_type)
-            ctx_a = {
-                x: b for x, b in ctx.items() if x in free_vars(fact[1])
-            }
             try:
-                self.check(ctx_a, fact[1], arrow.dom)
+                self.check(_restrict(ctx, fact[1]), fact[1], arrow.dom)
             except CheckError:
                 return None
             return arrow.cod
         if kinds == {Pair}:
-            fact = _factor_bilinear(d, lambda t: t.left, lambda t: t.right)
+            fact = _factor_bilinear(d)
             if fact is None:
                 return None
-            left = self.synth(
-                {x: b for x, b in ctx.items() if x in free_vars(fact[0])},
-                fact[0],
-            )
-            right = self.synth(
-                {x: b for x, b in ctx.items() if x in free_vars(fact[1])},
-                fact[1],
-            )
+            left = self.synth(_restrict(ctx, fact[0]), fact[0])
+            right = self.synth(_restrict(ctx, fact[1]), fact[1])
             if left is None or right is None:
                 return None
             return Prod(left, right)
@@ -742,21 +715,9 @@ class _Checker:
                         self.check(ctx_b, b, branch_goal)
                         for b in node.branches
                     )
-                    for i in range(len(node.branches)):
-                        for j in range(i + 1, len(node.branches)):
-                            if not check_orthogonality(
-                                ctx_b,
-                                {},
-                                node.branches[i],
-                                {},
-                                node.branches[j],
-                                branch_goal,
-                                max_steps=self.max_steps,
-                            ):
-                                raise CheckError(
-                                    "orthogonality premise failed "
-                                    f"(branches {i},{j})"
-                                )
+                    self._require_orthogonal(
+                        ctx_b, node.branches, branch_goal
+                    )
                     return _node(
                         "UnitCase", ctx, d, goal, (scr_d,) + branch_ds
                     )
@@ -784,48 +745,52 @@ class _Checker:
                     self.check(ctx, single(t), part_goal)
                     for t, _ in d.entries
                 )
-                for i in range(len(d.entries)):
-                    for j in range(i + 1, len(d.entries)):
-                        if not check_orthogonality(
-                            ctx,
-                            {},
-                            single(d.entries[i][0]),
-                            {},
-                            single(d.entries[j][0]),
-                            part_goal,
-                            max_steps=self.max_steps,
-                        ):
-                            raise CheckError(
-                                f"orthogonality premise failed (branches {i},{j})"
-                            )
+                self._require_orthogonal(
+                    ctx, [single(t) for t, _ in d.entries], part_goal
+                )
                 return _node("Sum", ctx, d, goal, premises)
             except CheckError as e:
                 errors.append(e)
         raise _best_error(errors)
+
+    def _require_orthogonal(
+        self, ctx: Context, parts: list[TermDist], goal: Type
+    ) -> None:
+        """The orthogonality premise of the Sum and UnitCase rules, for
+        every pair of parts."""
+        for i in range(len(parts)):
+            for j in range(i + 1, len(parts)):
+                if not check_orthogonality(
+                    ctx, {}, parts[i], {}, parts[j], goal, self.max_steps
+                ):
+                    raise CheckError(
+                        f"orthogonality premise failed (branches {i},{j})",
+                        kind=ErrorKind.ORTHOGONALITY,
+                    )
 
     # -- semantic fallback -------------------------------------------------
 
     def _sem_judge(self, ctx: Context, d: TermDist, goal: Type) -> Derivation:
         basis_pools: list[tuple[str, list[TermDist], Basis]] = []
         sharp_var: Optional[tuple[str, list[TermDist], Basis]] = None
-        for x, b in sorted(ctx.items()):
-            tn = sharp_normalize(b.type)
-            members = finite_members(tn)
-            if members is not None:
-                basis_pools.append((x, members, b.basis))
-                continue
-            gens = span_generators(tn) if isinstance(tn, Sharp) else None
-            if gens is not None and sharp_var is None:
-                sharp_var = (x, gens, b.basis)
-                continue
-            raise CheckError("context not basis-enumerable", f"variable {x}")
+        for x, values, basis, span in _context_pools(ctx):
+            if not span:
+                basis_pools.append((x, values, basis))
+            elif sharp_var is None:
+                sharp_var = (x, values, basis)
+            else:
+                # linearity pins down the images of one span variable
+                raise CheckError(
+                    "context not basis-enumerable",
+                    f"variable {x}",
+                    ErrorKind.CONTEXT,
+                )
 
-        names = [x for x, _, _ in basis_pools]
-        pools = [members for _, members, _ in basis_pools]
-        bases = {x: basis for x, _, basis in basis_pools}
-        for combo in itertools.product(*pools) if pools else [()]:
+        pools = (values for _, values, _ in basis_pools)
+        for combo in itertools.product(*pools):
             sigma = {
-                x: (value, bases[x]) for x, value in zip(names, combo)
+                x: (value, basis)
+                for (x, _, basis), value in zip(basis_pools, combo)
             }
             if sharp_var is None:
                 if not realizes(apply_sigma(d, sigma), goal, self.max_steps):
@@ -837,15 +802,15 @@ class _Checker:
             name, gens, basis = sharp_var
             images: list[TermDist] = []
             for g in gens:
-                full = dict(sigma)
-                full[name] = (g, basis)
-                trace = evaluate(apply_sigma(d, full), self.max_steps)
-                if not isinstance(trace.final, NormalForm):
+                w = evaluate_value(
+                    apply_sigma(d, {**sigma, name: (g, basis)}), self.max_steps
+                )
+                if w is None:
                     raise CheckError(
                         "rule not applicable",
                         "semantic check: an instance does not reach a value",
                     )
-                images.append(trace.final.dist)
+                images.append(w)
             self._sem_linear_images(images, goal)
         note = "semantic judgement over the enumerated context"
         return _node("Sem", ctx, d, goal, note=note)
@@ -867,13 +832,11 @@ class _Checker:
                     raise CheckError(
                         "rule not applicable", "semantic image check failed"
                     )
-            for i in range(len(images)):
-                for j in range(i + 1, len(images)):
-                    if not sc_is_zero(inner_product(images[i], images[j])):
-                        raise CheckError(
-                            "rule not applicable",
-                            "semantic images are not orthogonal",
-                        )
+            if first_overlap(images) is not None:
+                raise CheckError(
+                    "rule not applicable",
+                    "semantic images are not orthogonal",
+                )
             if isinstance(goal, Sharp):
                 return
             if isinstance(goal, Prod):
@@ -903,17 +866,7 @@ class _Checker:
 def _best_error(errors: list[CheckError]) -> CheckError:
     if not errors:
         return CheckError("rule not applicable")
-    ranked = sorted(
-        errors,
-        key=lambda e: (
-            0 if "linear variable" in e.message
-            else 1 if "orthogonality" in e.message
-            else 2 if "subtype check failed" in e.message
-            else 3 if "context not basis-enumerable" in e.message
-            else 4
-        ),
-    )
-    return ranked[0]
+    return min(errors, key=lambda e: e.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -940,31 +893,36 @@ def _coerce_ctx(ctx: Union[Context, dict]) -> Context:
     return out
 
 
-def _enumerate_context(
+def _context_pools(
     ctx: Context,
-) -> list[dict[str, tuple[TermDist, Basis]]]:
-    names: list[str] = []
-    pools: list[list[TermDist]] = []
-    bases: list[Basis] = []
+) -> Iterator[tuple[str, list[TermDist], Basis, bool]]:
+    """Each variable in name order with the values it ranges over: the
+    members of a finite type, or the generators of a span type (flagged
+    True), which suffice by linearity."""
     for x, b in sorted(ctx.items()):
         tn = sharp_normalize(b.type)
         members = finite_members(tn)
-        if members is None and isinstance(tn, Sharp):
-            members = span_generators(tn)
-        if members is None:
-            raise CheckError("context not basis-enumerable", f"variable {x}")
-        names.append(x)
-        pools.append(members)
-        bases.append(b.basis)
-    out = []
-    for combo in itertools.product(*pools) if pools else [()]:
-        out.append(
-            {
-                x: (value, basis)
-                for x, value, basis in zip(names, combo, bases)
-            }
-        )
-    return out
+        if members is not None:
+            yield x, members, b.basis, False
+            continue
+        gens = span_generators(tn) if isinstance(tn, Sharp) else None
+        if gens is None:
+            raise CheckError(
+                "context not basis-enumerable",
+                f"variable {x}",
+                ErrorKind.CONTEXT,
+            )
+        yield x, gens, b.basis, True
+
+
+def _enumerate_context(
+    ctx: Context,
+) -> list[dict[str, tuple[TermDist, Basis]]]:
+    pools = list(_context_pools(ctx))
+    return [
+        {x: (value, basis) for (x, _, basis, _), value in zip(pools, combo)}
+        for combo in itertools.product(*(values for _, values, _, _ in pools))
+    ]
 
 
 def check_orthogonality(
@@ -985,24 +943,18 @@ def check_orthogonality(
     left.update(_coerce_ctx(delta1))
     right = dict(gamma)
     right.update(_coerce_ctx(delta2))
-    left_subs = _enumerate_context(
-        {x: b for x, b in left.items() if x in free_vars(t)}
-    )
-    right_subs = _enumerate_context(
-        {x: b for x, b in right.items() if x in free_vars(s)}
-    )
-    lefts = []
-    for sigma in left_subs:
-        trace = evaluate(apply_sigma(t, sigma), max_steps)
-        if not isinstance(trace.final, NormalForm):
-            return False
-        lefts.append(trace.final.dist)
-    rights = []
-    for tau in right_subs:
-        trace = evaluate(apply_sigma(s, tau), max_steps)
-        if not isinstance(trace.final, NormalForm):
-            return False
-        rights.append(trace.final.dist)
+    left_subs = _enumerate_context(_restrict(left, t))
+    right_subs = _enumerate_context(_restrict(right, s))
+    sides = []
+    for term, subs in ((t, left_subs), (s, right_subs)):
+        values = []
+        for sigma in subs:
+            v = evaluate_value(apply_sigma(term, sigma), max_steps)
+            if v is None:
+                return False
+            values.append(v)
+        sides.append(values)
+    lefts, rights = sides
     return all(
         sc_is_zero(inner_product(v, w)) for v in lefts for w in rights
     )

@@ -20,7 +20,7 @@ from .basis import Ortho
 from .checker import CheckError, check, check_orthogonality
 from .core import TermDist, phase_normalize, set_eps, single
 from .corpus import format_rows, run_corpus
-from .reduction import NormalForm, Stuck, evaluate
+from .reduction import NormalForm, evaluate
 from .syntax import (
     ParseError,
     load_program,
@@ -31,8 +31,7 @@ from .syntax import (
     print_type,
     render_scalar,
 )
-from .core import Lam
-from .unitary import UnitaryError, check_unitary, uncurry2
+from .unitary import UnitaryError, check_unitary, curried_bases, uncurry2
 
 ANALYSIS_FAILURE = 1
 USAGE_ERROR = 2
@@ -46,6 +45,14 @@ def _fmt_phase(c: complex) -> str:
 
 def _complex_pair(c: complex) -> list[float]:
     return [c.real, c.imag]
+
+
+def _phase_split(nf: TermDist) -> tuple[TermDist, complex]:
+    """A normal form with its global phase divided out, and that phase
+    (1 for the zero distribution)."""
+    if nf.is_zero():
+        return nf, complex(1.0)
+    return phase_normalize(nf)
 
 
 def _environment(
@@ -80,57 +87,43 @@ def _cmd_parse(args, bases, defs) -> int:
 def _cmd_eval(args, bases, defs) -> int:
     d = parse_term(args.term, bases, defs)
     trace = evaluate(d, args.max_steps)
-    steps = [
-        {"rule": rule.value, "term": print_term(dist)}
-        for dist, rule in trace.steps
-    ]
-    if isinstance(trace.final, NormalForm):
-        nf = trace.final.dist
-        if nf.is_zero():
-            normalized, phase = nf, complex(1.0)
-        else:
-            normalized, phase = phase_normalize(nf)
-        if args.json:
-            payload = {
-                "normal_form": print_term(normalized),
-                "steps": trace.fuel_used,
-                "phase": _complex_pair(phase),
-            }
-            if args.trace:
-                payload["trace"] = steps
-            print(json.dumps(payload))
-        else:
-            if args.trace:
-                for k, s in enumerate(steps):
-                    print(f"{k + 1:>4}. {s['rule']:<12} {s['term']}")
-            print(f"normal form: {print_term(normalized)}")
-            print(f"steps: {trace.fuel_used}")
-            print(f"phase: {_fmt_phase(phase)}")
-        return 0
-    stuck: Stuck = trace.final
-    at = (
-        print_term(single(stuck.offending))
-        if stuck.offending is not None
-        else None
-    )
-    if args.json:
+    final = trace.final
+    if isinstance(final, NormalForm):
+        normalized, phase = _phase_split(final.dist)
+        text = print_term(normalized)
         payload = {
-            "stuck": stuck.reason,
-            "at": at,
+            "normal_form": text,
             "steps": trace.fuel_used,
+            "phase": _complex_pair(phase),
         }
-        if args.trace:
-            payload["trace"] = steps
-        print(json.dumps(payload))
+        lines = [
+            f"normal form: {text}",
+            f"steps: {trace.fuel_used}",
+            f"phase: {_fmt_phase(phase)}",
+        ]
+        code = 0
     else:
-        if args.trace:
-            for k, s in enumerate(steps):
-                print(f"{k + 1:>4}. {s['rule']:<12} {s['term']}")
-        print(f"stuck: {stuck.reason}")
+        at = None
+        if final.offending is not None:
+            at = print_term(single(final.offending))
+        payload = {"stuck": final.reason, "at": at, "steps": trace.fuel_used}
+        lines = [f"stuck: {final.reason}"]
         if at is not None:
-            print(f"at: {at}")
-        print(f"steps: {trace.fuel_used}")
-    return ANALYSIS_FAILURE
+            lines.append(f"at: {at}")
+        lines.append(f"steps: {trace.fuel_used}")
+        code = ANALYSIS_FAILURE
+    if args.trace:
+        steps = [
+            {"rule": rule.value, "term": print_term(dist)}
+            for dist, rule in trace.steps
+        ]
+        payload["trace"] = steps
+        lines[:0] = [
+            f"{k + 1:>4}. {step['rule']:<12} {step['term']}"
+            for k, step in enumerate(steps)
+        ]
+    print(json.dumps(payload) if args.json else "\n".join(lines))
+    return code
 
 
 def _cmd_check(args, bases, defs) -> int:
@@ -174,19 +167,12 @@ def _auto_uncurry(d: TermDist) -> tuple[TermDist, Optional[str]]:
     """A curried two-argument abstraction with annotated binders is
     wrapped through uncurry2 so its matrix is taken over the product
     basis."""
-    if len(d.entries) != 1:
+    parts = curried_bases(d)
+    if parts is None:
         return d, None
-    t, _ = d.entries[0]
-    if not isinstance(t, Lam) or not isinstance(t.basis, Ortho):
-        return d, None
-    if len(t.body.entries) != 1:
-        return d, None
-    inner, _ = t.body.entries[0]
-    if not isinstance(inner, Lam) or not isinstance(inner.basis, Ortho):
-        return d, None
-    wrapped = uncurry2(d, t.basis, inner.basis)
-    note = f"{print_basis(t.basis)} x {print_basis(inner.basis)}"
-    return wrapped, note
+    left, right = parts
+    note = f"{print_basis(left)} x {print_basis(right)}"
+    return uncurry2(d, left, right), note
 
 
 def _cmd_unitary(args, bases, defs) -> int:
@@ -276,11 +262,7 @@ def _repl_line(line: str, bases, defs, max_steps: int) -> None:
     d = parse_term(line, bases, defs)
     trace = evaluate(d, max_steps)
     if isinstance(trace.final, NormalForm):
-        nf = trace.final.dist
-        if nf.is_zero():
-            normalized, phase = nf, complex(1.0)
-        else:
-            normalized, phase = phase_normalize(nf)
+        normalized, phase = _phase_split(trace.final.dist)
         note = f"[steps {trace.fuel_used}, phase {_fmt_phase(phase)}]"
         print(f"{print_term(normalized)}  {note}")
     else:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 # Tolerance for scalar equality, zero pruning, orthogonality and norm
 # checks.  One knob for the whole package (CLI --eps writes it).
@@ -207,7 +207,7 @@ def _dist_key(d: TermDist):
 
 # ---------------------------------------------------------------------------
 # Alpha-respecting comparison.  Bound variables are compared by binding
-# position, free variables by name; scalars exactly or within EPS.
+# position, free variables by name; scalars within EPS.
 
 
 class _Env:
@@ -226,19 +226,13 @@ class _Env:
         return None
 
 
-def _sc_cmp(a: complex, b: complex, exact: bool, eps: float) -> bool:
-    if exact:
-        return a == b
-    return abs(a - b) <= eps
-
-
-def _basis_eq(a: Basis, b: Basis, exact: bool, eps: float) -> bool:
+def _basis_eq(a: Basis, b: Basis, eps: float) -> bool:
     if isinstance(a, AbsBasis) or isinstance(b, AbsBasis):
         return isinstance(a, AbsBasis) and isinstance(b, AbsBasis)
     if len(a.elements) != len(b.elements):
         return False
     return all(
-        _dist_eq(x, y, None, None, 0, exact, eps)
+        _dist_eq(x, y, None, None, 0, eps)
         for x, y in zip(a.elements, b.elements)
     )
 
@@ -249,7 +243,6 @@ def _term_eq(
     ea: Optional[_Env],
     eb: Optional[_Env],
     depth: int,
-    exact: bool,
     eps: float,
 ) -> bool:
     if type(a) is not type(b):
@@ -262,15 +255,15 @@ def _term_eq(
             return a.name == b.name
         return la == lb
     if isinstance(a, Pair):
-        return _term_eq(a.left, b.left, ea, eb, depth, exact, eps) and _term_eq(
-            a.right, b.right, ea, eb, depth, exact, eps
+        return _term_eq(a.left, b.left, ea, eb, depth, eps) and _term_eq(
+            a.right, b.right, ea, eb, depth, eps
         )
     if isinstance(a, App):
-        return _term_eq(a.fun, b.fun, ea, eb, depth, exact, eps) and _term_eq(
-            a.arg, b.arg, ea, eb, depth, exact, eps
+        return _term_eq(a.fun, b.fun, ea, eb, depth, eps) and _term_eq(
+            a.arg, b.arg, ea, eb, depth, eps
         )
     if isinstance(a, Lam):
-        if not _basis_eq(a.basis, b.basis, exact, eps):
+        if not _basis_eq(a.basis, b.basis, eps):
             return False
         return _dist_eq(
             a.body,
@@ -278,16 +271,15 @@ def _term_eq(
             _Env(ea, a.var, depth),
             _Env(eb, b.var, depth),
             depth + 1,
-            exact,
             eps,
         )
     if isinstance(a, LetPair):
         if not (
-            _basis_eq(a.basis1, b.basis1, exact, eps)
-            and _basis_eq(a.basis2, b.basis2, exact, eps)
+            _basis_eq(a.basis1, b.basis1, eps)
+            and _basis_eq(a.basis2, b.basis2, eps)
         ):
             return False
-        if not _term_eq(a.scrutinee, b.scrutinee, ea, eb, depth, exact, eps):
+        if not _term_eq(a.scrutinee, b.scrutinee, ea, eb, depth, eps):
             return False
         return _dist_eq(
             a.body,
@@ -295,19 +287,18 @@ def _term_eq(
             _Env(_Env(ea, a.var1, depth), a.var2, depth + 1),
             _Env(_Env(eb, b.var1, depth), b.var2, depth + 1),
             depth + 2,
-            exact,
             eps,
         )
     if isinstance(a, Case):
         if len(a.patterns) != len(b.patterns):
             return False
-        if not _term_eq(a.scrutinee, b.scrutinee, ea, eb, depth, exact, eps):
+        if not _term_eq(a.scrutinee, b.scrutinee, ea, eb, depth, eps):
             return False
         for pa, pb in zip(a.patterns, b.patterns):
-            if not _dist_eq(pa, pb, None, None, 0, exact, eps):
+            if not _dist_eq(pa, pb, None, None, 0, eps):
                 return False
         for ba, bb in zip(a.branches, b.branches):
-            if not _dist_eq(ba, bb, ea, eb, depth, exact, eps):
+            if not _dist_eq(ba, bb, ea, eb, depth, eps):
                 return False
         return True
     raise TypeError(f"not a pure term: {a!r}")
@@ -319,7 +310,6 @@ def _dist_eq(
     ea: Optional[_Env],
     eb: Optional[_Env],
     depth: int,
-    exact: bool,
     eps: float,
 ) -> bool:
     if len(a.entries) != len(b.entries):
@@ -330,7 +320,7 @@ def _dist_eq(
         for j, (tb, cb) in enumerate(b.entries):
             if used[j]:
                 continue
-            if _sc_cmp(ca, cb, exact, eps) and _term_eq(ta, tb, ea, eb, depth, exact, eps):
+            if abs(ca - cb) <= eps and _term_eq(ta, tb, ea, eb, depth, eps):
                 used[j] = True
                 hit = True
                 break
@@ -342,23 +332,15 @@ def _dist_eq(
 def term_eq(a: PureTerm, b: PureTerm, eps: Optional[float] = None) -> bool:
     """Alpha-respecting equality with scalar tolerance (the Kronecker
     delta used by the inner product)."""
-    return _term_eq(a, b, None, None, 0, False, EPS if eps is None else eps)
-
-
-def term_eq_exact(a: PureTerm, b: PureTerm) -> bool:
-    return _term_eq(a, b, None, None, 0, True, 0.0)
+    return _term_eq(a, b, None, None, 0, EPS if eps is None else eps)
 
 
 def dist_eq(a: TermDist, b: TermDist, eps: Optional[float] = None) -> bool:
-    return _dist_eq(a, b, None, None, 0, False, EPS if eps is None else eps)
-
-
-def dist_eq_exact(a: TermDist, b: TermDist) -> bool:
-    return _dist_eq(a, b, None, None, 0, True, 0.0)
+    return _dist_eq(a, b, None, None, 0, EPS if eps is None else eps)
 
 
 def basis_eq(a: Basis, b: Basis, eps: Optional[float] = None) -> bool:
-    return _basis_eq(a, b, False, EPS if eps is None else eps)
+    return _basis_eq(a, b, EPS if eps is None else eps)
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +476,10 @@ def validate_case_patterns(patterns: tuple[TermDist, ...]) -> None:
             raise ValueError("case patterns must be closed")
         if not sc_eq(norm(p), 1.0):
             raise ValueError("case patterns must have norm 1")
-    for i in range(len(patterns)):
-        for j in range(i + 1, len(patterns)):
-            if not sc_is_zero(inner_product(patterns[i], patterns[j])):
-                raise ValueError(
-                    f"case patterns {i} and {j} are not orthogonal"
-                )
+    overlap = first_overlap(patterns)
+    if overlap is not None:
+        i, j = overlap
+        raise ValueError(f"case patterns {i} and {j} are not orthogonal")
 
 
 def mk_case(
@@ -516,120 +496,6 @@ def mk_case(
 
 
 # ---------------------------------------------------------------------------
-# Raw syntax trees: explicit +, scalar multiple, 0 over the term formers.
-# The parser produces these; canonicalize folds them into a TermDist.
-
-
-@dataclass(frozen=True, eq=False)
-class RZero:
-    pass
-
-
-@dataclass(frozen=True, eq=False)
-class RVar:
-    name: str
-
-
-@dataclass(frozen=True, eq=False)
-class RKet:
-    bit: int
-
-
-@dataclass(frozen=True, eq=False)
-class RScale:
-    coeff: complex
-    sub: "Raw"
-
-
-@dataclass(frozen=True, eq=False)
-class RAdd:
-    left: "Raw"
-    right: "Raw"
-
-
-@dataclass(frozen=True, eq=False)
-class RPair:
-    left: "Raw"
-    right: "Raw"
-
-
-@dataclass(frozen=True, eq=False)
-class RApp:
-    fun: "Raw"
-    arg: "Raw"
-
-
-@dataclass(frozen=True, eq=False)
-class RLam:
-    var: str
-    basis: Basis
-    body: "Raw"
-
-
-@dataclass(frozen=True, eq=False)
-class RLetPair:
-    var1: str
-    basis1: Basis
-    var2: str
-    basis2: Basis
-    scrutinee: "Raw"
-    body: "Raw"
-
-
-@dataclass(frozen=True, eq=False)
-class RCase:
-    scrutinee: "Raw"
-    patterns: tuple["Raw", ...]
-    branches: tuple["Raw", ...]
-
-
-Raw = Union[
-    RZero, RVar, RKet, RScale, RAdd, RPair, RApp, RLam, RLetPair, RCase
-]
-
-
-def canonicalize(e: Raw) -> TermDist:
-    if isinstance(e, RZero):
-        return zero()
-    if isinstance(e, RVar):
-        return single(Var(e.name))
-    if isinstance(e, RKet):
-        return single(Ket(e.bit))
-    if isinstance(e, RScale):
-        return scale(e.coeff, canonicalize(e.sub))
-    if isinstance(e, RAdd):
-        return add(canonicalize(e.left), canonicalize(e.right))
-    if isinstance(e, RPair):
-        return mk_pair(canonicalize(e.left), canonicalize(e.right))
-    if isinstance(e, RApp):
-        return mk_app(canonicalize(e.fun), canonicalize(e.arg))
-    if isinstance(e, RLam):
-        return mk_lam(e.var, e.basis, canonicalize(e.body))
-    if isinstance(e, RLetPair):
-        return mk_letpair(
-            e.var1,
-            e.basis1,
-            e.var2,
-            e.basis2,
-            canonicalize(e.scrutinee),
-            canonicalize(e.body),
-        )
-    if isinstance(e, RCase):
-        return mk_case(
-            canonicalize(e.scrutinee),
-            tuple(canonicalize(p) for p in e.patterns),
-            tuple(canonicalize(b) for b in e.branches),
-        )
-    raise TypeError(f"not a raw expression: {e!r}")
-
-
-def recanonicalize(d: TermDist) -> TermDist:
-    """Rebuild a distribution through the canonical constructors (used by
-    the idempotence checks; a no-op on canonical input)."""
-    return _build(d.entries)
-
-
-# ---------------------------------------------------------------------------
 # Inner product, norm, global phase.
 
 
@@ -639,9 +505,19 @@ def inner_product(v: TermDist, w: TermDist, eps: Optional[float] = None) -> comp
     acc = 0 + 0j
     for t, a in v.entries:
         for s, b in w.entries:
-            if _term_eq(t, s, None, None, 0, False, EPS if eps is None else eps):
+            if _term_eq(t, s, None, None, 0, EPS if eps is None else eps):
                 acc += a.conjugate() * b
     return acc
+
+
+def first_overlap(dists: Sequence[TermDist]) -> Optional[tuple[int, int]]:
+    """The first pair i < j of non-orthogonal distributions, or None when
+    the family is pairwise orthogonal."""
+    for i in range(len(dists)):
+        for j in range(i + 1, len(dists)):
+            if not sc_is_zero(inner_product(dists[i], dists[j])):
+                return i, j
+    return None
 
 
 def norm(v: TermDist) -> float:

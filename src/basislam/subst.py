@@ -10,11 +10,8 @@ two components of a pair binder.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .basis import decompose, product_basis
 from .core import (
-    ABS,
     AbsBasis,
     App,
     Basis,
@@ -30,7 +27,6 @@ from .core import (
     add,
     free_vars,
     is_closed,
-    is_pure_value,
     is_value_dist,
     mk_app,
     mk_case,

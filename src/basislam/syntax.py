@@ -18,7 +18,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import (
     ABS,

@@ -16,9 +16,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .basis import decompose
+from .basis import in_span
 from .core import (
-    AbsBasis,
     Lam,
     Ortho,
     Pair,
@@ -27,6 +26,7 @@ from .core import (
     add,
     basis_eq,
     dist_eq,
+    first_overlap,
     inner_product,
     is_value_dist,
     mk_app,
@@ -39,7 +39,7 @@ from .core import (
     term_eq,
     zero,
 )
-from .reduction import NormalForm, evaluate
+from .reduction import evaluate_value
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,10 +154,6 @@ def span_generators(t: Type) -> Optional[list[TermDist]]:
     return None
 
 
-def _in_span(v: TermDist, gens: list[TermDist]) -> bool:
-    return decompose(v, Ortho(tuple(gens))) is not None
-
-
 # ---------------------------------------------------------------------------
 # Membership.
 
@@ -193,7 +189,7 @@ def _member(v: TermDist, t: Type, phase: bool) -> bool:
             if _member(v, sharp_normalize(t.inner), True):
                 return True
             raise Undecidable()
-        return sc_eq(norm(v), 1.0) and _in_span(v, gens)
+        return sc_eq(norm(v), 1.0) and in_span(v, Ortho(tuple(gens)))
     if isinstance(t, Prod):
         return _prod_member(v, t, phase)
     return _arrow_member(v, t, phase)
@@ -238,29 +234,37 @@ def _rank1_member(v: TermDist, t: Prod) -> bool:
     gr = span_generators(t.right)
     if gl is None or gr is None:
         raise Undecidable()
+    factors = factor_rank1([(u.left, u.right, c) for u, c in v.entries])
+    if factors is None:
+        return False
+    return _member(factors[0], sharp_normalize(t.left), True) and _member(
+        factors[1], sharp_normalize(t.right), True
+    )
+
+
+def factor_rank1(
+    entries: list[tuple[PureTerm, PureTerm, complex]],
+) -> Optional[tuple[TermDist, TermDist]]:
+    """Write the sum of c (left x right) as (sum of lefts) x (sum of
+    rights) when its coefficient matrix, indexed by the alpha-classes of
+    the lefts and of the rights, has rank one; None otherwise."""
     lefts: list[PureTerm] = []
     rights: list[PureTerm] = []
-    coeffs: dict[tuple[int, int], complex] = {}
-    for u, c in v.entries:
-        assert isinstance(u, Pair)
-        i = _class_index(lefts, u.left)
-        j = _class_index(rights, u.right)
-        coeffs[(i, j)] = coeffs.get((i, j), 0) + c
+    cells = [
+        (_class_index(lefts, lt), _class_index(rights, rt), c)
+        for lt, rt, c in entries
+    ]
     m = np.zeros((len(lefts), len(rights)), dtype=complex)
-    for (i, j), c in coeffs.items():
-        m[i, j] = c
-    u_mat, s, vh = np.linalg.svd(m)
+    for i, j, c in cells:
+        m[i, j] += c
+    u, s, vh = np.linalg.svd(m)
     if len(s) > 1 and not sc_is_zero(s[1]):
-        return False
-    left_factor = add(
-        *(scale(u_mat[i, 0], single(lt)) for i, lt in enumerate(lefts))
-    )
-    right_factor = add(
+        return None
+    left = add(*(scale(u[i, 0], single(lt)) for i, lt in enumerate(lefts)))
+    right = add(
         *(scale(s[0] * vh[0, j], single(rt)) for j, rt in enumerate(rights))
     )
-    return _member(left_factor, sharp_normalize(t.left), True) and _member(
-        right_factor, sharp_normalize(t.right), True
-    )
+    return left, right
 
 
 def _class_index(classes: list[PureTerm], t: PureTerm) -> int:
@@ -301,21 +305,16 @@ def _arrow_member(v: TermDist, t: Arrow, phase: bool) -> bool:
     # an orthonormal generating family decide membership
     images: list[TermDist] = []
     for g in gens:
-        trace = evaluate(mk_app(v, g))
-        if not isinstance(trace.final, NormalForm):
-            return False
-        w = trace.final.dist
-        if not _member(w, cod, True):
+        w = evaluate_value(mk_app(v, g))
+        if w is None or not _member(w, cod, True):
             return False
         images.append(w)
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            if not sc_is_zero(inner_product(images[i], images[j])):
-                if isinstance(dom, Sharp):
-                    return False
-                # a product domain does not contain the combination that
-                # witnesses the failure
-                raise Undecidable()
+    if first_overlap(images) is not None:
+        if isinstance(dom, Sharp):
+            return False
+        # a product domain does not contain the combination that
+        # witnesses the failure
+        raise Undecidable()
     return True
 
 
@@ -361,20 +360,13 @@ def _curried_member(v: TermDist, t: Arrow) -> bool:
             app = v
             for a in args:
                 app = mk_app(app, a)
-            trace = evaluate(app)
-            if not isinstance(trace.final, NormalForm):
-                return False
-            w = trace.final.dist
-            if not _member(w, cur, True):
+            w = evaluate_value(app)
+            if w is None or not _member(w, cur, True):
                 return False
             grid[varying] = w
         if span_cod:
-            keys = list(grid)
-            for i in range(len(keys)):
-                for j in range(i + 1, len(keys)):
-                    ip = inner_product(grid[keys[i]], grid[keys[j]])
-                    if not sc_is_zero(ip):
-                        return False
+            if first_overlap(list(grid.values())) is not None:
+                return False
         else:
             # single-axis pair combinations are images of realizable
             # arguments and must stay inside the product
@@ -404,10 +396,8 @@ def _curried_member(v: TermDist, t: Arrow) -> bool:
 def realizes(t: TermDist, goal: Type, max_steps: int = 100000) -> bool:
     """A distribution realizes a type when it reduces to a value that is
     a member up to a global phase."""
-    trace = evaluate(t, max_steps)
-    if not isinstance(trace.final, NormalForm):
-        return False
-    return is_member_phase(trace.final.dist, goal)
+    w = evaluate_value(t, max_steps)
+    return w is not None and is_member_phase(w, goal)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +421,8 @@ def subtype(a: Type, b: Type) -> Optional[bool]:
         ga = span_generators(a)
         gb = span_generators(b)
         if ga is not None and gb is not None:
-            return all(_in_span(g, gb) for g in ga)
+            span = Ortho(tuple(gb))
+            return all(in_span(g, span) for g in ga)
     if isinstance(a, Sharp) and finite_members(b) is not None:
         return False
     if isinstance(a, Arrow) and isinstance(b, Arrow):
@@ -449,16 +440,6 @@ def subtype(a: Type, b: Type) -> Optional[bool]:
             return False
         return None
     return None
-
-
-def orthogonal_complement_membership(v: TermDist, t: Type) -> bool:
-    """Unit norm and orthogonal to every generator of the type's span."""
-    gens = span_generators(t)
-    if gens is None:
-        raise Undecidable()
-    if not sc_eq(norm(v), 1.0):
-        return False
-    return all(sc_is_zero(inner_product(g, v)) for g in gens)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .core import (
     mk_letpair,
     single,
 )
-from .basis import STD, decompose, ket_bits, product_basis, to_vector
+from .basis import STD, decompose, product_basis, support_arity, to_vector
 from .reduction import NormalForm, Stuck, evaluate
 from .subst import fresh_name
 
@@ -65,21 +65,6 @@ class UnitaryReport:
         return "not unitary"
 
 
-def _support_arity(d: TermDist) -> Optional[int]:
-    """Qubit count of a ket-supported distribution, with no constraint
-    on its norm."""
-    n: Optional[int] = None
-    for t, _ in d.entries:
-        bits = ket_bits(t)
-        if bits is None:
-            return None
-        if n is None:
-            n = len(bits)
-        elif n != len(bits):
-            return None
-    return n
-
-
 def _annotation(f: TermDist) -> Ortho:
     if len(f.entries) != 1 or not isinstance(f.entries[0][0], Lam):
         raise UnitaryError("matrix extraction needs a single abstraction")
@@ -113,7 +98,7 @@ def extract_matrix(
         if not isinstance(trace.final, NormalForm):
             raise UnitaryError(f"image of basis element {k}: no normal form")
         image = trace.final.dist
-        n = _support_arity(image)
+        n = support_arity(image)
         if n is None:
             raise UnitaryError(
                 f"image of basis element {k} is not a qubit value"
@@ -157,6 +142,22 @@ def check_unitary(
         witness=(i, j, complex(gram[i, j])),
         tol=tol,
     )
+
+
+def curried_bases(f: TermDist) -> Optional[tuple[Ortho, Ortho]]:
+    """(outer, inner) annotation bases when f is a single curried
+    two-argument abstraction with orthonormal annotations, else None."""
+    if len(f.entries) != 1:
+        return None
+    outer = f.entries[0][0]
+    if not isinstance(outer, Lam) or not isinstance(outer.basis, Ortho):
+        return None
+    if len(outer.body.entries) != 1:
+        return None
+    inner = outer.body.entries[0][0]
+    if not isinstance(inner, Lam) or not isinstance(inner.basis, Ortho):
+        return None
+    return outer.basis, inner.basis
 
 
 def uncurry2(f: TermDist, left: Ortho = STD, right: Ortho = STD) -> TermDist:

@@ -24,7 +24,7 @@ from basislam.basis import (
     to_vector,
     validate_basis,
 )
-from basislam.core import Ket, Ortho, add, mk_pair, scale, single
+from basislam.core import Ket, Ortho, add, mk_pair, scale, set_eps, single
 from gen import random_ortho, random_state
 
 
@@ -108,6 +108,17 @@ class TestDecompose:
         assert decompose(multi_ket("00"), half_bell) is None
         assert not in_span(multi_ket("00"), half_bell)
         assert in_span(PHI_PLUS, half_bell)
+
+    def test_follows_global_tolerance(self, eps_guard):
+        # a 1e-10 component outside the span is a real component at a
+        # 1e-12 tolerance and noise at the default one
+        set_eps(1e-12)
+        v = add(single(Ket(0)), scale(1e-10, single(Ket(1))))
+        only_zero = Ortho((single(Ket(0)),))
+        assert decompose(v, only_zero, eps=1e-12) is None
+        assert decompose(v, only_zero) is None
+        set_eps(1e-9)
+        assert decompose(v, only_zero) == [1]
 
     def test_bell_coordinates(self):
         coeffs = decompose(multi_ket("00"), BELL)

@@ -13,7 +13,6 @@ from basislam.core import (
     TermDist,
     Var,
     add,
-    canonicalize,
     dist_eq,
     free_vars,
     inner_product,
