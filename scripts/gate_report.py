@@ -21,6 +21,8 @@ from basislam import (
     check_unitary,
     curried_bases,
     is_member,
+    reduction,
+    set_max_steps,
     uncurry2,
 )
 from basislam.typesem import Arrow, BasisType, Sharp
@@ -30,7 +32,6 @@ from basislam.corpus import corpus_program
 @dataclass
 class Config:
     tol: float = 1e-6
-    max_steps: int = 100000
 
 
 def basis_label(b: Ortho) -> str:
@@ -44,7 +45,7 @@ def survey(name: str, term: TermDist, cfg: Config) -> bool:
         left, right = parts
         term = uncurry2(term, left, right)
         note = f" (uncurried over {basis_label(left)} x {basis_label(right)})"
-    report = check_unitary(term, tol=cfg.tol, max_steps=cfg.max_steps)
+    report = check_unitary(term, tol=cfg.tol)
     rows, cols = report.matrix.shape
     member = None
     if report.square:
@@ -68,9 +69,13 @@ def survey(name: str, term: TermDist, cfg: Config) -> bool:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--tol", type=float, default=Config.tol)
-    ap.add_argument("--max-steps", type=int, default=Config.max_steps)
+    ap.add_argument("--max-steps", type=int, default=reduction.MAX_STEPS)
     args = ap.parse_args()
-    cfg = Config(tol=args.tol, max_steps=args.max_steps)
+    try:
+        set_max_steps(args.max_steps)
+    except ValueError as e:
+        ap.error(str(e))
+    cfg = Config(tol=args.tol)
 
     prog = corpus_program("gates")
     print("gate survey:")

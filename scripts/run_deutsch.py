@@ -23,6 +23,8 @@ from basislam import (
     evaluate,
     mk_app,
     print_term,
+    reduction,
+    set_max_steps,
     to_vector,
     uses_sharp_binding,
 )
@@ -39,7 +41,6 @@ ORACLE_TABLE = {
 
 @dataclass
 class Config:
-    max_steps: int = 100000
     check: bool = True
 
 
@@ -54,13 +55,13 @@ def answer_bit(trace_final_dist, wires: int) -> int:
     return int(probs[half:].sum() > probs[:half].sum())
 
 
-def run_family(prog, disc_name: str, prefix: str, wires: int, cfg: Config) -> bool:
+def run_family(prog, disc_name: str, prefix: str, wires: int) -> bool:
     disc = prog.defs[disc_name]
     ok = True
     print(f"{disc_name}:")
     for suffix, (f0, f1) in ORACLE_TABLE.items():
         oracle = prog.defs[f"{prefix}{suffix}"]
-        trace = evaluate(mk_app(disc, oracle), max_steps=cfg.max_steps)
+        trace = evaluate(mk_app(disc, oracle))
         if not isinstance(trace.final, NormalForm):
             print(f"  {prefix}{suffix:<7} STUCK: {trace.final.reason}")
             ok = False
@@ -99,14 +100,18 @@ def check_goals(prog, cfg: Config) -> bool:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-steps", type=int, default=Config.max_steps)
+    ap.add_argument("--max-steps", type=int, default=reduction.MAX_STEPS)
     ap.add_argument("--no-check", action="store_true", help="skip typing")
     args = ap.parse_args()
-    cfg = Config(max_steps=args.max_steps, check=not args.no_check)
+    try:
+        set_max_steps(args.max_steps)
+    except ValueError as e:
+        ap.error(str(e))
+    cfg = Config(check=not args.no_check)
 
     prog = corpus_program("deutsch")
-    ok = run_family(prog, "Deutsch", "OX_", wires=1, cfg=cfg)
-    ok = run_family(prog, "DeutschStd", "OB_", wires=2, cfg=cfg) and ok
+    ok = run_family(prog, "Deutsch", "OX_", wires=1)
+    ok = run_family(prog, "DeutschStd", "OB_", wires=2) and ok
     if cfg.check:
         print("goal typing:")
         ok = check_goals(prog, cfg) and ok

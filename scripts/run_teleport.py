@@ -27,7 +27,9 @@ from basislam import (
     mk_pair,
     norm,
     parse_type,
+    reduction,
     scale,
+    set_max_steps,
     sub,
     zero,
 )
@@ -38,7 +40,6 @@ from basislam.corpus import corpus_program
 class Config:
     n_states: int = 20
     seed: int = 2026
-    max_steps: int = 100000
 
 
 def random_state(rng: np.random.Generator):
@@ -59,9 +60,13 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n-states", type=int, default=Config.n_states)
     ap.add_argument("--seed", type=int, default=Config.seed)
-    ap.add_argument("--max-steps", type=int, default=Config.max_steps)
+    ap.add_argument("--max-steps", type=int, default=reduction.MAX_STEPS)
     args = ap.parse_args()
-    cfg = Config(args.n_states, args.seed, args.max_steps)
+    try:
+        set_max_steps(args.max_steps)
+    except ValueError as e:
+        ap.error(str(e))
+    cfg = Config(args.n_states, args.seed)
 
     prog = corpus_program("teleport")
     teleport = prog.defs["Teleport"]
@@ -71,7 +76,7 @@ def main() -> int:
     failures = 0
     for k in range(cfg.n_states):
         psi = random_state(rng)
-        trace = evaluate(mk_app(teleport, psi), max_steps=cfg.max_steps)
+        trace = evaluate(mk_app(teleport, psi))
         if not isinstance(trace.final, NormalForm):
             print(f"state {k:2d}: STUCK ({trace.final.reason})")
             failures += 1

@@ -126,22 +126,20 @@ def validate_basis(b: Ortho) -> int:
     return arity
 
 
-def decompose(
-    v: TermDist, b: Ortho, eps: Optional[float] = None
-) -> Optional[list[complex]]:
+def decompose(v: TermDist, b: Ortho) -> Optional[list[complex]]:
     """Coefficients of v over b, or None when v has a component outside
-    the span (residual norm above eps)."""
+    the span (residual norm above the tolerance)."""
     coeffs = [inner_product(e, v) for e in b.elements]
     residual = v
     for c, e in zip(coeffs, b.elements):
         residual = sub(residual, scale(c, e))
-    if not sc_is_zero(norm(residual), eps):
+    if not sc_is_zero(norm(residual)):
         return None
     return coeffs
 
 
-def in_span(v: TermDist, b: Ortho, eps: Optional[float] = None) -> bool:
-    return decompose(v, b, eps) is not None
+def in_span(v: TermDist, b: Ortho) -> bool:
+    return decompose(v, b) is not None
 
 
 def product_basis(b1: Ortho, b2: Ortho) -> Ortho:

@@ -303,9 +303,6 @@ def _synth_value(d: TermDist) -> Optional[Type]:
 
 
 class _Checker:
-    def __init__(self, max_steps: int = 100000):
-        self.max_steps = max_steps
-
     # -- main entry ---------------------------------------------------
 
     def check(self, ctx: Context, d: TermDist, goal: Type) -> Derivation:
@@ -425,7 +422,7 @@ class _Checker:
 
     def _check_lit(self, ctx: Context, d: TermDist, goal: Type) -> Derivation:
         try:
-            ok = realizes(d, goal, self.max_steps)
+            ok = realizes(d, goal)
         except Undecidable as e:
             raise CheckError("rule not applicable", str(e))
         if not ok:
@@ -761,7 +758,7 @@ class _Checker:
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
                 if not check_orthogonality(
-                    ctx, {}, parts[i], {}, parts[j], goal, self.max_steps
+                    ctx, {}, parts[i], {}, parts[j], goal
                 ):
                     raise CheckError(
                         f"orthogonality premise failed (branches {i},{j})",
@@ -793,7 +790,7 @@ class _Checker:
                 for (x, _, basis), value in zip(basis_pools, combo)
             }
             if sharp_var is None:
-                if not realizes(apply_sigma(d, sigma), goal, self.max_steps):
+                if not realizes(apply_sigma(d, sigma), goal):
                     raise CheckError(
                         "rule not applicable",
                         "semantic check failed on an enumerated substitution",
@@ -802,9 +799,7 @@ class _Checker:
             name, gens, basis = sharp_var
             images: list[TermDist] = []
             for g in gens:
-                w = evaluate_value(
-                    apply_sigma(d, {**sigma, name: (g, basis)}), self.max_steps
-                )
+                w = evaluate_value(apply_sigma(d, {**sigma, name: (g, basis)}))
                 if w is None:
                     raise CheckError(
                         "rule not applicable",
@@ -873,13 +868,8 @@ def _best_error(errors: list[CheckError]) -> CheckError:
 # Public entry points.
 
 
-def check(
-    ctx: Union[Context, dict],
-    term: TermDist,
-    goal: Type,
-    max_steps: int = 100000,
-) -> Derivation:
-    return _Checker(max_steps).check(_coerce_ctx(ctx), term, goal)
+def check(ctx: Union[Context, dict], term: TermDist, goal: Type) -> Derivation:
+    return _Checker().check(_coerce_ctx(ctx), term, goal)
 
 
 def _coerce_ctx(ctx: Union[Context, dict]) -> Context:
@@ -932,7 +922,6 @@ def check_orthogonality(
     delta2: Union[Context, dict],
     s: TermDist,
     goal: Type,
-    max_steps: int = 100000,
 ) -> bool:
     """The orthogonality judgement: under every pair of independent
     substitutions for the two contexts, both sides reduce to values with
@@ -949,7 +938,7 @@ def check_orthogonality(
     for term, subs in ((t, left_subs), (s, right_subs)):
         values = []
         for sigma in subs:
-            v = evaluate_value(apply_sigma(term, sigma), max_steps)
+            v = evaluate_value(apply_sigma(term, sigma))
             if v is None:
                 return False
             values.append(v)
@@ -976,22 +965,19 @@ class HarnessReport:
 
 
 def subject_reduction_harness(
-    ctx: Union[Context, dict],
-    term: TermDist,
-    goal: Type,
-    max_steps: int = 100000,
+    ctx: Union[Context, dict], term: TermDist, goal: Type
 ) -> HarnessReport:
     """Re-check the judgement at every reduction step of the term."""
     ctx = _coerce_ctx(ctx)
     report = HarnessReport(ok=True)
     try:
-        check(ctx, term, goal, max_steps)
+        check(ctx, term, goal)
     except CheckError as e:
         return HarnessReport(ok=False, failure=f"initial judgement: {e}")
-    trace = evaluate(term, max_steps)
+    trace = evaluate(term)
     for i, (dist, rule) in enumerate(trace.steps):
         try:
-            check(ctx, dist, goal, max_steps)
+            check(ctx, dist, goal)
             report.steps.append(HarnessStep(i, str(rule), True))
         except CheckError as e:
             report.steps.append(HarnessStep(i, str(rule), False, str(e)))

@@ -16,11 +16,12 @@ import sys
 from dataclasses import asdict
 from typing import Optional
 
+from . import core, reduction
 from .basis import Ortho
-from .checker import CheckError, check, check_orthogonality
+from .checker import CheckError, Derivation, check, check_orthogonality
 from .core import TermDist, phase_normalize, set_eps, single
 from .corpus import format_rows, run_corpus
-from .reduction import NormalForm, evaluate
+from .reduction import NormalForm, evaluate, set_max_steps
 from .syntax import (
     ParseError,
     load_program,
@@ -31,7 +32,15 @@ from .syntax import (
     print_type,
     render_scalar,
 )
-from .unitary import UnitaryError, check_unitary, curried_bases, uncurry2
+from .typesem import Type
+from .unitary import (
+    GRAM_TOL,
+    UnitaryError,
+    UnitaryReport,
+    check_unitary,
+    curried_bases,
+    uncurry2,
+)
 
 ANALYSIS_FAILURE = 1
 USAGE_ERROR = 2
@@ -86,7 +95,7 @@ def _cmd_parse(args, bases, defs) -> int:
 
 def _cmd_eval(args, bases, defs) -> int:
     d = parse_term(args.term, bases, defs)
-    trace = evaluate(d, args.max_steps)
+    trace = evaluate(d)
     final = trace.final
     if isinstance(final, NormalForm):
         normalized, phase = _phase_split(final.dist)
@@ -126,11 +135,18 @@ def _cmd_eval(args, bases, defs) -> int:
     return code
 
 
+def _check_source(
+    term_src: str, type_src: str, bases, defs
+) -> tuple[Type, Derivation]:
+    """Parse a term and a type, then check the closed term against it."""
+    d = parse_term(term_src, bases, defs)
+    goal = parse_type(type_src, bases)
+    return goal, check({}, d, goal)
+
+
 def _cmd_check(args, bases, defs) -> int:
-    d = parse_term(args.term, bases, defs)
-    goal = parse_type(args.type_, bases)
     try:
-        deriv = check({}, d, goal, args.max_steps)
+        goal, deriv = _check_source(args.term, args.type_, bases, defs)
     except CheckError as e:
         if args.json:
             print(json.dumps({"ok": False, "error": str(e)}))
@@ -149,9 +165,7 @@ def _cmd_ortho(args, bases, defs) -> int:
     left = parse_term(args.left, bases, defs)
     right = parse_term(args.right, bases, defs)
     goal = parse_type(args.type_, bases)
-    ok = check_orthogonality(
-        {}, {}, left, {}, right, goal, max_steps=args.max_steps
-    )
+    ok = check_orthogonality({}, {}, left, {}, right, goal)
     if args.json:
         print(json.dumps({"orthogonal": ok}))
     else:
@@ -163,23 +177,25 @@ def _fmt_entry(z: complex) -> str:
     return f"{z.real:+.6f}{z.imag:+.6f}i"
 
 
-def _auto_uncurry(d: TermDist) -> tuple[TermDist, Optional[str]]:
-    """A curried two-argument abstraction with annotated binders is
-    wrapped through uncurry2 so its matrix is taken over the product
-    basis."""
+def _unitary_source(
+    src: str, bases, defs
+) -> tuple[UnitaryReport, Optional[str]]:
+    """Parse a term and run the gram analysis on it.  A curried
+    two-argument abstraction with annotated binders is first wrapped
+    through uncurry2, so its matrix is taken over the product basis;
+    the second value names that product, or is None."""
+    d = parse_term(src, bases, defs)
     parts = curried_bases(d)
     if parts is None:
-        return d, None
+        return check_unitary(d), None
     left, right = parts
     note = f"{print_basis(left)} x {print_basis(right)}"
-    return uncurry2(d, left, right), note
+    return check_unitary(uncurry2(d, left, right)), note
 
 
 def _cmd_unitary(args, bases, defs) -> int:
-    d = parse_term(args.term, bases, defs)
-    d, uncurried = _auto_uncurry(d)
     try:
-        report = check_unitary(d, max_steps=args.max_steps)
+        report, uncurried = _unitary_source(args.term, bases, defs)
     except UnitaryError as e:
         if args.json:
             print(json.dumps({"error": str(e)}))
@@ -216,7 +232,7 @@ def _cmd_unitary(args, bases, defs) -> int:
 
 
 def _cmd_corpus(args, bases, defs) -> int:
-    rows = run_corpus(args.max_steps)
+    rows = run_corpus()
     if args.json:
         passed = sum(1 for r in rows if r.ok)
         payload = {
@@ -238,29 +254,26 @@ _REPL_HELP = """commands:
   :q               quit"""
 
 
-def _repl_line(line: str, bases, defs, max_steps: int) -> None:
+def _repl_line(line: str, bases, defs) -> None:
     if line.startswith(":t "):
         rest = line[3:]
         if " : " not in rest:
             print("usage: :t TERM : TYPE")
             return
         term_src, type_src = rest.rsplit(" : ", 1)
-        d = parse_term(term_src, bases, defs)
-        goal = parse_type(type_src, bases)
         try:
-            deriv = check({}, d, goal, max_steps)
+            _, deriv = _check_source(term_src, type_src, bases, defs)
         except CheckError as e:
             print(f"type error: {e}")
             return
         print(f"well-typed via {deriv.rule}")
         return
     if line.startswith(":u "):
-        d, _ = _auto_uncurry(parse_term(line[3:], bases, defs))
-        report = check_unitary(d, max_steps=max_steps)
+        report, _ = _unitary_source(line[3:], bases, defs)
         print(f"{report.label} (deviation {report.deviation:.3g})")
         return
     d = parse_term(line, bases, defs)
-    trace = evaluate(d, max_steps)
+    trace = evaluate(d)
     if isinstance(trace.final, NormalForm):
         normalized, phase = _phase_split(trace.final.dist)
         note = f"[steps {trace.fuel_used}, phase {_fmt_phase(phase)}]"
@@ -288,7 +301,7 @@ def _cmd_repl(args, bases, defs) -> int:
             print(_REPL_HELP)
             continue
         try:
-            _repl_line(line, bases, defs, args.max_steps)
+            _repl_line(line, bases, defs)
         except (ParseError, CheckError, UnitaryError, ValueError) as e:
             print(f"error: {e}")
     return 0
@@ -303,16 +316,20 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--max-steps",
         type=int,
-        default=100000,
+        default=reduction.MAX_STEPS,
         metavar="N",
-        help="evaluation fuel (default 100000)",
+        help="evaluation fuel: the step bound of every evaluation, also "
+        "those inside membership, subtyping, checking and matrix "
+        "extraction (default %(default)s)",
     )
     common.add_argument(
         "--eps",
         type=float,
-        default=None,
+        default=core.EPS,
         metavar="E",
-        help="numeric comparison tolerance (default 1e-9)",
+        help="tolerance of every scalar comparison, of zero-pruning and "
+        "of symbolic coefficient printing; the unitary gram verdict "
+        f"keeps its own {GRAM_TOL:g} (default %(default)s)",
     )
     common.add_argument(
         "--json",
@@ -400,23 +417,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command with --eps and --max-steps applied, then restore
+    the tolerance and the fuel found on entry."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.eps is not None:
+    saved_eps, saved_steps = core.EPS, reduction.MAX_STEPS
+    try:
         try:
             set_eps(args.eps)
+            set_max_steps(args.max_steps)
         except ValueError as e:
             print(f"error: {e}", file=sys.stderr)
             return USAGE_ERROR
-    try:
         bases, defs = _environment(args.def_files)
         return args.handler(args, bases, defs)
-    except ParseError as e:
+    except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
+    finally:
+        set_eps(saved_eps)
+        set_max_steps(saved_steps)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 # Tolerance for scalar equality, zero pruning, orthogonality and norm
-# checks.  One knob for the whole package (CLI --eps writes it).
+# checks.  One setting for the whole package (CLI --eps writes it); other
+# modules read it through sc_eq and sc_is_zero at call time.
 EPS = 1e-9
 
 
@@ -29,12 +30,12 @@ def set_eps(value: float) -> None:
     EPS = float(value)
 
 
-def sc_eq(a: complex, b: complex, eps: Optional[float] = None) -> bool:
-    return abs(a - b) <= (EPS if eps is None else eps)
+def sc_eq(a: complex, b: complex) -> bool:
+    return abs(a - b) <= EPS
 
 
-def sc_is_zero(a: complex, eps: Optional[float] = None) -> bool:
-    return abs(a) <= (EPS if eps is None else eps)
+def sc_is_zero(a: complex) -> bool:
+    return abs(a) <= EPS
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +227,13 @@ class _Env:
         return None
 
 
-def _basis_eq(a: Basis, b: Basis, eps: float) -> bool:
+def basis_eq(a: Basis, b: Basis) -> bool:
     if isinstance(a, AbsBasis) or isinstance(b, AbsBasis):
         return isinstance(a, AbsBasis) and isinstance(b, AbsBasis)
     if len(a.elements) != len(b.elements):
         return False
     return all(
-        _dist_eq(x, y, None, None, 0, eps)
-        for x, y in zip(a.elements, b.elements)
+        _dist_eq(x, y, None, None, 0) for x, y in zip(a.elements, b.elements)
     )
 
 
@@ -243,7 +243,6 @@ def _term_eq(
     ea: Optional[_Env],
     eb: Optional[_Env],
     depth: int,
-    eps: float,
 ) -> bool:
     if type(a) is not type(b):
         return False
@@ -255,15 +254,15 @@ def _term_eq(
             return a.name == b.name
         return la == lb
     if isinstance(a, Pair):
-        return _term_eq(a.left, b.left, ea, eb, depth, eps) and _term_eq(
-            a.right, b.right, ea, eb, depth, eps
+        return _term_eq(a.left, b.left, ea, eb, depth) and _term_eq(
+            a.right, b.right, ea, eb, depth
         )
     if isinstance(a, App):
-        return _term_eq(a.fun, b.fun, ea, eb, depth, eps) and _term_eq(
-            a.arg, b.arg, ea, eb, depth, eps
+        return _term_eq(a.fun, b.fun, ea, eb, depth) and _term_eq(
+            a.arg, b.arg, ea, eb, depth
         )
     if isinstance(a, Lam):
-        if not _basis_eq(a.basis, b.basis, eps):
+        if not basis_eq(a.basis, b.basis):
             return False
         return _dist_eq(
             a.body,
@@ -271,15 +270,13 @@ def _term_eq(
             _Env(ea, a.var, depth),
             _Env(eb, b.var, depth),
             depth + 1,
-            eps,
         )
     if isinstance(a, LetPair):
         if not (
-            _basis_eq(a.basis1, b.basis1, eps)
-            and _basis_eq(a.basis2, b.basis2, eps)
+            basis_eq(a.basis1, b.basis1) and basis_eq(a.basis2, b.basis2)
         ):
             return False
-        if not _term_eq(a.scrutinee, b.scrutinee, ea, eb, depth, eps):
+        if not _term_eq(a.scrutinee, b.scrutinee, ea, eb, depth):
             return False
         return _dist_eq(
             a.body,
@@ -287,18 +284,17 @@ def _term_eq(
             _Env(_Env(ea, a.var1, depth), a.var2, depth + 1),
             _Env(_Env(eb, b.var1, depth), b.var2, depth + 1),
             depth + 2,
-            eps,
         )
     if isinstance(a, Case):
         if len(a.patterns) != len(b.patterns):
             return False
-        if not _term_eq(a.scrutinee, b.scrutinee, ea, eb, depth, eps):
+        if not _term_eq(a.scrutinee, b.scrutinee, ea, eb, depth):
             return False
         for pa, pb in zip(a.patterns, b.patterns):
-            if not _dist_eq(pa, pb, None, None, 0, eps):
+            if not _dist_eq(pa, pb, None, None, 0):
                 return False
         for ba, bb in zip(a.branches, b.branches):
-            if not _dist_eq(ba, bb, ea, eb, depth, eps):
+            if not _dist_eq(ba, bb, ea, eb, depth):
                 return False
         return True
     raise TypeError(f"not a pure term: {a!r}")
@@ -310,7 +306,6 @@ def _dist_eq(
     ea: Optional[_Env],
     eb: Optional[_Env],
     depth: int,
-    eps: float,
 ) -> bool:
     if len(a.entries) != len(b.entries):
         return False
@@ -320,7 +315,7 @@ def _dist_eq(
         for j, (tb, cb) in enumerate(b.entries):
             if used[j]:
                 continue
-            if abs(ca - cb) <= eps and _term_eq(ta, tb, ea, eb, depth, eps):
+            if abs(ca - cb) <= EPS and _term_eq(ta, tb, ea, eb, depth):
                 used[j] = True
                 hit = True
                 break
@@ -329,18 +324,14 @@ def _dist_eq(
     return True
 
 
-def term_eq(a: PureTerm, b: PureTerm, eps: Optional[float] = None) -> bool:
+def term_eq(a: PureTerm, b: PureTerm) -> bool:
     """Alpha-respecting equality with scalar tolerance (the Kronecker
     delta used by the inner product)."""
-    return _term_eq(a, b, None, None, 0, EPS if eps is None else eps)
+    return _term_eq(a, b, None, None, 0)
 
 
-def dist_eq(a: TermDist, b: TermDist, eps: Optional[float] = None) -> bool:
-    return _dist_eq(a, b, None, None, 0, EPS if eps is None else eps)
-
-
-def basis_eq(a: Basis, b: Basis, eps: Optional[float] = None) -> bool:
-    return _basis_eq(a, b, EPS if eps is None else eps)
+def dist_eq(a: TermDist, b: TermDist) -> bool:
+    return _dist_eq(a, b, None, None, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +490,13 @@ def mk_case(
 # Inner product, norm, global phase.
 
 
-def inner_product(v: TermDist, w: TermDist, eps: Optional[float] = None) -> complex:
+def inner_product(v: TermDist, w: TermDist) -> complex:
     """Sesquilinear (conjugate in the first argument); the delta on pure
     terms is alpha-respecting syntactic equality of canonical forms."""
     acc = 0 + 0j
     for t, a in v.entries:
         for s, b in w.entries:
-            if _term_eq(t, s, None, None, 0, EPS if eps is None else eps):
+            if _term_eq(t, s, None, None, 0):
                 acc += a.conjugate() * b
     return acc
 

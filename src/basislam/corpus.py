@@ -15,12 +15,14 @@ from typing import Optional
 
 from .checker import CheckError, check, subject_reduction_harness
 from .core import TermDist, dist_eq, phase_normalize
+from .reduction import NormalForm, evaluate
 from .syntax import (
     ParseError,
     Program,
     parse_program,
     parse_term,
     parse_type,
+    print_term,
     print_type,
 )
 from .typesem import subtype
@@ -150,11 +152,7 @@ def _phase_eq(a: TermDist, b: TermDist) -> bool:
     return dist_eq(na, nb)
 
 
-def _eval_rows(
-    progs: dict[str, Program], max_steps: int
-) -> list[CorpusRow]:
-    from .reduction import NormalForm, evaluate
-
+def _eval_rows(progs: dict[str, Program]) -> list[CorpusRow]:
     rows = []
     for pname, src, expected_src, _ in EVAL_CASES:
         prog = progs[pname]
@@ -167,7 +165,7 @@ def _eval_rows(
         except ParseError as e:
             rows.append(CorpusRow("eval", name, False, str(e)))
             continue
-        trace = evaluate(term, max_steps)
+        trace = evaluate(term)
         if not isinstance(trace.final, NormalForm):
             rows.append(
                 CorpusRow("eval", name, False, trace.final.reason)
@@ -176,32 +174,26 @@ def _eval_rows(
         ok = _phase_eq(trace.final.dist, expected)
         detail = f"{trace.fuel_used} steps"
         if not ok:
-            from .syntax import print_term
-
             detail = f"got {print_term(trace.final.dist)}"
         rows.append(CorpusRow("eval", name, ok, detail))
     return rows
 
 
-def _goal_rows(
-    progs: dict[str, Program], max_steps: int
-) -> list[CorpusRow]:
+def _goal_rows(progs: dict[str, Program]) -> list[CorpusRow]:
     rows = []
     for pname, prog in progs.items():
         for goal in prog.goals:
             name = f"{pname}: {goal.name} : {print_type(goal.type)}"
             term = prog.defs[goal.name]
             try:
-                deriv = check({}, term, goal.type, max_steps)
+                deriv = check({}, term, goal.type)
                 rows.append(CorpusRow("type", name, True, deriv.rule))
             except CheckError as e:
                 rows.append(CorpusRow("type", name, False, str(e)))
     return rows
 
 
-def _unitary_rows(
-    progs: dict[str, Program], max_steps: int
-) -> list[CorpusRow]:
+def _unitary_rows(progs: dict[str, Program]) -> list[CorpusRow]:
     rows = []
     for pname, dname, curried, expect in UNITARY_CASES:
         prog = progs[pname]
@@ -212,7 +204,7 @@ def _unitary_rows(
             f = uncurry2(f, bases[curried[0]], bases[curried[1]])
             name += " (uncurried)"
         try:
-            report = check_unitary(f, max_steps=max_steps)
+            report = check_unitary(f)
         except UnitaryError as e:
             rows.append(CorpusRow("unitary", name, False, str(e)))
             continue
@@ -225,18 +217,14 @@ def _unitary_rows(
     return rows
 
 
-def _harness_rows(
-    progs: dict[str, Program], max_steps: int
-) -> list[CorpusRow]:
+def _harness_rows(progs: dict[str, Program]) -> list[CorpusRow]:
     rows = []
     for pname, src, _, type_src in EVAL_CASES:
-        if not type_src:
-            continue
         prog = progs[pname]
         name = f"{pname}: {src} : {type_src}"
         term = parse_term(src, prog.all_bases(), prog.defs)
         goal = parse_type(type_src, prog.all_bases())
-        report = subject_reduction_harness({}, term, goal, max_steps)
+        report = subject_reduction_harness({}, term, goal)
         detail = f"{len(report.steps)} steps re-checked"
         if not report.ok:
             bad = [s for s in report.steps if not s.ok]
@@ -265,13 +253,13 @@ def _subtype_rows() -> list[CorpusRow]:
     return rows
 
 
-def run_corpus(max_steps: int = 100000) -> list[CorpusRow]:
+def run_corpus() -> list[CorpusRow]:
     progs = load_corpus()
     rows: list[CorpusRow] = []
-    rows.extend(_eval_rows(progs, max_steps))
-    rows.extend(_goal_rows(progs, max_steps))
-    rows.extend(_unitary_rows(progs, max_steps))
-    rows.extend(_harness_rows(progs, max_steps))
+    rows.extend(_eval_rows(progs))
+    rows.extend(_goal_rows(progs))
+    rows.extend(_unitary_rows(progs))
+    rows.extend(_harness_rows(progs))
     rows.extend(_subtype_rows())
     return rows
 

@@ -29,6 +29,7 @@ from .core import (
     Var,
     add,
     is_pure_value,
+    sc_eq,
     scale,
     single,
     term_eq,
@@ -36,6 +37,19 @@ from .core import (
 from .subst import SubstUndefined, subst_basis, subst_tensor, subst_term
 
 _HOLE = "__hole__"  # lexer identifiers never start with an underscore
+
+# Evaluation fuel: the step bound of every evaluation, including those
+# inside membership, subtyping, checking and matrix extraction.  One
+# setting for the whole package (CLI --max-steps writes it); evaluate
+# reads it at call time.
+MAX_STEPS = 100000
+
+
+def set_max_steps(value: int) -> None:
+    global MAX_STEPS
+    if value < 0:
+        raise ValueError("max steps must be non-negative")
+    MAX_STEPS = int(value)
 
 
 class RuleTag(enum.Enum):
@@ -91,49 +105,21 @@ class Trace:
 
 @dataclass
 class _Redex:
-    kind: str  # "beta" | "lettensor" | "casematch"
     context: PureTerm
-    redex_repr: PureTerm
+    redex_repr: PureTerm  # beta App, LetPair or Case, hole at the slot
     slot: PureTerm
-    first_dir: Optional[str]
+    rule: RuleTag  # the redex's own rule, or the context rule at the root
 
 
-@dataclass
-class _Stk:
-    reason: str
-    offending: PureTerm
-
-
-_Found = Union[_Redex, _Stk]
-
-_DIR_TAG = {
-    "app-left": RuleTag.CTX_APP_LEFT,
-    "app-right": RuleTag.CTX_APP_RIGHT,
-    "pair-left": RuleTag.CTX_PAIR_LEFT,
-    "pair-right": RuleTag.CTX_PAIR_RIGHT,
-    "let": RuleTag.CTX_LET,
-    "case": RuleTag.CTX_CASE,
-}
-
-_BASE_TAG = {
-    "beta": RuleTag.BETA,
-    "lettensor": RuleTag.LET_TENSOR,
-    "casematch": RuleTag.CASE_MATCH,
-}
+_Found = Union[_Redex, Stuck]
 
 
 def _wrap(
-    sub: _Found, build: Callable[[PureTerm], PureTerm], direction: str
+    sub: _Found, build: Callable[[PureTerm], PureTerm], rule: RuleTag
 ) -> _Found:
-    if isinstance(sub, _Stk):
+    if isinstance(sub, Stuck):
         return sub
-    return _Redex(
-        kind=sub.kind,
-        context=build(sub.context),
-        redex_repr=sub.redex_repr,
-        slot=sub.slot,
-        first_dir=direction,
-    )
+    return _Redex(build(sub.context), sub.redex_repr, sub.slot, rule)
 
 
 def _find(t: PureTerm) -> Optional[_Found]:
@@ -145,30 +131,28 @@ def _find(t: PureTerm) -> Optional[_Found]:
         if not is_pure_value(t.left):
             sub = _find(t.left)
             assert sub is not None
-            return _wrap(sub, lambda c: Pair(c, t.right), "pair-left")
+            return _wrap(
+                sub, lambda c: Pair(c, t.right), RuleTag.CTX_PAIR_LEFT
+            )
         sub = _find(t.right)
         assert sub is not None
-        return _wrap(sub, lambda c: Pair(t.left, c), "pair-right")
+        return _wrap(sub, lambda c: Pair(t.left, c), RuleTag.CTX_PAIR_RIGHT)
     if isinstance(t, App):
         if not is_pure_value(t.arg):
             sub = _find(t.arg)
             assert sub is not None
-            return _wrap(sub, lambda c: App(t.fun, c), "app-right")
+            return _wrap(sub, lambda c: App(t.fun, c), RuleTag.CTX_APP_RIGHT)
         if not is_pure_value(t.fun):
             sub = _find(t.fun)
             assert sub is not None
-            return _wrap(sub, lambda c: App(c, t.arg), "app-left")
+            return _wrap(sub, lambda c: App(c, t.arg), RuleTag.CTX_APP_LEFT)
         if isinstance(t.fun, Lam):
             return _Redex(
-                kind="beta",
-                context=Var(_HOLE),
-                redex_repr=App(t.fun, Var(_HOLE)),
-                slot=t.arg,
-                first_dir=None,
+                Var(_HOLE), App(t.fun, Var(_HOLE)), t.arg, RuleTag.BETA
             )
         if isinstance(t.fun, Var):
-            return _Stk("free variable", t.fun)
-        return _Stk("non-value in value position", t.fun)
+            return Stuck("free variable", t.fun)
+        return Stuck("non-value in value position", t.fun)
     if isinstance(t, LetPair):
         if not is_pure_value(t.scrutinee):
             sub = _find(t.scrutinee)
@@ -178,43 +162,39 @@ def _find(t: PureTerm) -> Optional[_Found]:
                 lambda c: LetPair(
                     t.var1, t.basis1, t.var2, t.basis2, c, t.body
                 ),
-                "let",
+                RuleTag.CTX_LET,
             )
         if isinstance(t.scrutinee, Var):
-            return _Stk("free variable", t.scrutinee)
+            return Stuck("free variable", t.scrutinee)
         return _Redex(
-            kind="lettensor",
-            context=Var(_HOLE),
-            redex_repr=LetPair(
-                t.var1, t.basis1, t.var2, t.basis2, Var(_HOLE), t.body
-            ),
-            slot=t.scrutinee,
-            first_dir=None,
+            Var(_HOLE),
+            LetPair(t.var1, t.basis1, t.var2, t.basis2, Var(_HOLE), t.body),
+            t.scrutinee,
+            RuleTag.LET_TENSOR,
         )
     if isinstance(t, Case):
         if not is_pure_value(t.scrutinee):
             sub = _find(t.scrutinee)
             assert sub is not None
             return _wrap(
-                sub, lambda c: Case(c, t.patterns, t.branches), "case"
+                sub,
+                lambda c: Case(c, t.patterns, t.branches),
+                RuleTag.CTX_CASE,
             )
         if isinstance(t.scrutinee, Var):
-            return _Stk("free variable", t.scrutinee)
+            return Stuck("free variable", t.scrutinee)
         return _Redex(
-            kind="casematch",
-            context=Var(_HOLE),
-            redex_repr=Case(Var(_HOLE), t.patterns, t.branches),
-            slot=t.scrutinee,
-            first_dir=None,
+            Var(_HOLE),
+            Case(Var(_HOLE), t.patterns, t.branches),
+            t.scrutinee,
+            RuleTag.CASE_MATCH,
         )
     raise TypeError(f"not a pure term: {t!r}")
 
 
 def _same_redex(a: _Redex, b: _Redex) -> bool:
-    return (
-        a.kind == b.kind
-        and term_eq(a.context, b.context)
-        and term_eq(a.redex_repr, b.redex_repr)
+    return term_eq(a.context, b.context) and term_eq(
+        a.redex_repr, b.redex_repr
     )
 
 
@@ -226,17 +206,15 @@ def _instance(r: _Redex, slot: PureTerm) -> PureTerm:
 
 def _fire(r: _Redex, value: TermDist) -> Union[TermDist, Stuck]:
     offending = _instance(r, value.entries[0][0]) if value.entries else None
-    if r.kind == "beta":
-        node = r.redex_repr
-        assert isinstance(node, App) and isinstance(node.fun, Lam)
+    node = r.redex_repr
+    if isinstance(node, App):
+        assert isinstance(node.fun, Lam)
         lam = node.fun
         try:
             return subst_basis(lam.body, lam.var, value, lam.basis)
         except SubstUndefined as e:
             return Stuck(e.reason, offending)
-    if r.kind == "lettensor":
-        node = r.redex_repr
-        assert isinstance(node, LetPair)
+    if isinstance(node, LetPair):
         try:
             return subst_tensor(
                 node.body, node.var1, node.basis1, node.var2, node.basis2,
@@ -244,7 +222,6 @@ def _fire(r: _Redex, value: TermDist) -> Union[TermDist, Stuck]:
             )
         except SubstUndefined as e:
             return Stuck(e.reason, offending)
-    node = r.redex_repr
     assert isinstance(node, Case)
     coeffs = decompose(value, Ortho(node.patterns))
     if coeffs is None:
@@ -253,26 +230,16 @@ def _fire(r: _Redex, value: TermDist) -> Union[TermDist, Stuck]:
     return out
 
 
-def step(d: TermDist, chosen: Optional[int] = None) -> StepResult:
+def step(d: TermDist) -> StepResult:
     """One deterministic step: the canonically first reducible summand
-    fires, together with every summand sharing its context and redex.
-    `chosen` overrides the summand selection, for confluence tests."""
+    fires, together with every summand sharing its context and redex."""
     finds = [_find(t) for t, _ in d.entries]
-    if chosen is not None and not isinstance(finds[chosen], _Redex):
-        raise ValueError("chosen summand is not reducible")
-    if chosen is None:
-        idx = next(
-            (i for i, f in enumerate(finds) if isinstance(f, _Redex)), None
-        )
-    else:
-        idx = chosen
-    if idx is None:
+    picked = next((f for f in finds if isinstance(f, _Redex)), None)
+    if picked is None:
         for f in finds:
-            if isinstance(f, _Stk):
-                return Stuck(f.reason, f.offending)
+            if isinstance(f, Stuck):
+                return f
         return NormalForm(d)
-    picked = finds[idx]
-    assert isinstance(picked, _Redex)
 
     group = [
         i
@@ -297,18 +264,17 @@ def step(d: TermDist, chosen: Optional[int] = None) -> StepResult:
 
     if len(group) < len(d.entries):
         tag = RuleTag.CTX_SUM
-    elif len(group) == 1 and abs(d.entries[group[0]][1] - 1) > 1e-12:
+    elif len(group) == 1 and not sc_eq(d.entries[group[0]][1], 1):
         tag = RuleTag.CTX_SCALAR
-    elif picked.first_dir is not None:
-        tag = _DIR_TAG[picked.first_dir]
     else:
-        tag = _BASE_TAG[picked.kind]
+        tag = picked.rule
     return Reduced(result, tag)
 
 
-def evaluate(d: TermDist, max_steps: int = 100000) -> Trace:
+def evaluate(d: TermDist) -> Trace:
     """Reduce to normal form, recording every step; stops with a stuck
-    result or after the fuel runs out."""
+    result or after MAX_STEPS steps."""
+    max_steps = MAX_STEPS
     trace = Trace()
     current = d
     for used in range(max_steps):
@@ -329,12 +295,10 @@ def evaluate(d: TermDist, max_steps: int = 100000) -> Trace:
     return trace
 
 
-def evaluate_value(
-    d: TermDist, max_steps: int = 100000
-) -> Optional[TermDist]:
+def evaluate_value(d: TermDist) -> Optional[TermDist]:
     """The normal form of d, or None when evaluation sticks or the fuel
     runs out."""
-    trace = evaluate(d, max_steps)
+    trace = evaluate(d)
     if isinstance(trace.final, NormalForm):
         return trace.final.dist
     return None

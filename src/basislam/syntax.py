@@ -382,18 +382,7 @@ class _Parser:
                 )
             return ABS
         if tok.kind == "op" and tok.text == "{":
-            self.next()
-            elements = [self.term()]
-            while self.at_op(","):
-                self.next()
-                elements.append(self.term())
-            self.expect_op("}")
-            try:
-                basis = Ortho(tuple(elements))
-                validate_basis(basis)
-            except (BasisError, ValueError) as e:
-                raise ParseError(str(e), tok.line, tok.col, self.path)
-            return basis
+            return self.basis_literal()
         if tok.kind == "ident" and tok.text not in RESERVED:
             self.next()
             if tok.text in self.bases:
@@ -403,6 +392,22 @@ class _Parser:
             )
         self.err("expected a basis")
         raise AssertionError
+
+    def basis_literal(self, name: Optional[str] = None) -> Ortho:
+        """A braced orthonormal family; its errors point at the brace."""
+        brace = self.peek()
+        self.expect_op("{")
+        elements = [self.term()]
+        while self.at_op(","):
+            self.next()
+            elements.append(self.term())
+        self.expect_op("}")
+        try:
+            basis = Ortho(tuple(elements), name)
+            validate_basis(basis)
+        except (BasisError, ValueError) as e:
+            raise ParseError(str(e), brace.line, brace.col, self.path)
+        return basis
 
     def type_(self) -> Type:
         left = self.type_prod()
@@ -520,18 +525,7 @@ def parse_program(text: str, path: str = "") -> Program:
                     path,
                 )
             p.expect_op("=")
-            brace = p.peek()
-            p.expect_op("{")
-            elements = [p.term()]
-            while p.at_op(","):
-                p.next()
-                elements.append(p.term())
-            p.expect_op("}")
-            try:
-                basis = Ortho(tuple(elements), name.text)
-                validate_basis(basis)
-            except (BasisError, ValueError) as e:
-                raise ParseError(str(e), brace.line, brace.col, path)
+            basis = p.basis_literal(name.text)
             merged_bases[name.text] = basis
             program.bases[name.text] = basis
         elif tok.text == "def":
@@ -628,12 +622,10 @@ def print_term(d: TermDist) -> str:
 
 
 def _print_dist(d: TermDist, level: int) -> str:
-    text = print_term(d)
     if len(d.entries) == 1 and sc_eq(d.entries[0][1], 1.0):
         return _print_pure(d.entries[0][0], level)
-    if level < _TOP:
-        return f"({text})"
-    return text
+    text = print_term(d)
+    return f"({text})" if level < _TOP else text
 
 
 def _print_pure(t: PureTerm, level: int) -> str:

@@ -73,12 +73,6 @@ class Undecidable(Exception):
         self.message = message
 
 
-def sharp(t: Type) -> Type:
-    """Wrap in a sharp, collapsing an immediate double sharp."""
-    t = sharp_normalize(t)
-    return t if isinstance(t, Sharp) else Sharp(t)
-
-
 def sharp_normalize(t: Type) -> Type:
     if isinstance(t, BasisType):
         return t
@@ -129,11 +123,7 @@ def finite_members(t: Type) -> Optional[list[TermDist]]:
     if isinstance(t, BasisType):
         return list(t.basis.elements)
     if isinstance(t, Prod):
-        left = finite_members(t.left)
-        right = finite_members(t.right)
-        if left is None or right is None:
-            return None
-        return [mk_pair(l, r) for l in left for r in right]
+        return _pairs(finite_members(t.left), finite_members(t.right))
     return None
 
 
@@ -146,12 +136,18 @@ def span_generators(t: Type) -> Optional[list[TermDist]]:
     if isinstance(t, Sharp):
         return span_generators(t.inner)
     if isinstance(t, Prod):
-        left = span_generators(t.left)
-        right = span_generators(t.right)
-        if left is None or right is None:
-            return None
-        return [mk_pair(l, r) for l in left for r in right]
+        return _pairs(span_generators(t.left), span_generators(t.right))
     return None
+
+
+def _pairs(
+    left: Optional[list[TermDist]], right: Optional[list[TermDist]]
+) -> Optional[list[TermDist]]:
+    """Every pair of a left and a right element, the left index varying
+    slowest; None when either side is None."""
+    if left is None or right is None:
+        return None
+    return [mk_pair(l, r) for l in left for r in right]
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +389,10 @@ def _curried_member(v: TermDist, t: Arrow) -> bool:
     return True
 
 
-def realizes(t: TermDist, goal: Type, max_steps: int = 100000) -> bool:
+def realizes(t: TermDist, goal: Type) -> bool:
     """A distribution realizes a type when it reduces to a value that is
     a member up to a global phase."""
-    w = evaluate_value(t, max_steps)
+    w = evaluate_value(t)
     return w is not None and is_member_phase(w, goal)
 
 

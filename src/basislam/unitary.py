@@ -25,13 +25,13 @@ from .core import (
     mk_app,
     mk_lam,
     mk_letpair,
+    sc_eq,
     single,
 )
 from .basis import STD, decompose, product_basis, support_arity, to_vector
 from .reduction import NormalForm, Stuck, evaluate
 from .subst import fresh_name
 
-COLUMN_NORM_TOL = 1e-8
 GRAM_TOL = 1e-6
 
 
@@ -79,7 +79,6 @@ def _annotation(f: TermDist) -> Ortho:
 def extract_matrix(
     f: TermDist,
     dom: Optional[Ortho] = None,
-    max_steps: int = 100000,
     validate_norms: bool = True,
 ) -> tuple[np.ndarray, Ortho]:
     """Images of the domain basis elements as matrix columns, in
@@ -90,7 +89,7 @@ def extract_matrix(
     columns = []
     arity: Optional[int] = None
     for k, element in enumerate(dom.elements):
-        trace = evaluate(mk_app(f, element), max_steps)
+        trace = evaluate(mk_app(f, element))
         if isinstance(trace.final, Stuck):
             raise UnitaryError(
                 f"image of basis element {k} is stuck: {trace.final.reason}"
@@ -113,7 +112,7 @@ def extract_matrix(
     if validate_norms:
         norms = np.linalg.norm(matrix, axis=0)
         worst = int(np.argmax(np.abs(norms - 1.0)))
-        if abs(norms[worst] - 1.0) > COLUMN_NORM_TOL:
+        if not sc_eq(norms[worst], 1.0):
             raise UnitaryError(
                 f"column {worst} has norm {norms[worst]:.12g}"
             )
@@ -124,12 +123,9 @@ def check_unitary(
     f: TermDist,
     dom: Optional[Ortho] = None,
     tol: float = GRAM_TOL,
-    max_steps: int = 100000,
 ) -> UnitaryReport:
     """Gram-matrix unitarity verdict with the worst entry as witness."""
-    matrix, basis = extract_matrix(
-        f, dom, max_steps, validate_norms=False
-    )
+    matrix, basis = extract_matrix(f, dom, validate_norms=False)
     gram = matrix.conj().T @ matrix
     delta = gram - np.eye(gram.shape[0])
     flat = int(np.argmax(np.abs(delta)))

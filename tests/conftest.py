@@ -38,3 +38,13 @@ def eps_guard():
 
     yield
     set_eps(1e-9)
+
+
+@pytest.fixture
+def fuel_guard():
+    """Restore the global evaluation fuel after a test that changes it."""
+    from basislam import reduction
+
+    saved = reduction.MAX_STEPS
+    yield
+    reduction.set_max_steps(saved)

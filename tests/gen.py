@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from basislam.basis import HAD, KET_MINUS, KET_PLUS, STD, from_vector
+from basislam.basis import KET_MINUS, KET_PLUS, STD, from_vector
 from basislam.core import (
     Ket,
     Ortho,
@@ -18,7 +18,6 @@ from basislam.core import (
     add,
     mk_app,
     mk_case,
-    mk_lam,
     mk_letpair,
     mk_pair,
     scale,

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from basislam import core, reduction
 from basislam.cli import main
 
 
@@ -28,6 +29,13 @@ class TestEval:
 
     def test_global_phase_reported(self, capsys, gates_path):
         code = main(["eval", "Z |1>", "--def", gates_path])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "normal form: |1>" in out
+        assert "phase: -1" in out
+
+    def test_leading_minus_after_double_dash(self, capsys):
+        code = main(["eval", "--", "-|1>"])
         out = capsys.readouterr().out
         assert code == 0
         assert "normal form: |1>" in out
@@ -170,6 +178,12 @@ class TestUsage:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_fuel(self, capsys):
+        code = main(["eval", "|0>", "--max-steps", "-3"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert main(["eval", "|0>", "--max-steps", "0"]) == 0
+
     def test_tolerance_applies(self, capsys, eps_guard):
         # squared coefficients sum to 0.9881: rejected at the default
         # tolerance, accepted once the tolerance absorbs the deficit
@@ -177,6 +191,20 @@ class TestUsage:
         assert main(argv) == 1
         capsys.readouterr()
         assert main(argv + ["--eps", "0.02"]) == 0
+
+    def test_fuel_bounds_membership(self, capsys, gates_path):
+        # membership of the arrow type evaluates Hd on each basis ket,
+        # two steps each, under the same fuel as eval
+        argv = ["check", "(\\f:@fun. f) Hd", "#[B] -> #[B]"]
+        argv += ["--def", gates_path]
+        assert main(argv + ["--max-steps", "1"]) == 1
+        assert main(argv + ["--max-steps", "2"]) == 0
+
+    def test_settings_restored(self, capsys, eps_guard, fuel_guard):
+        found = (core.EPS, reduction.MAX_STEPS)
+        argv = ["eval", "|0>", "--eps", "0.02", "--max-steps", "5"]
+        assert main(argv) == 0
+        assert (core.EPS, reduction.MAX_STEPS) == found
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit) as e:

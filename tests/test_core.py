@@ -5,11 +5,8 @@ from hypothesis import strategies as st
 
 from basislam.core import (
     ABS,
-    App,
     Ket,
     Lam,
-    Ortho,
-    Pair,
     TermDist,
     Var,
     add,

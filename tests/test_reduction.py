@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 import oracles
-from basislam.basis import KET_MINUS, KET_PLUS, STD, to_vector
+from basislam.basis import KET_MINUS, KET_PLUS, STD
 from basislam.core import (
     ABS,
     Ket,
     Ortho,
     Var,
-    add,
     dist_eq,
     mk_app,
     mk_case,
@@ -20,10 +19,10 @@ from basislam.core import (
 )
 from basislam.reduction import (
     NormalForm,
-    RuleTag,
     Stuck,
     evaluate,
     evaluate_value,
+    set_max_steps,
     step,
 )
 from basislam.syntax import parse_term
@@ -115,13 +114,51 @@ class TestStuck:
         assert isinstance(out, Stuck)
         assert out.reason == "non-value in value position"
 
-    def test_fuel_exhaustion(self):
+    def test_fuel_exhaustion(self, fuel_guard):
         omega = mk_lam("x", ABS, mk_app(single(Var("x")), single(Var("x"))))
-        trace = evaluate(mk_app(omega, omega), max_steps=10)
+        set_max_steps(10)
+        trace = evaluate(mk_app(omega, omega))
         assert isinstance(trace.final, Stuck)
         assert trace.final.reason == "fuel exhausted after 10 steps"
         assert trace.final.offending is None
         assert trace.fuel_used == 10
+
+
+class TestLetAbstractSides:
+    """Let-pair binders annotated @fun: an abstract side is substituted
+    pure value by pure value, the other side through its basis."""
+
+    @pytest.mark.parametrize(
+        "src,expect",
+        [
+            (
+                "let (x:@fun, y:@fun) = (|+>, |1>) in (y, x)",
+                oracles.kron(oracles.KET1, oracles.PLUS),
+            ),
+            (
+                "let (x:@fun, y:X) = (|+>, |->) in (y, x)",
+                oracles.kron(oracles.MINUS, oracles.PLUS),
+            ),
+            (
+                "let (x:X, y:@fun) = (|->, |+>) in (y, x)",
+                oracles.kron(oracles.PLUS, oracles.MINUS),
+            ),
+            ("let (f:@fun, y:B) = (\\z:B. z, |1>) in f y", oracles.KET1),
+        ],
+    )
+    def test_matches_state_vector(self, src, expect):
+        trace = evaluate(parse_term(src))
+        assert rules_of(trace)[0] == "LetTensor"
+        assert isinstance(trace.final, NormalForm)
+        wires = len(expect).bit_length() - 1
+        got = oracles.dist_vector(trace.final.dist, wires)
+        assert np.allclose(got, expect)
+
+    def test_residual_outside_annotation_span(self):
+        src = "let (x:@fun, y:{|0>}) = (|0>, |1>) in x"
+        out = evaluate(parse_term(src)).final
+        assert isinstance(out, Stuck)
+        assert out.reason == "argument not in annotation span"
 
 
 class TestInterfaces:

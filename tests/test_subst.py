@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from basislam.basis import HAD, KET_MINUS, KET_PLUS, STD, to_vector
+from basislam.basis import HAD, KET_MINUS, KET_PLUS, STD
 from basislam.core import (
     ABS,
     Ket,

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 import gen
+import oracles
+from basislam import syntax
 from basislam.basis import KET_MINUS, KET_PLUS
 from basislam.core import Ket, dist_eq, is_closed, scale, single
+from basislam.reduction import evaluate
 from basislam.syntax import (
     ParseError,
     load_program,
@@ -54,6 +57,51 @@ class TestPrinting:
     )
     def test_type_round_trip(self, ty):
         assert print_type(parse_type(ty)) == ty
+
+
+    def test_nested_binders_print_once(self, monkeypatch):
+        # each binder body is rendered once, so printing stays linear in
+        # the nesting depth
+        src = "\\x:B. " * 20 + "x"
+        d = parse_term(src)
+        calls = []
+        original = syntax.print_term
+
+        def counting(t):
+            calls.append(t)
+            return original(t)
+
+        monkeypatch.setattr(syntax, "print_term", counting)
+        assert syntax.print_term(d) == src
+        assert len(calls) <= 21
+
+
+class TestScalarsAndLiterals:
+    def test_exponential_scalar(self):
+        d = parse_term("e^(i*0.5) * |0>")
+        assert np.allclose(
+            oracles.dist_vector(d, 1), np.exp(0.5j) * oracles.KET0
+        )
+
+    def test_basis_literal_annotation(self):
+        # the literal {|+>, |->} acts as the X basis: |0> is decomposed
+        # over it before it is duplicated
+        d = parse_term("(\\x:{|+>, |->}. (x, x)) |0>")
+        out = evaluate(d).final.dist
+        expect = (
+            oracles.kron(oracles.PLUS, oracles.PLUS)
+            + oracles.kron(oracles.MINUS, oracles.MINUS)
+        ) / np.sqrt(2.0)
+        assert np.allclose(oracles.dist_vector(out, 2), expect)
+
+    def test_basis_literal_error_at_brace(self):
+        with pytest.raises(ParseError) as e:
+            parse_term("\\x:{|0>, |+>}. x")
+        assert "not orthogonal" in str(e.value)
+        assert (e.value.line, e.value.col) == (1, 4)
+        with pytest.raises(ParseError) as e:
+            parse_program("basis Y = { |0>, |+> }")
+        assert (e.value.line, e.value.col) == (1, 11)
 
 
 class TestRoundTrip:

@@ -1,18 +1,15 @@
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from basislam.basis import (
     BELL,
     HAD,
-    KET_MINUS,
     KET_PLUS,
     PHI_PLUS,
     STD,
-    multi_ket,
 )
-from basislam.core import Ket, add, mk_pair, scale, single
+from basislam.core import Ket, mk_pair, scale, single
 from basislam.syntax import parse_term, parse_type
 from basislam.typesem import (
     Arrow,
