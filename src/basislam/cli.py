@@ -44,6 +44,9 @@ from .unitary import (
 
 ANALYSIS_FAILURE = 1
 USAGE_ERROR = 2
+# the diagnostic for RecursionError: every traversal of a term recurses
+# on it, so only a too-deep term exhausts the stack
+TOO_DEEP = "term too deep"
 
 
 def _fmt_phase(c: complex) -> str:
@@ -304,6 +307,8 @@ def _cmd_repl(args, bases, defs) -> int:
             _repl_line(line, bases, defs)
         except (ParseError, CheckError, UnitaryError, ValueError) as e:
             print(f"error: {e}")
+        except RecursionError:
+            print(f"error: {TOO_DEEP}")
     return 0
 
 
@@ -433,6 +438,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.handler(args, bases, defs)
     except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return USAGE_ERROR
+    except RecursionError:
+        print(f"error: {TOO_DEEP}", file=sys.stderr)
         return USAGE_ERROR
     finally:
         set_eps(saved_eps)

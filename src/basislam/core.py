@@ -25,8 +25,8 @@ EPS = 1e-9
 
 def set_eps(value: float) -> None:
     global EPS
-    if value <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < value < math.inf:  # also false for nan
+        raise ValueError("eps must be positive and finite")
     EPS = float(value)
 
 
@@ -160,12 +160,23 @@ ValueDist = TermDist  # a TermDist whose support is pure values
 
 
 # ---------------------------------------------------------------------------
-# Total order on pure terms.  Keys are nested tuples; ranks separate
-# constructors, payloads only ever compare within one constructor.
-# Variables are keyed by name (free and bound alike); the order is a fixed
-# deterministic convention, not alpha-invariant, which is fine because all
-# semantic comparisons below match entries pairwise rather than by
-# position.
+# Node keys.  Nodes are immutable, so each key is computed once, bottom-up
+# on first use, and stored on the node.
+#
+# The order key (_term_key, _dist_key) is a total order on pure terms:
+# nested tuples, ranks separate constructors, payloads only ever compare
+# within one constructor.  Variables are keyed by name (free and bound
+# alike), so the order is a fixed deterministic convention, not
+# alpha-invariant; it only fixes the entry order of a canonical
+# distribution.
+#
+# The shape key (shape_key) is an int that leaves out every variable and
+# binder name and every scalar, the things term_eq matches up to alpha or
+# within EPS.  So term_eq(a, b) implies shape_key(a) == shape_key(b), and
+# merges and inner products group entries into buckets by shape key and
+# run term_eq only inside a bucket.  A distribution's shape is that of
+# the multiset of its entries' shapes, since _dist_eq matches entries
+# pairwise rather than by position; a basis keys its elements in order.
 
 
 def _basis_key(b: Basis):
@@ -175,35 +186,106 @@ def _basis_key(b: Basis):
 
 
 def _term_key(t: PureTerm):
+    try:
+        return t._key
+    except AttributeError:
+        pass
     if isinstance(t, Ket):
-        return (0, (t.bit,), ())
-    if isinstance(t, Var):
-        return (1, (t.name,), ())
-    if isinstance(t, Pair):
-        return (2, (), (_term_key(t.left), _term_key(t.right)))
-    if isinstance(t, Lam):
-        return (3, (t.var, _basis_key(t.basis)), (_dist_key(t.body),))
-    if isinstance(t, App):
-        return (4, (), (_term_key(t.fun), _term_key(t.arg)))
-    if isinstance(t, LetPair):
-        return (
+        k = (0, (t.bit,), ())
+    elif isinstance(t, Var):
+        k = (1, (t.name,), ())
+    elif isinstance(t, Pair):
+        k = (2, (), (_term_key(t.left), _term_key(t.right)))
+    elif isinstance(t, Lam):
+        k = (3, (t.var, _basis_key(t.basis)), (_dist_key(t.body),))
+    elif isinstance(t, App):
+        k = (4, (), (_term_key(t.fun), _term_key(t.arg)))
+    elif isinstance(t, LetPair):
+        k = (
             5,
             (t.var1, _basis_key(t.basis1), t.var2, _basis_key(t.basis2)),
             (_term_key(t.scrutinee), _dist_key(t.body)),
         )
-    if isinstance(t, Case):
-        return (
+    elif isinstance(t, Case):
+        k = (
             6,
             (len(t.patterns),),
             (_term_key(t.scrutinee),)
             + tuple(_dist_key(p) for p in t.patterns)
             + tuple(_dist_key(b) for b in t.branches),
         )
-    raise TypeError(f"not a pure term: {t!r}")
+    else:
+        raise TypeError(f"not a pure term: {t!r}")
+    object.__setattr__(t, "_key", k)
+    return k
 
 
 def _dist_key(d: TermDist):
-    return tuple((_term_key(t), (c.real, c.imag)) for t, c in d.entries)
+    try:
+        return d._key
+    except AttributeError:
+        pass
+    k = tuple((_term_key(t), (c.real, c.imag)) for t, c in d.entries)
+    object.__setattr__(d, "_key", k)
+    return k
+
+
+def _basis_shape(b: Basis) -> int:
+    if isinstance(b, AbsBasis):
+        return 0
+    return hash(tuple(_dist_shape(e) for e in b.elements))
+
+
+def shape_key(t: PureTerm) -> int:
+    """Hash of t with names and scalars left out: term_eq(a, b) implies
+    shape_key(a) == shape_key(b)."""
+    try:
+        return t._shape
+    except AttributeError:
+        pass
+    if isinstance(t, Ket):
+        k = hash((0, t.bit))
+    elif isinstance(t, Var):
+        k = hash((1,))
+    elif isinstance(t, Pair):
+        k = hash((2, shape_key(t.left), shape_key(t.right)))
+    elif isinstance(t, Lam):
+        k = hash((3, _basis_shape(t.basis), _dist_shape(t.body)))
+    elif isinstance(t, App):
+        k = hash((4, shape_key(t.fun), shape_key(t.arg)))
+    elif isinstance(t, LetPair):
+        k = hash(
+            (
+                5,
+                _basis_shape(t.basis1),
+                _basis_shape(t.basis2),
+                shape_key(t.scrutinee),
+                _dist_shape(t.body),
+            )
+        )
+    elif isinstance(t, Case):
+        k = hash(
+            (
+                6,
+                shape_key(t.scrutinee),
+                tuple(_dist_shape(p) for p in t.patterns),
+                tuple(_dist_shape(b) for b in t.branches),
+            )
+        )
+    else:
+        raise TypeError(f"not a pure term: {t!r}")
+    object.__setattr__(t, "_shape", k)
+    return k
+
+
+def _dist_shape(d: TermDist) -> int:
+    try:
+        return d._shape
+    except AttributeError:
+        pass
+    k = hash(tuple(sorted(shape_key(t) for t, _ in d.entries)))
+    object.__setattr__(d, "_shape", k)
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +467,25 @@ def is_value_dist(d: TermDist) -> bool:
 
 
 def _build(pairs: Iterable[tuple[PureTerm, complex]]) -> TermDist:
+    """Merge equal terms (each into the first earlier entry it is term_eq
+    to), prune zero coefficients and sort."""
     merged: list[tuple[PureTerm, complex]] = []
+    buckets: dict[int, list[int]] = {}  # shape key -> indices into merged
     for t, c in pairs:
         if c == 0:
             continue
-        for i, (u, d) in enumerate(merged):
+        bucket = buckets.setdefault(shape_key(t), [])
+        for i in bucket:
+            u, d = merged[i]
             if term_eq(t, u):
                 merged[i] = (u, d + c)
                 break
         else:
+            bucket.append(len(merged))
             merged.append((t, complex(c)))
     pruned = [(t, c) for t, c in merged if not sc_is_zero(c)]
-    pruned.sort(key=lambda e: _term_key(e[0]))
+    if len(pruned) > 1:  # so a single term's order key is never built
+        pruned.sort(key=lambda e: _term_key(e[0]))
     return TermDist(tuple(pruned))
 
 
@@ -493,9 +582,12 @@ def mk_case(
 def inner_product(v: TermDist, w: TermDist) -> complex:
     """Sesquilinear (conjugate in the first argument); the delta on pure
     terms is alpha-respecting syntactic equality of canonical forms."""
+    by_shape: dict[int, list[tuple[PureTerm, complex]]] = {}
+    for s, b in w.entries:
+        by_shape.setdefault(shape_key(s), []).append((s, b))
     acc = 0 + 0j
     for t, a in v.entries:
-        for s, b in w.entries:
+        for s, b in by_shape.get(shape_key(t), ()):
             if _term_eq(t, s, None, None, 0):
                 acc += a.conjugate() * b
     return acc

@@ -178,6 +178,18 @@ class TestUsage:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["inf", "nan"])
+    def test_non_finite_tolerance(self, capsys, eps_guard, eps):
+        # inf pruned every coefficient; nan made no two scalars equal
+        code = main(["eval", "|0> + |1>", "--eps", eps])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_deep_term_is_usage_error(self, capsys):
+        code = main(["eval", "|" + "0" * 1200 + ">"])
+        assert code == 2
+        assert "error: term too deep" in capsys.readouterr().err
+
     def test_negative_fuel(self, capsys):
         code = main(["eval", "|0>", "--max-steps", "-3"])
         assert code == 2
@@ -257,6 +269,13 @@ class TestRepl:
         assert code == 0
         assert "type error:" in out
         assert "|1>" in out
+
+    def test_deep_term_does_not_exit(self, monkeypatch, capsys):
+        script = "|" + "0" * 1200 + ">\n|1>\n:q\n"
+        code, out = self._run(monkeypatch, capsys, script)
+        assert code == 0
+        assert "error: term too deep" in out
+        assert "|1>  [steps 0, phase 1]" in out
 
     def test_eof_terminates(self, monkeypatch, capsys):
         code, out = self._run(monkeypatch, capsys, ":h\n")
