@@ -11,6 +11,12 @@ it.  Closed subterms can always fall back to direct evaluation against
 the goal, and a let or case over an enumerable context can fall back to
 a semantic check that verifies linearity of the images generator by
 generator.  Both fallbacks are recorded in the derivation, never hidden.
+
+Where several rules could apply, the checker backtracks: each
+alternative runs under one ``_Tried`` record, in a fixed order, and the
+first that succeeds gives the derivation.  When all fail, the reported
+error is the recorded one of the lowest ``ErrorKind`` (linearity, then
+orthogonality, subtyping, context, other), the earliest among equals.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .core import (
     App,
@@ -97,6 +103,32 @@ class CheckError(Exception):
         self.message = message
         self.note = note
         self.kind = kind
+
+
+class _Tried:
+    """The failed alternatives of one backtracking choice.  Each
+    alternative runs under ``with tried:``; a CheckError it raises is
+    recorded and control passes to the next alternative."""
+
+    def __init__(self) -> None:
+        self.errors: list[CheckError] = []
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, error, tb) -> bool:
+        if isinstance(error, CheckError):
+            self.errors.append(error)
+            return True
+        return False
+
+    def best(self, note: str = "") -> CheckError:
+        """The error the choice reports when every alternative failed:
+        the lowest kind, the first recorded among equals, or "rule not
+        applicable" with the note when no alternative applied."""
+        if not self.errors:
+            return CheckError("rule not applicable", note)
+        return min(self.errors, key=lambda e: e.kind)
 
 
 @dataclass
@@ -317,67 +349,33 @@ class _Checker:
                 return _node(
                     "Phase", ctx, d, goal, (inner,), note="global phase"
                 )
-        errors: list[CheckError] = []
-
+        tried = _Tried()
         kinds = {type(t) for t, _ in d.entries}
-        if kinds == {Lam}:
-            try:
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind is Lam:
+            with tried:
                 return self._check_lams(ctx, d, goal)
-            except CheckError as e:
-                errors.append(e)
-        if kinds == {Var} and len(d.entries) == 1:
-            try:
+        elif kind is Var and len(d.entries) == 1:
+            with tried:
                 return self._check_var(ctx, d, goal)
-            except CheckError as e:
-                errors.append(e)
-        if kinds == {App}:
-            fact = _factor_bilinear(d)
+        elif kind in self._STRUCTURAL:
+            factor, rule = self._STRUCTURAL[kind]
+            fact = factor(d)
             if fact is not None:
-                try:
-                    return self._check_app(ctx, d, fact[0], fact[1], goal)
-                except CheckError as e:
-                    errors.append(e)
-        if kinds == {Pair}:
-            fact = _factor_bilinear(d)
-            if fact is not None:
-                try:
-                    return self._check_pair(ctx, d, fact[0], fact[1], goal)
-                except CheckError as e:
-                    errors.append(e)
-        if kinds == {LetPair}:
-            fact = _factor_scrutinee(d)
-            if fact is not None:
-                node, scr = fact
-                assert isinstance(node, LetPair)
-                try:
-                    return self._check_let(ctx, d, node, scr, goal)
-                except CheckError as e:
-                    errors.append(e)
-        if kinds == {Case}:
-            fact = _factor_scrutinee(d)
-            if fact is not None:
-                node, scr = fact
-                assert isinstance(node, Case)
-                try:
-                    return self._check_case(ctx, d, node, scr, goal)
-                except CheckError as e:
-                    errors.append(e)
+                with tried:
+                    return rule(self, ctx, d, fact[0], fact[1], goal)
 
         if isinstance(goal, Sharp) and len(d.entries) >= 2:
-            try:
+            with tried:
                 return self._check_sum(ctx, d, goal)
-            except CheckError as e:
-                errors.append(e)
         # The evaluation fallback must not mask a linearity violation
         # that the structural rules diagnosed.
         if is_closed(d) and not any(
-            e.kind is ErrorKind.LINEAR for e in errors
+            e.kind is ErrorKind.LINEAR for e in tried.errors
         ):
-            try:
+            with tried:
                 return self._check_lit(ctx, d, goal)
-            except CheckError as e:
-                errors.append(e)
-        raise _best_error(errors)
+        raise tried.best()
 
     # -- leaves -------------------------------------------------------
 
@@ -481,47 +479,31 @@ class _Checker:
         goal: Type,
     ) -> Derivation:
         ctx_f, ctx_a = _split(ctx, [free_vars(fun), free_vars(arg)])
-        errors: list[CheckError] = []
+        tried = _Tried()
         fun_type = self.synth(ctx_f, fun)
-        if fun_type is not None and isinstance(
-            sharp_normalize(fun_type), Arrow
-        ):
-            arrow = sharp_normalize(fun_type)
-            try:
+        arrow = None if fun_type is None else sharp_normalize(fun_type)
+        if isinstance(arrow, Arrow):
+            with tried:
                 fun_deriv = self.check(ctx_f, fun, arrow)
                 arg_deriv = self.check(ctx_a, arg, arrow.dom)
                 node = _node(
                     "App", ctx, d, arrow.cod, (fun_deriv, arg_deriv)
                 )
                 return self._coerce(ctx, d, node, arrow.cod, goal)
-            except CheckError as e:
-                errors.append(e)
+        # the argument's type, or else the domains the function proposes
         arg_type = self.synth(ctx_a, arg)
         if arg_type is not None:
-            try:
-                fun_deriv = self.check(ctx_f, fun, Arrow(arg_type, goal))
-                arg_deriv = self.check(ctx_a, arg, arg_type)
+            doms = [arg_type]
+        else:
+            doms = _proposed_arg_doms(fun) if fun_type is None else []
+        for dom in doms:
+            with tried:
+                fun_deriv = self.check(ctx_f, fun, Arrow(dom, goal))
+                arg_deriv = self.check(ctx_a, arg, dom)
                 return _node("App", ctx, d, goal, (fun_deriv, arg_deriv))
-            except CheckError as e:
-                errors.append(e)
-        elif fun_type is None:
-            for dom in _proposed_arg_doms(fun):
-                try:
-                    fun_deriv = self.check(ctx_f, fun, Arrow(dom, goal))
-                    arg_deriv = self.check(ctx_a, arg, dom)
-                    return _node(
-                        "App", ctx, d, goal, (fun_deriv, arg_deriv)
-                    )
-                except CheckError as e:
-                    errors.append(e)
-        if not errors:
-            errors.append(
-                CheckError(
-                    "rule not applicable",
-                    "cannot determine the type of either side of an application",
-                )
-            )
-        raise _best_error(errors)
+        raise tried.best(
+            "cannot determine the type of either side of an application"
+        )
 
     def synth(self, ctx: Context, d: TermDist) -> Optional[Type]:
         """A type for the distribution when one is apparent: a variable's
@@ -572,7 +554,7 @@ class _Checker:
         goal: Type,
     ) -> Derivation:
         ctx_l, ctx_r = _split(ctx, [free_vars(left), free_vars(right)])
-        errors: list[CheckError] = []
+        tried = _Tried()
         candidates: list[tuple[Prod, bool]] = []
         if isinstance(goal, Prod):
             candidates.append((goal, False))
@@ -583,20 +565,14 @@ class _Checker:
             )
             candidates.append((inner, True))
         for prod, needs_sub in candidates:
-            try:
+            with tried:
                 left_d = self.check(ctx_l, left, prod.left)
                 right_d = self.check(ctx_r, right, prod.right)
                 node = _node("Pair", ctx, d, prod, (left_d, right_d))
                 if needs_sub:
                     return self._coerce(ctx, d, node, prod, goal)
                 return node
-            except CheckError as e:
-                errors.append(e)
-        if not errors:
-            errors.append(
-                CheckError("rule not applicable", "pair against a non-product goal")
-            )
-        raise _best_error(errors)
+        raise tried.best("pair against a non-product goal")
 
     # -- let ------------------------------------------------------------
 
@@ -615,7 +591,7 @@ class _Checker:
         )
         var1, body = _rebind(ctx, node.var1, body)
         var2, body = _rebind(ctx, node.var2, body)
-        errors: list[CheckError] = []
+        tried = _Tried()
 
         # plain let over a product
         product: Optional[Prod] = None
@@ -627,15 +603,13 @@ class _Checker:
         elif isinstance(node.basis1, Ortho) and isinstance(node.basis2, Ortho):
             product = Prod(BasisType(node.basis1), BasisType(node.basis2))
         if product is not None:
-            try:
+            with tried:
                 scr_d = self.check(ctx_s, scrutinee, product)
                 inner_ctx = dict(ctx_b)
                 inner_ctx[var1] = Binding(product.left, node.basis1)
                 inner_ctx[var2] = Binding(product.right, node.basis2)
                 body_d = self.check(inner_ctx, body, goal)
                 return _node("LetPair", ctx, d, goal, (scr_d, body_d))
-            except CheckError as e:
-                errors.append(e)
 
         # tensor let: sharp scrutinee, sharp binders, sharp conclusion
         if (
@@ -647,7 +621,7 @@ class _Checker:
                 Prod(BasisType(node.basis1), BasisType(node.basis2))
             )
             for body_goal in (goal.inner, goal):
-                try:
+                with tried:
                     scr_d = self.check(ctx_s, scrutinee, scr_goal)
                     inner_ctx = dict(ctx_b)
                     inner_ctx[var1] = Binding(
@@ -660,21 +634,17 @@ class _Checker:
                     return _node(
                         "LetTensor", ctx, d, goal, (scr_d, body_d)
                     )
-                except CheckError as e:
-                    errors.append(e)
         else:
-            errors.append(
+            tried.errors.append(
                 CheckError(
                     "rule not applicable",
                     "tensor let needs a sharp goal and basis annotations",
                 )
             )
 
-        try:
+        with tried:
             return self._sem_judge(ctx, d, goal)
-        except CheckError as e:
-            errors.append(e)
-        raise _best_error(errors)
+        raise tried.best()
 
     # -- case -------------------------------------------------------------
 
@@ -691,22 +661,20 @@ class _Checker:
         )
         ctx_s, ctx_b = _split(ctx, [free_vars(scrutinee), fv_branches])
         pattern_type = BasisType(Ortho(node.patterns))
-        errors: list[CheckError] = []
+        tried = _Tried()
 
         # finite case: scrutinee inhabits the pattern basis itself
-        try:
+        with tried:
             scr_d = self.check(ctx_s, scrutinee, pattern_type)
             branch_ds = tuple(
                 self.check(ctx_b, b, goal) for b in node.branches
             )
             return _node("Case", ctx, d, goal, (scr_d,) + branch_ds)
-        except CheckError as e:
-            errors.append(e)
 
         # unitary case: sharp scrutinee, orthogonal branches, sharp goal
         if isinstance(goal, Sharp):
             for branch_goal in (goal.inner, goal):
-                try:
+                with tried:
                     scr_d = self.check(ctx_s, scrutinee, Sharp(pattern_type))
                     branch_ds = tuple(
                         self.check(ctx_b, b, branch_goal)
@@ -718,13 +686,9 @@ class _Checker:
                     return _node(
                         "UnitCase", ctx, d, goal, (scr_d,) + branch_ds
                     )
-                except CheckError as e:
-                    errors.append(e)
-        try:
+        with tried:
             return self._sem_judge(ctx, d, goal)
-        except CheckError as e:
-            errors.append(e)
-        raise _best_error(errors)
+        raise tried.best()
 
     # -- sums -------------------------------------------------------------
 
@@ -735,9 +699,9 @@ class _Checker:
                 "rule not applicable",
                 f"squared coefficients sum to {weight:.6g}, not 1",
             )
-        errors: list[CheckError] = []
+        tried = _Tried()
         for part_goal in (goal.inner, goal):
-            try:
+            with tried:
                 premises = tuple(
                     self.check(ctx, single(t), part_goal)
                     for t, _ in d.entries
@@ -746,9 +710,7 @@ class _Checker:
                     ctx, [single(t) for t, _ in d.entries], part_goal
                 )
                 return _node("Sum", ctx, d, goal, premises)
-            except CheckError as e:
-                errors.append(e)
-        raise _best_error(errors)
+        raise tried.best()
 
     def _require_orthogonal(
         self, ctx: Context, parts: list[TermDist], goal: Type
@@ -857,30 +819,22 @@ class _Checker:
         except Undecidable as e:
             raise CheckError("rule not applicable", str(e))
 
-
-def _best_error(errors: list[CheckError]) -> CheckError:
-    if not errors:
-        return CheckError("rule not applicable")
-    return min(errors, key=lambda e: e.kind)
+    # Summands of one constructor: how to refactor the sum into a single
+    # node, and the rule that checks that node.
+    _STRUCTURAL = {
+        App: (_factor_bilinear, _check_app),
+        Pair: (_factor_bilinear, _check_pair),
+        LetPair: (_factor_scrutinee, _check_let),
+        Case: (_factor_scrutinee, _check_case),
+    }
 
 
 # ---------------------------------------------------------------------------
 # Public entry points.
 
 
-def check(ctx: Union[Context, dict], term: TermDist, goal: Type) -> Derivation:
-    return _Checker().check(_coerce_ctx(ctx), term, goal)
-
-
-def _coerce_ctx(ctx: Union[Context, dict]) -> Context:
-    out: Context = {}
-    for x, b in ctx.items():
-        if isinstance(b, Binding):
-            out[x] = b
-        else:
-            ty, basis = b
-            out[x] = Binding(ty, basis)
-    return out
+def check(ctx: Context, term: TermDist, goal: Type) -> Derivation:
+    return _Checker().check(ctx, term, goal)
 
 
 def _context_pools(
@@ -916,10 +870,10 @@ def _enumerate_context(
 
 
 def check_orthogonality(
-    gamma: Union[Context, dict],
-    delta1: Union[Context, dict],
+    gamma: Context,
+    delta1: Context,
     t: TermDist,
-    delta2: Union[Context, dict],
+    delta2: Context,
     s: TermDist,
     goal: Type,
 ) -> bool:
@@ -927,13 +881,8 @@ def check_orthogonality(
     substitutions for the two contexts, both sides reduce to values with
     inner product zero.  Sharp variables range over span generators,
     which suffices by linearity."""
-    gamma = _coerce_ctx(gamma)
-    left = dict(gamma)
-    left.update(_coerce_ctx(delta1))
-    right = dict(gamma)
-    right.update(_coerce_ctx(delta2))
-    left_subs = _enumerate_context(_restrict(left, t))
-    right_subs = _enumerate_context(_restrict(right, s))
+    left_subs = _enumerate_context(_restrict({**gamma, **delta1}, t))
+    right_subs = _enumerate_context(_restrict({**gamma, **delta2}, s))
     sides = []
     for term, subs in ((t, left_subs), (s, right_subs)):
         values = []
@@ -965,10 +914,9 @@ class HarnessReport:
 
 
 def subject_reduction_harness(
-    ctx: Union[Context, dict], term: TermDist, goal: Type
+    ctx: Context, term: TermDist, goal: Type
 ) -> HarnessReport:
     """Re-check the judgement at every reduction step of the term."""
-    ctx = _coerce_ctx(ctx)
     report = HarnessReport(ok=True)
     try:
         check(ctx, term, goal)
@@ -984,10 +932,5 @@ def subject_reduction_harness(
             report.ok = False
     if not isinstance(trace.final, NormalForm):
         report.ok = False
-        reason = (
-            trace.final.reason
-            if hasattr(trace.final, "reason")
-            else "no normal form"
-        )
-        report.failure = f"evaluation did not finish: {reason}"
+        report.failure = f"evaluation did not finish: {trace.final.reason}"
     return report

@@ -127,8 +127,6 @@ class Case:
 
 PureTerm = Union[Var, Ket, Lam, Pair, App, LetPair, Case]
 
-_RANK = {Ket: 0, Var: 1, Pair: 2, Lam: 3, App: 4, LetPair: 5, Case: 6}
-
 
 # ---------------------------------------------------------------------------
 # Term distributions.
@@ -154,9 +152,6 @@ class TermDist:
 
     def __repr__(self) -> str:
         return f"TermDist({len(self.entries)} entries)"
-
-
-ValueDist = TermDist  # a TermDist whose support is pure values
 
 
 # ---------------------------------------------------------------------------

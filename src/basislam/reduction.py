@@ -205,29 +205,28 @@ def _instance(r: _Redex, slot: PureTerm) -> PureTerm:
 
 
 def _fire(r: _Redex, value: TermDist) -> Union[TermDist, Stuck]:
-    offending = _instance(r, value.entries[0][0]) if value.entries else None
     node = r.redex_repr
-    if isinstance(node, App):
-        assert isinstance(node.fun, Lam)
-        lam = node.fun
+    if isinstance(node, Case):
+        coeffs = decompose(value, Ortho(node.patterns))
+        if coeffs is not None:
+            return add(*(scale(c, b) for c, b in zip(coeffs, node.branches)))
+        reason = "case scrutinee outside pattern span"
+    else:
         try:
-            return subst_basis(lam.body, lam.var, value, lam.basis)
-        except SubstUndefined as e:
-            return Stuck(e.reason, offending)
-    if isinstance(node, LetPair):
-        try:
+            if isinstance(node, App):
+                assert isinstance(node.fun, Lam)
+                lam = node.fun
+                return subst_basis(lam.body, lam.var, value, lam.basis)
+            assert isinstance(node, LetPair)
             return subst_tensor(
                 node.body, node.var1, node.basis1, node.var2, node.basis2,
                 value,
             )
         except SubstUndefined as e:
-            return Stuck(e.reason, offending)
-    assert isinstance(node, Case)
-    coeffs = decompose(value, Ortho(node.patterns))
-    if coeffs is None:
-        return Stuck("case scrutinee outside pattern span", offending)
-    out = add(*(scale(c, b) for c, b in zip(coeffs, node.branches)))
-    return out
+            reason = e.reason
+    # the stuck redex, shown with the first summand of its value
+    offending = _instance(r, value.entries[0][0]) if value.entries else None
+    return Stuck(reason, offending)
 
 
 def step(d: TermDist) -> StepResult:
@@ -244,7 +243,8 @@ def step(d: TermDist) -> StepResult:
     group = [
         i
         for i, f in enumerate(finds)
-        if isinstance(f, _Redex) and _same_redex(f, picked)
+        # term_eq is reflexive: the picked redex joins without a walk
+        if f is picked or (isinstance(f, _Redex) and _same_redex(f, picked))
     ]
     value = add(
         *(scale(d.entries[i][1], single(finds[i].slot)) for i in group)

@@ -1,5 +1,6 @@
 """Every imported name is used: the package modules (except the
-re-exporting ``__init__``), the scripts and the tests."""
+re-exporting ``__init__``), the scripts and the tests.  Every private
+module-level name of the package is read somewhere in the package."""
 
 import ast
 import pathlib
@@ -36,6 +37,53 @@ def unused_imports(source: str) -> list[str]:
         for name, line in sorted(imported.items(), key=lambda e: e[1])
         if name not in used
     ]
+
+
+def private_definitions(source: str) -> list[str]:
+    """Module-level functions, classes and assigned names starting with
+    a single underscore."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names.extend(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign):
+            names.append(node.target.id)
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def names_read(source: str) -> set[str]:
+    """Names a module loads, attributes it reads, and names it imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_private_detectors():
+    src = (
+        "_a = 1\n_b: int = 2\ndef _f(): return _a\n"
+        "class _C: pass\nx = m._C\n"
+    )
+    assert private_definitions(src) == ["_a", "_b", "_f", "_C"]
+    assert names_read(src) >= {"_a", "_C"}
+    assert "_b" not in names_read(src) and "_f" not in names_read(src)
+
+
+def test_private_names_are_read():
+    sources = [
+        p.read_text(encoding="utf-8")
+        for p in sorted((ROOT / "src" / "basislam").glob("*.py"))
+    ]
+    read = set().union(*(names_read(s) for s in sources))
+    defined = [n for s in sources for n in private_definitions(s)]
+    assert sorted(n for n in defined if n not in read) == []
 
 
 def test_detector_flags_only_unused_names():

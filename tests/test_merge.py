@@ -296,6 +296,7 @@ def test_shape_respects_term_eq():
         ):
             assert term_eq(t, variant)
             assert shape_key(t) == shape_key(variant)
+        assert term_eq(t, t)
         # past the tolerance the terms may differ, in the same bucket
         assert shape_key(_perturb(t, above)) == shape_key(t)
     pairs = 0
@@ -311,13 +312,8 @@ def test_shape_respects_term_eq():
 # Complexity guard: a count of recursive comparisons, not a timing.
 
 
-def test_hd_layer_comparisons_stay_linear(monkeypatch):
-    # six wires of `Hd |0>`: 64 summands in the normal form.  The pairwise
-    # merge made 720,665 recursive _term_eq calls here.
-    hd = corpus_program("gates").defs["Hd"]
-    term = mk_app(hd, K0)
-    for _ in range(5):
-        term = mk_pair(mk_app(hd, K0), term)
+def _count_term_eq(monkeypatch, term) -> tuple[TermDist, int]:
+    """The normal form of term and the recursive _term_eq calls made."""
     calls = 0
     original = core._term_eq
 
@@ -329,5 +325,28 @@ def test_hd_layer_comparisons_stay_linear(monkeypatch):
     monkeypatch.setattr(core, "_term_eq", counted)
     trace = evaluate(term)
     assert isinstance(trace.final, NormalForm)
-    assert len(trace.final.dist) == 64
+    return trace.final.dist, calls
+
+
+def test_hd_layer_comparisons_stay_linear(monkeypatch):
+    # six wires of `Hd |0>`: 64 summands in the normal form.  The pairwise
+    # merge made 720,665 recursive _term_eq calls here.
+    hd = corpus_program("gates").defs["Hd"]
+    term = mk_app(hd, K0)
+    for _ in range(5):
+        term = mk_pair(mk_app(hd, K0), term)
+    dist, calls = _count_term_eq(monkeypatch, term)
+    assert len(dist) == 64
     assert calls <= 20_000
+
+
+def test_gate_chain_skips_self_comparison(monkeypatch):
+    # 16 one-wire gates on |0>, 32 steps.  Comparing the picked redex with
+    # itself walked each gate's body: 4,572 recursive _term_eq calls.
+    gates = corpus_program("gates").defs
+    term = K0
+    for name in ("Hd", "Z", "NOT", "Z") * 4:
+        term = mk_app(gates[name], term)
+    dist, calls = _count_term_eq(monkeypatch, term)
+    assert len(dist) == 1
+    assert calls <= 2_500

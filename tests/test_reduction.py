@@ -25,7 +25,7 @@ from basislam.reduction import (
     set_max_steps,
     step,
 )
-from basislam.syntax import parse_term
+from basislam.syntax import parse_term, print_term
 
 K0 = single(Ket(0))
 K1 = single(Ket(1))
@@ -86,6 +86,7 @@ class TestStuck:
         out = evaluate(mk_app(lam, K1)).final
         assert isinstance(out, Stuck)
         assert out.reason == "argument not in annotation span"
+        assert print_term(single(out.offending)) == "(\\x:{|0>}. x) |1>"
 
     def test_x_lambda_applied_to_abstraction(self):
         from basislam.basis import HAD
@@ -95,12 +96,16 @@ class TestStuck:
         out = evaluate(mk_app(lam, arg)).final
         assert isinstance(out, Stuck)
         assert out.reason == "argument not in annotation span"
+        assert print_term(single(out.offending)) == "(\\x:X. x) (\\y:B. y)"
 
     def test_case_scrutinee_outside_pattern_span(self):
         d = mk_case(K1, (K0,), (K0,))
         out = evaluate(d).final
         assert isinstance(out, Stuck)
         assert out.reason == "case scrutinee outside pattern span"
+        assert print_term(single(out.offending)) == (
+            "case |1> of { |0> -> |0> }"
+        )
 
     def test_free_variable_blocks_elimination(self):
         out = evaluate(mk_app(single(Var("f")), K0)).final
@@ -159,6 +164,9 @@ class TestLetAbstractSides:
         out = evaluate(parse_term(src)).final
         assert isinstance(out, Stuck)
         assert out.reason == "argument not in annotation span"
+        assert print_term(single(out.offending)) == (
+            "let (x:@fun, y:{|0>}) = |01> in x"
+        )
 
 
 class TestInterfaces:
