@@ -15,14 +15,14 @@ import sys
 from dataclasses import dataclass
 
 from basislam import (
-    Ortho,
+    Settings,
     TermDist,
     Undecidable,
     check_unitary,
     curried_bases,
     is_member,
-    reduction,
-    set_max_steps,
+    local_settings,
+    print_basis,
     uncurry2,
 )
 from basislam.typesem import Arrow, BasisType, Sharp
@@ -34,17 +34,13 @@ class Config:
     tol: float = 1e-6
 
 
-def basis_label(b: Ortho) -> str:
-    return b.name or f"<{len(b.elements)} elements>"
-
-
 def survey(name: str, term: TermDist, cfg: Config) -> bool:
     parts = curried_bases(term)
     note = ""
     if parts is not None:
         left, right = parts
         term = uncurry2(term, left, right)
-        note = f" (uncurried over {basis_label(left)} x {basis_label(right)})"
+        note = f" (uncurried over {print_basis(left)} x {print_basis(right)})"
     report = check_unitary(term, tol=cfg.tol)
     rows, cols = report.matrix.shape
     member = None
@@ -69,14 +65,17 @@ def survey(name: str, term: TermDist, cfg: Config) -> bool:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--tol", type=float, default=Config.tol)
-    ap.add_argument("--max-steps", type=int, default=reduction.MAX_STEPS)
+    ap.add_argument("--max-steps", type=int, default=Settings.max_steps)
     args = ap.parse_args()
     try:
-        set_max_steps(args.max_steps)
+        settings = Settings(max_steps=args.max_steps)
     except ValueError as e:
         ap.error(str(e))
-    cfg = Config(tol=args.tol)
+    with local_settings(settings):
+        return run(Config(tol=args.tol))
 
+
+def run(cfg: Config) -> int:
     prog = corpus_program("gates")
     print("gate survey:")
     ok = True

@@ -19,12 +19,12 @@ import numpy as np
 from basislam import (
     CheckError,
     NormalForm,
+    Settings,
     check,
     evaluate,
+    local_settings,
     mk_app,
     print_term,
-    reduction,
-    set_max_steps,
     to_vector,
     uses_sharp_binding,
 )
@@ -100,15 +100,18 @@ def check_goals(prog, cfg: Config) -> bool:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-steps", type=int, default=reduction.MAX_STEPS)
+    ap.add_argument("--max-steps", type=int, default=Settings.max_steps)
     ap.add_argument("--no-check", action="store_true", help="skip typing")
     args = ap.parse_args()
     try:
-        set_max_steps(args.max_steps)
+        settings = Settings(max_steps=args.max_steps)
     except ValueError as e:
         ap.error(str(e))
-    cfg = Config(check=not args.no_check)
+    with local_settings(settings):
+        return run(Config(check=not args.no_check))
 
+
+def run(cfg: Config) -> int:
     prog = corpus_program("deutsch")
     ok = run_family(prog, "Deutsch", "OX_", wires=1)
     ok = run_family(prog, "DeutschStd", "OB_", wires=2) and ok

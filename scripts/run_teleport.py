@@ -18,18 +18,18 @@ import numpy as np
 from basislam import (
     BELL,
     NormalForm,
+    Settings,
     add,
     check,
     dist_eq,
     evaluate,
     from_vector,
+    local_settings,
     mk_app,
     mk_pair,
     norm,
     parse_type,
-    reduction,
     scale,
-    set_max_steps,
     sub,
     zero,
 )
@@ -60,14 +60,17 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n-states", type=int, default=Config.n_states)
     ap.add_argument("--seed", type=int, default=Config.seed)
-    ap.add_argument("--max-steps", type=int, default=reduction.MAX_STEPS)
+    ap.add_argument("--max-steps", type=int, default=Settings.max_steps)
     args = ap.parse_args()
     try:
-        set_max_steps(args.max_steps)
+        settings = Settings(max_steps=args.max_steps)
     except ValueError as e:
         ap.error(str(e))
-    cfg = Config(args.n_states, args.seed)
+    with local_settings(settings):
+        return run(Config(args.n_states, args.seed))
 
+
+def run(cfg: Config) -> int:
     prog = corpus_program("teleport")
     teleport = prog.defs["Teleport"]
     rng = np.random.default_rng(cfg.seed)

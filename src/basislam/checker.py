@@ -55,6 +55,7 @@ from .core import (
 from .basis import NAMED_BASES, qubit_arity
 from .reduction import NormalForm, evaluate, evaluate_value
 from .subst import apply_sigma, fresh_name, subst_dist
+from .syntax import print_type
 from .typesem import (
     Arrow,
     BasisType,
@@ -64,7 +65,6 @@ from .typesem import (
     Undecidable,
     factor_rank1,
     finite_members,
-    format_type,
     is_member,
     is_member_phase,
     realizes,
@@ -413,7 +413,7 @@ class _Checker:
             return _node("Sub", ctx, d, goal, (inner,))
         note = "" if verdict is False else "subtyping not decided for this pair"
         raise CheckError(
-            f"subtype check failed {format_type(have)} ≤ {format_type(goal)}",
+            f"subtype check failed {print_type(have)} ≤ {print_type(goal)}",
             note,
             ErrorKind.SUBTYPE,
         )
@@ -426,7 +426,7 @@ class _Checker:
         if not ok:
             raise CheckError(
                 "rule not applicable",
-                f"does not evaluate to a member of {format_type(goal)}",
+                f"does not evaluate to a member of {print_type(goal)}",
             )
         return _node(
             "Lit", ctx, d, goal, note="closed term evaluated against the goal"

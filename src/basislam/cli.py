@@ -16,12 +16,11 @@ import sys
 from dataclasses import asdict
 from typing import Optional
 
-from . import core, reduction
 from .basis import Ortho
 from .checker import CheckError, Derivation, check, check_orthogonality
-from .core import TermDist, phase_normalize, set_eps, single
+from .core import Settings, TermDist, local_settings, phase_normalize, single
 from .corpus import format_rows, run_corpus
-from .reduction import NormalForm, evaluate, set_max_steps
+from .reduction import NormalForm, evaluate
 from .syntax import (
     ParseError,
     load_program,
@@ -321,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--max-steps",
         type=int,
-        default=reduction.MAX_STEPS,
+        default=Settings.max_steps,
         metavar="N",
         help="evaluation fuel: the step bound of every evaluation, also "
         "those inside membership, subtyping, checking and matrix "
@@ -330,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--eps",
         type=float,
-        default=core.EPS,
+        default=Settings.eps,
         metavar="E",
         help="tolerance of every scalar comparison, of zero-pruning and "
         "of symbolic coefficient printing; the unitary gram verdict "
@@ -422,29 +421,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Run one command with --eps and --max-steps applied, then restore
-    the tolerance and the fuel found on entry."""
+    """Run one command under the settings --eps and --max-steps give."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    saved_eps, saved_steps = core.EPS, reduction.MAX_STEPS
     try:
-        try:
-            set_eps(args.eps)
-            set_max_steps(args.max_steps)
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return USAGE_ERROR
-        bases, defs = _environment(args.def_files)
-        return args.handler(args, bases, defs)
+        settings = Settings(eps=args.eps, max_steps=args.max_steps)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return USAGE_ERROR
+    try:
+        with local_settings(settings):
+            bases, defs = _environment(args.def_files)
+            return args.handler(args, bases, defs)
     except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     except RecursionError:
         print(f"error: {TOO_DEEP}", file=sys.stderr)
         return USAGE_ERROR
-    finally:
-        set_eps(saved_eps)
-        set_max_steps(saved_steps)
 
 
 if __name__ == "__main__":

@@ -14,28 +14,61 @@ not a superposition of functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-# Tolerance for scalar equality, zero pruning, orthogonality and norm
-# checks.  One setting for the whole package (CLI --eps writes it); other
-# modules read it through sc_eq and sc_is_zero at call time.
-EPS = 1e-9
+
+@dataclass(frozen=True)
+class Settings:
+    """The analysis settings, one value for the whole package.
+
+    eps: tolerance of every scalar comparison, orthogonality and norm
+    check, and also the pruning threshold: canonical construction drops
+    an entry whose coefficient is within eps of zero.
+    max_steps: evaluation fuel, the step bound of every evaluation,
+    including those inside membership, subtyping, checking and matrix
+    extraction.
+    """
+
+    eps: float = 1e-9
+    max_steps: int = 100000
+
+    def __post_init__(self) -> None:
+        if not 0 < self.eps < math.inf:  # also false for nan
+            raise ValueError("eps must be positive and finite")
+        if self.max_steps < 0:
+            raise ValueError("max steps must be non-negative")
 
 
-def set_eps(value: float) -> None:
-    global EPS
-    if not 0 < value < math.inf:  # also false for nan
-        raise ValueError("eps must be positive and finite")
-    EPS = float(value)
+_settings = Settings()
+
+
+def get_settings() -> Settings:
+    return _settings
+
+
+@contextmanager
+def local_settings(
+    new: Optional[Settings] = None, **changes
+) -> Iterator[Settings]:
+    """Run the block under `new` (default: the current settings) with
+    `changes` applied, and restore the previous settings on exit."""
+    global _settings
+    saved = _settings
+    _settings = replace(new or saved, **changes)
+    try:
+        yield _settings
+    finally:
+        _settings = saved
 
 
 def sc_eq(a: complex, b: complex) -> bool:
-    return abs(a - b) <= EPS
+    return abs(a - b) <= _settings.eps
 
 
 def sc_is_zero(a: complex) -> bool:
-    return abs(a) <= EPS
+    return abs(a) <= _settings.eps
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +200,7 @@ class TermDist:
 #
 # The shape key (shape_key) is an int that leaves out every variable and
 # binder name and every scalar, the things term_eq matches up to alpha or
-# within EPS.  So term_eq(a, b) implies shape_key(a) == shape_key(b), and
+# within eps.  So term_eq(a, b) implies shape_key(a) == shape_key(b), and
 # merges and inner products group entries into buckets by shape key and
 # run term_eq only inside a bucket.  A distribution's shape is that of
 # the multiset of its entries' shapes, since _dist_eq matches entries
@@ -285,7 +318,7 @@ def _dist_shape(d: TermDist) -> int:
 
 # ---------------------------------------------------------------------------
 # Alpha-respecting comparison.  Bound variables are compared by binding
-# position, free variables by name; scalars within EPS.
+# position, free variables by name; scalars within eps.
 
 
 class _Env:
@@ -392,7 +425,7 @@ def _dist_eq(
         for j, (tb, cb) in enumerate(b.entries):
             if used[j]:
                 continue
-            if abs(ca - cb) <= EPS and _term_eq(ta, tb, ea, eb, depth):
+            if abs(ca - cb) <= _settings.eps and _term_eq(ta, tb, ea, eb, depth):
                 used[j] = True
                 hit = True
                 break

@@ -28,6 +28,7 @@ from .core import (
     TermDist,
     Var,
     add,
+    get_settings,
     is_pure_value,
     sc_eq,
     scale,
@@ -37,20 +38,6 @@ from .core import (
 from .subst import SubstUndefined, subst_basis, subst_tensor, subst_term
 
 _HOLE = "__hole__"  # lexer identifiers never start with an underscore
-
-# Evaluation fuel: the step bound of every evaluation, including those
-# inside membership, subtyping, checking and matrix extraction.  One
-# setting for the whole package (CLI --max-steps writes it); evaluate
-# reads it at call time.
-MAX_STEPS = 100000
-
-
-def set_max_steps(value: int) -> None:
-    global MAX_STEPS
-    if value < 0:
-        raise ValueError("max steps must be non-negative")
-    MAX_STEPS = int(value)
-
 
 class RuleTag(enum.Enum):
     BETA = "Beta"
@@ -273,8 +260,8 @@ def step(d: TermDist) -> StepResult:
 
 def evaluate(d: TermDist) -> Trace:
     """Reduce to normal form, recording every step; stops with a stuck
-    result or after MAX_STEPS steps."""
-    max_steps = MAX_STEPS
+    result or after the fuel of the current settings runs out."""
+    max_steps = get_settings().max_steps
     trace = Trace()
     current = d
     for used in range(max_steps):

@@ -436,25 +436,3 @@ def subtype(a: Type, b: Type) -> Optional[bool]:
             return False
         return None
     return None
-
-
-# ---------------------------------------------------------------------------
-# Rendering, kept minimal: named bases print by name, anonymous ones by
-# size.  Precedence: sharp, product, arrow.
-
-
-def format_type(t: Type) -> str:
-    return _fmt(sharp_normalize(t), 1)
-
-
-def _fmt(t: Type, prec: int) -> str:
-    if isinstance(t, BasisType):
-        name = t.basis.name
-        return f"[{name}]" if name else f"[{{{len(t.basis.elements)}}}]"
-    if isinstance(t, Sharp):
-        return "#" + _fmt(t.inner, 4)
-    if isinstance(t, Prod):
-        s = f"{_fmt(t.left, 3)} * {_fmt(t.right, 3)}"
-        return f"({s})" if prec > 2 else s
-    s = f"{_fmt(t.dom, 2)} -> {_fmt(t.cod, 1)}"
-    return f"({s})" if prec > 1 else s

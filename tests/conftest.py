@@ -31,20 +31,10 @@ def teleport_prog():
     return corpus_program("teleport")
 
 
-@pytest.fixture
-def eps_guard():
-    """Restore the global tolerance after a test that changes it."""
-    from basislam.core import set_eps
+@pytest.fixture(autouse=True)
+def default_settings():
+    """Fail a test that ends with settings other than the defaults."""
+    from basislam.core import Settings, get_settings
 
     yield
-    set_eps(1e-9)
-
-
-@pytest.fixture
-def fuel_guard():
-    """Restore the global evaluation fuel after a test that changes it."""
-    from basislam import reduction
-
-    saved = reduction.MAX_STEPS
-    yield
-    reduction.set_max_steps(saved)
+    assert get_settings() == Settings()

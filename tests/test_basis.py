@@ -23,7 +23,15 @@ from basislam.basis import (
     to_vector,
     validate_basis,
 )
-from basislam.core import Ket, Ortho, add, mk_pair, scale, set_eps, single
+from basislam.core import (
+    Ket,
+    Ortho,
+    add,
+    local_settings,
+    mk_pair,
+    scale,
+    single,
+)
 from gen import random_ortho, random_state
 
 
@@ -108,14 +116,13 @@ class TestDecompose:
         assert not in_span(multi_ket("00"), half_bell)
         assert in_span(PHI_PLUS, half_bell)
 
-    def test_follows_global_tolerance(self, eps_guard):
+    def test_follows_global_tolerance(self):
         # a 1e-10 component outside the span is a real component at a
         # 1e-12 tolerance and noise at the default one
-        set_eps(1e-12)
-        v = add(single(Ket(0)), scale(1e-10, single(Ket(1))))
         only_zero = Ortho((single(Ket(0)),))
-        assert decompose(v, only_zero) is None
-        set_eps(1e-9)
+        with local_settings(eps=1e-12):
+            v = add(single(Ket(0)), scale(1e-10, single(Ket(1))))
+            assert decompose(v, only_zero) is None
         assert decompose(v, only_zero) == [1]
 
     def test_bell_coordinates(self):

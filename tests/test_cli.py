@@ -7,8 +7,10 @@ import json
 
 import pytest
 
-from basislam import core, reduction
 from basislam.cli import main
+from basislam.core import get_settings, local_settings
+from basislam.syntax import parse_type
+from basislam.typesem import type_eq
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +94,18 @@ class TestCheck:
         assert code == 0
         assert payload == {"ok": True, "rule": "Lit"}
 
+    def test_diagnostic_names_anonymous_basis(self, capsys, gates_path):
+        # ZX's case patterns form an unnamed basis; the error prints its
+        # elements, in a form the type parser reads back
+        code = main(["check", "ZX |+>", "[B]", "--def", gates_path])
+        out = capsys.readouterr().out
+        basis = (
+            "[{(1/sqrt2)*|0> + (1/sqrt2)*|1>, (1/sqrt2)*|0> - (1/sqrt2)*|1>}]"
+        )
+        assert code == 1
+        assert f"subtype check failed #[B] ≤ {basis}" in out
+        assert type_eq(parse_type(basis), parse_type("[X]"))
+
 
 class TestOrtho:
     def test_orthogonal(self, capsys):
@@ -173,13 +187,13 @@ class TestUsage:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_invalid_tolerance(self, capsys, eps_guard):
+    def test_invalid_tolerance(self, capsys):
         code = main(["eval", "|0>", "--eps", "-1"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("eps", ["inf", "nan"])
-    def test_non_finite_tolerance(self, capsys, eps_guard, eps):
+    def test_non_finite_tolerance(self, capsys, eps):
         # inf pruned every coefficient; nan made no two scalars equal
         code = main(["eval", "|0> + |1>", "--eps", eps])
         assert code == 2
@@ -196,13 +210,19 @@ class TestUsage:
         assert "error:" in capsys.readouterr().err
         assert main(["eval", "|0>", "--max-steps", "0"]) == 0
 
-    def test_tolerance_applies(self, capsys, eps_guard):
+    def test_tolerance_applies(self, capsys):
         # squared coefficients sum to 0.9881: rejected at the default
         # tolerance, accepted once the tolerance absorbs the deficit
         argv = ["check", "0.8*|0> + 0.59*|1>", "#[B]"]
         assert main(argv) == 1
         capsys.readouterr()
         assert main(argv + ["--eps", "0.02"]) == 0
+
+    def test_tolerance_prunes_input(self, capsys):
+        # eps is also the pruning threshold: a coefficient within it of
+        # zero is dropped when the input is built
+        assert main(["eval", "--eps", "0.05", "|00> + 0.01*|01>"]) == 0
+        assert "normal form: |00>\n" in capsys.readouterr().out
 
     def test_fuel_bounds_membership(self, capsys, gates_path):
         # membership of the arrow type evaluates Hd on each basis ket,
@@ -212,11 +232,18 @@ class TestUsage:
         assert main(argv + ["--max-steps", "1"]) == 1
         assert main(argv + ["--max-steps", "2"]) == 0
 
-    def test_settings_restored(self, capsys, eps_guard, fuel_guard):
-        found = (core.EPS, reduction.MAX_STEPS)
-        argv = ["eval", "|0>", "--eps", "0.02", "--max-steps", "5"]
-        assert main(argv) == 0
-        assert (core.EPS, reduction.MAX_STEPS) == found
+    def test_settings_restored(self, capsys):
+        runs = [
+            (["|0>", "--eps", "0.02", "--max-steps", "5"], 0),
+            (["(|0>", "--eps", "0.02", "--max-steps", "5"], 2),
+            (["|" + "0" * 1200 + ">", "--eps", "0.02", "--max-steps", "5"], 2),
+            (["|0>", "--eps", "nan"], 2),
+            (["|0>", "--max-steps", "-3"], 2),
+        ]
+        with local_settings(eps=1e-7, max_steps=77) as found:
+            for argv, code in runs:
+                assert main(["eval", *argv]) == code
+                assert get_settings() == found
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit) as e:

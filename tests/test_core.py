@@ -7,6 +7,7 @@ from basislam.core import (
     ABS,
     Ket,
     Lam,
+    Settings,
     TermDist,
     Var,
     add,
@@ -14,6 +15,7 @@ from basislam.core import (
     free_vars,
     inner_product,
     is_closed,
+    local_settings,
     mk_app,
     mk_case,
     mk_lam,
@@ -22,7 +24,6 @@ from basislam.core import (
     norm,
     phase_normalize,
     scale,
-    set_eps,
     single,
     sub,
     term_eq,
@@ -194,10 +195,21 @@ class TestMisc:
         t = lam.entries[0][0]
         assert t.basis is ABS
 
-    def test_eps_is_guarded(self, eps_guard):
-        with pytest.raises(ValueError):
-            set_eps(0.0)
-        with pytest.raises(ValueError):
-            set_eps(-1e-9)
-        set_eps(1e-3)
-        assert dist_eq(K0, scale(1.0 + 1e-5, K0))
+    def test_eps_is_guarded(self):
+        for bad in (0.0, -1e-9):
+            with pytest.raises(ValueError):
+                with local_settings(eps=bad):
+                    pass
+            with pytest.raises(ValueError):
+                Settings(eps=bad)
+        with local_settings(eps=1e-3):
+            assert dist_eq(K0, scale(1.0 + 1e-5, K0))
+        assert not dist_eq(K0, scale(1.0 + 1e-5, K0))
+
+    def test_eps_is_the_pruning_threshold(self):
+        # construction drops a coefficient within eps of zero
+        tiny = add(K0, scale(1e-10, K1))
+        assert len(tiny.entries) == 1 and dist_eq(tiny, K0)
+        with local_settings(eps=1e-12):
+            kept = add(K0, scale(1e-10, K1))
+        assert [c for _, c in kept.entries] == [1, 1e-10]

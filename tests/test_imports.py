@@ -96,3 +96,21 @@ def test_detector_flags_only_unused_names():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_settings_have_one_writer():
+    """The only `global` statement of the package sits in the settings
+    context manager, so no other code rebinds a module-level value."""
+    found = []
+    for path in sorted((ROOT / "src" / "basislam").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    (path.name, fn.name, node.names)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Global)
+                ]
+        at_top = [n for n in tree.body if isinstance(n, ast.Global)]
+        found += [(path.name, None, n.names) for n in at_top]
+    assert found == [("core.py", "local_settings", ["_settings"])]

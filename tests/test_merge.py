@@ -128,20 +128,22 @@ def assert_same_dist(new: TermDist, ref: TermDist) -> None:
 
 K0, K1 = single(Ket(0)), single(Ket(1))
 NAMES = ("x", "y", "z")
-# nested coefficient offsets, in units of EPS: 0.6 and 1.2 are each within
-# EPS of their neighbour but not of each other
+# the tolerance the tests run under (the default settings)
+TOL = core.get_settings().eps
+# nested coefficient offsets, in units of TOL: 0.6 and 1.2 are each within
+# TOL of their neighbour but not of each other
 OFFSETS = (0.0, 0.6, 1.2, 3.0)
 COEFFS = (1, -1, 0.5, 1j, 0.25 - 0.5j, 0)
 
 
 def _lam_body(name: str, off: float) -> TermDist:
     return add(
-        scale(0.6, single(Var(name))), scale(0.8 + off * core.EPS, K0)
+        scale(0.6, single(Var(name))), scale(0.8 + off * TOL, K0)
     )
 
 
 def _template(kind: int, name: str, off: float):
-    eps = off * core.EPS
+    eps = off * TOL
     if kind == 0:
         return Ket(0)
     if kind == 1:
@@ -170,7 +172,7 @@ SPEC = st.tuples(
     st.sampled_from(NAMES),
     st.sampled_from(OFFSETS),
     st.sampled_from(COEFFS),
-    st.sampled_from((None, 0.0, 0.6, 3.0)),  # cancel, offset in EPS
+    st.sampled_from((None, 0.0, 0.6, 3.0)),  # cancel, offset in TOL
 )
 
 
@@ -179,7 +181,7 @@ def _entries(specs):
     for kind, name, off, c, cancel in specs:
         out.append((_template(kind, name, off), c))
         if cancel is not None:
-            out.append((_template(kind, name, off), -c + cancel * core.EPS))
+            out.append((_template(kind, name, off), -c + cancel * TOL))
     return out
 
 
@@ -287,7 +289,7 @@ def _pool():
 def test_shape_respects_term_eq():
     pool = _pool()
     assert len(pool) > 200
-    below, above = 0.4 * core.EPS, 3 * core.EPS
+    below, above = 0.4 * TOL, 3 * TOL
     for t in pool:
         for variant in (
             _alpha(t, {}),

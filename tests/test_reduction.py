@@ -9,6 +9,7 @@ from basislam.core import (
     Ortho,
     Var,
     dist_eq,
+    local_settings,
     mk_app,
     mk_case,
     mk_lam,
@@ -22,7 +23,6 @@ from basislam.reduction import (
     Stuck,
     evaluate,
     evaluate_value,
-    set_max_steps,
     step,
 )
 from basislam.syntax import parse_term, print_term
@@ -119,10 +119,10 @@ class TestStuck:
         assert isinstance(out, Stuck)
         assert out.reason == "non-value in value position"
 
-    def test_fuel_exhaustion(self, fuel_guard):
+    def test_fuel_exhaustion(self):
         omega = mk_lam("x", ABS, mk_app(single(Var("x")), single(Var("x"))))
-        set_max_steps(10)
-        trace = evaluate(mk_app(omega, omega))
+        with local_settings(max_steps=10):
+            trace = evaluate(mk_app(omega, omega))
         assert isinstance(trace.final, Stuck)
         assert trace.final.reason == "fuel exhausted after 10 steps"
         assert trace.final.offending is None

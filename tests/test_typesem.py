@@ -10,14 +10,13 @@ from basislam.basis import (
     STD,
 )
 from basislam.core import Ket, mk_pair, scale, single
-from basislam.syntax import parse_term, parse_type
+from basislam.syntax import parse_term, parse_type, print_type
 from basislam.typesem import (
     Arrow,
     BasisType,
     Prod,
     Sharp,
     finite_members,
-    format_type,
     is_member,
     is_member_phase,
     realizes,
@@ -148,9 +147,9 @@ class TestSubtype:
 
 class TestFormat:
     def test_named(self):
-        assert format_type(Arrow(B, Sharp(X))) == "[B] -> #[X]"
+        assert print_type(Arrow(B, Sharp(X))) == "[B] -> #[X]"
         assert (
-            format_type(Arrow(Sharp(Prod(B, B)), B)) == "#([B] * [B]) -> [B]"
+            print_type(Arrow(Sharp(Prod(B, B)), B)) == "#([B] * [B]) -> [B]"
         )
 
     def test_parse_print_mirror(self):
@@ -159,6 +158,4 @@ class TestFormat:
             "(#[B] -> #[B] -> #[B] * #[B]) -> #([B] * [B])",
             "#[B] -> #[Bell] * #[B]",
         ):
-            from basislam.syntax import print_type
-
             assert print_type(parse_type(src)) == src
