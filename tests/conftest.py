@@ -33,8 +33,11 @@ def teleport_prog():
 
 @pytest.fixture(autouse=True)
 def default_settings():
-    """Fail a test that ends with settings other than the defaults."""
-    from basislam.core import Settings, get_settings
+    """Fail a test that ends with settings other than the defaults; the
+    enclosing block keeps such a leak out of the next test."""
+    from basislam.core import Settings, get_settings, local_settings
 
-    yield
-    assert get_settings() == Settings()
+    with local_settings(Settings()):
+        yield
+        left = get_settings()
+    assert left == Settings()
