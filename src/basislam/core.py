@@ -37,6 +37,8 @@ class Settings:
     def __post_init__(self) -> None:
         if not 0 < self.eps < math.inf:  # also false for nan
             raise ValueError("eps must be positive and finite")
+        if not isinstance(self.max_steps, int):
+            raise TypeError("max steps must be an integer")
         if self.max_steps < 0:
             raise ValueError("max steps must be non-negative")
 

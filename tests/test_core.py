@@ -206,6 +206,12 @@ class TestMisc:
             assert dist_eq(K0, scale(1.0 + 1e-5, K0))
         assert not dist_eq(K0, scale(1.0 + 1e-5, K0))
 
+    def test_fuel_is_guarded(self):
+        with pytest.raises(ValueError):
+            Settings(max_steps=-1)
+        with pytest.raises(TypeError):
+            Settings(max_steps=2.5)
+
     def test_eps_is_the_pruning_threshold(self):
         # construction drops a coefficient within eps of zero
         tiny = add(K0, scale(1e-10, K1))

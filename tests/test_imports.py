@@ -104,13 +104,17 @@ def test_settings_have_one_writer():
     found = []
     for path in sorted((ROOT / "src" / "basislam").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for fn in ast.walk(tree):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found += [
-                    (path.name, fn.name, node.names)
-                    for node in ast.walk(fn)
-                    if isinstance(node, ast.Global)
-                ]
-        at_top = [n for n in tree.body if isinstance(n, ast.Global)]
-        found += [(path.name, None, n.names) for n in at_top]
+        # innermost enclosing function of every node: walk() is
+        # breadth-first, so an inner function overwrites its outer one
+        scope = {
+            id(node): fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+        }
+        found += [
+            (path.name, scope.get(id(node)), node.names)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Global)
+        ]
     assert found == [("core.py", "local_settings", ["_settings"])]
