@@ -422,12 +422,13 @@ def _dist_eq(
     if len(a.entries) != len(b.entries):
         return False
     used = [False] * len(b.entries)
+    eps = _settings.eps
     for ta, ca in a.entries:
         hit = False
         for j, (tb, cb) in enumerate(b.entries):
             if used[j]:
                 continue
-            if abs(ca - cb) <= _settings.eps and _term_eq(ta, tb, ea, eb, depth):
+            if abs(ca - cb) <= eps and _term_eq(ta, tb, ea, eb, depth):
                 used[j] = True
                 hit = True
                 break

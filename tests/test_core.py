@@ -212,6 +212,11 @@ class TestMisc:
         with pytest.raises(TypeError):
             Settings(max_steps=2.5)
 
+    def test_settings_are_a_table_key(self):
+        table = {Settings(): "default"}
+        assert table[Settings(eps=1e-9, max_steps=100000)] == "default"
+        assert Settings(eps=1e-12) not in table
+
     def test_eps_is_the_pruning_threshold(self):
         # construction drops a coefficient within eps of zero
         tiny = add(K0, scale(1e-10, K1))
