@@ -38,10 +38,14 @@ from .core import (
     TermDist,
     Var,
     add,
+    basis_display_key,
     basis_eq,
+    dist_display_key,
     dist_eq,
     first_overlap,
     free_vars,
+    get_session,
+    get_settings,
     inner_product,
     is_closed,
     mk_app,
@@ -49,6 +53,7 @@ from .core import (
     sc_eq,
     sc_is_zero,
     scale,
+    session,
     single,
     term_eq,
 )
@@ -72,6 +77,7 @@ from .typesem import (
     span_generators,
     subtype,
     type_eq,
+    type_key,
 )
 
 
@@ -131,7 +137,7 @@ class _Tried:
         return min(self.errors, key=lambda e: e.kind)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Derivation:
     rule: str
     ctx: tuple[tuple[str, Binding], ...]
@@ -334,12 +340,50 @@ def _synth_value(d: TermDist) -> Optional[Type]:
     return Sharp(_std_products(n))
 
 
+def _judgement_key(ctx: Context, d: TermDist, goal: Type):
+    """Exact key of a judgement: the usable context, the term and the
+    goal with every basis name (derivations carry them), and the
+    settings."""
+    return (
+        tuple(
+            sorted(
+                (x, type_key(b.type), basis_display_key(b.basis))
+                for x, b in ctx.items()
+            )
+        ),
+        dist_display_key(d),
+        type_key(goal),
+        get_settings(),
+    )
+
+
 class _Checker:
     # -- main entry ---------------------------------------------------
 
     def check(self, ctx: Context, d: TermDist, goal: Type) -> Derivation:
         ctx = _usable(ctx, d)
         goal = sharp_normalize(goal)
+        current = get_session()
+        if current is None:
+            return self._derive(ctx, d, goal)
+        out = current.judgements.memo(
+            _judgement_key(ctx, d, goal),
+            lambda: self._outcome(ctx, d, goal),
+        )
+        if isinstance(out, Derivation):
+            return out
+        kind, message, note = out
+        raise CheckError(message, note, kind)
+
+    def _outcome(self, ctx: Context, d: TermDist, goal: Type):
+        """The derivation, or the error as (kind, message, note), so that
+        a table hit raises an error of its own."""
+        try:
+            return self._derive(ctx, d, goal)
+        except CheckError as e:
+            return e.kind, e.message, e.note
+
+    def _derive(self, ctx: Context, d: TermDist, goal: Type) -> Derivation:
         if d.is_zero():
             raise CheckError("rule not applicable", "empty distribution")
         if len(d.entries) == 1:
@@ -916,20 +960,23 @@ class HarnessReport:
 def subject_reduction_harness(
     ctx: Context, term: TermDist, goal: Type
 ) -> HarnessReport:
-    """Re-check the judgement at every reduction step of the term."""
-    report = HarnessReport(ok=True)
-    try:
-        check(ctx, term, goal)
-    except CheckError as e:
-        return HarnessReport(ok=False, failure=f"initial judgement: {e}")
-    trace = evaluate(term)
-    for i, (dist, rule) in enumerate(trace.steps):
+    """Re-check the judgement at every reduction step of the term, in one
+    session, so that a sub-judgement shared by the steps is derived
+    once."""
+    with session():
+        report = HarnessReport(ok=True)
         try:
-            check(ctx, dist, goal)
-            report.steps.append(HarnessStep(i, str(rule), True))
+            check(ctx, term, goal)
         except CheckError as e:
-            report.steps.append(HarnessStep(i, str(rule), False, str(e)))
-            report.ok = False
+            return HarnessReport(ok=False, failure=f"initial judgement: {e}")
+        trace = evaluate(term)
+        for i, (dist, rule) in enumerate(trace.steps):
+            try:
+                check(ctx, dist, goal)
+                report.steps.append(HarnessStep(i, str(rule), True))
+            except CheckError as e:
+                report.steps.append(HarnessStep(i, str(rule), False, str(e)))
+                report.ok = False
     if not isinstance(trace.final, NormalForm):
         report.ok = False
         report.failure = f"evaluation did not finish: {trace.final.reason}"

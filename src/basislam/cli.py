@@ -18,7 +18,14 @@ from typing import Optional
 
 from .basis import Ortho
 from .checker import CheckError, Derivation, check, check_orthogonality
-from .core import Settings, TermDist, local_settings, phase_normalize, single
+from .core import (
+    Settings,
+    TermDist,
+    local_settings,
+    phase_normalize,
+    session,
+    single,
+)
 from .corpus import format_rows, run_corpus
 from .reduction import NormalForm, evaluate
 from .syntax import (
@@ -303,7 +310,8 @@ def _cmd_repl(args, bases, defs) -> int:
             print(_REPL_HELP)
             continue
         try:
-            _repl_line(line, bases, defs)
+            with session():  # each line is a command of its own
+                _repl_line(line, bases, defs)
         except (ParseError, CheckError, UnitaryError, ValueError) as e:
             print(f"error: {e}")
         except RecursionError:
@@ -313,6 +321,20 @@ def _cmd_repl(args, bases, defs) -> int:
 
 # ---------------------------------------------------------------------------
 # Argument parsing.
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that starts with a single '-' and is not an
+    option of the parser, such as the term "-|1>", as a positional."""
+
+    def _parse_optional(self, arg_string):
+        if (
+            arg_string.startswith("-")
+            and not arg_string.startswith("--")
+            and arg_string not in self._option_string_actions
+        ):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -350,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(repeatable)",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="basislam",
         description="Evaluate, type-check, and analyze terms of a "
         "basis-sensitive quantum lambda calculus.",
@@ -432,7 +454,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         with local_settings(settings):
             bases, defs = _environment(args.def_files)
-            return args.handler(args, bases, defs)
+            if args.handler is _cmd_repl:  # a session per line
+                return _cmd_repl(args, bases, defs)
+            with session():
+                return args.handler(args, bases, defs)
     except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,64 @@ def local_settings(
         yield _settings
     finally:
         _settings = saved
+
+
+class Table:
+    """An exact-keyed memo table that counts its hits and misses."""
+
+    __slots__ = ("entries", "hits", "misses")
+
+    def __init__(self) -> None:
+        self.entries: dict = {}
+        self.hits = 0
+        self.misses = 0
+
+    def memo(self, key, compute: Callable[[], object]):
+        """The value stored under key, or compute()'s, stored."""
+        try:
+            value = self.entries[key]
+        except KeyError:
+            self.misses += 1
+            value = self.entries[key] = compute()
+            return value
+        self.hits += 1
+        return value
+
+
+class Session:
+    """The tables of one command: the normal form of each evaluated
+    input and the outcome of each derived judgement.  Keys are exact
+    (variable names and scalars as stored, the settings included), so a
+    hit returns what a fresh computation would.  Only a judgement's key
+    holds the basis names too: a normal form is read for a verdict."""
+
+    def __init__(self) -> None:
+        self.evaluations = Table()
+        self.judgements = Table()
+
+
+_session: ContextVar[Optional[Session]] = ContextVar("session", default=None)
+
+
+def get_session() -> Optional[Session]:
+    """The open session, or None: outside a session nothing is tabled."""
+    return _session.get()
+
+
+@contextmanager
+def session() -> Iterator[Session]:
+    """Run the block inside a session, the open one if there is one, so
+    that its tables live as long as the outermost block."""
+    current = _session.get()
+    if current is not None:
+        yield current
+        return
+    opened = Session()
+    token = _session.set(opened)
+    try:
+        yield opened
+    finally:
+        _session.reset(token)
 
 
 def sc_eq(a: complex, b: complex) -> bool:
@@ -318,6 +377,61 @@ def _dist_shape(d: TermDist) -> int:
     return k
 
 
+# The display key adds to the order key the names of the basis
+# annotations, which it leaves out: a name is display only, but a table
+# whose hits must print like fresh results keys on it.  Given equal order
+# keys, the annotations sit at the same places, so the names in a fixed
+# pre-order suffice.
+
+
+def _names(t: Union[PureTerm, TermDist]) -> tuple:
+    if isinstance(t, (Var, Ket)):
+        return ()
+    try:
+        return t._names
+    except AttributeError:
+        pass
+    if isinstance(t, TermDist):
+        k = tuple(n for u, _ in t.entries for n in _names(u))
+    elif isinstance(t, Pair):
+        k = _names(t.left) + _names(t.right)
+    elif isinstance(t, App):
+        k = _names(t.fun) + _names(t.arg)
+    elif isinstance(t, Lam):
+        k = _basis_names(t.basis) + _names(t.body)
+    elif isinstance(t, LetPair):
+        k = (
+            _basis_names(t.basis1)
+            + _basis_names(t.basis2)
+            + _names(t.scrutinee)
+            + _names(t.body)
+        )
+    elif isinstance(t, Case):
+        k = _names(t.scrutinee) + tuple(
+            n for d in t.patterns + t.branches for n in _names(d)
+        )
+    else:
+        raise TypeError(f"not a pure term: {t!r}")
+    object.__setattr__(t, "_names", k)
+    return k
+
+
+def _basis_names(b: Basis) -> tuple:
+    if isinstance(b, AbsBasis):
+        return ()
+    return (b.name,) + tuple(n for e in b.elements for n in _names(e))
+
+
+def dist_display_key(d: TermDist):
+    """The order key of d with the names of its basis annotations."""
+    return _dist_key(d), _names(d)
+
+
+def basis_display_key(b: Basis):
+    """The order key of a basis with its name and those inside it."""
+    return _basis_key(b), _basis_names(b)
+
+
 # ---------------------------------------------------------------------------
 # Alpha-respecting comparison.  Bound variables are compared by binding
 # position, free variables by name; scalars within eps.
@@ -448,14 +562,22 @@ def dist_eq(a: TermDist, b: TermDist) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Free variables and closedness.
+# Free variables and closedness.  A distribution caches its free
+# variables like its keys: the bodies substitution and the checker ask
+# about are distributions, and a cache on every pure term as well costs
+# more memory than it saves time.
 
 
 def free_vars(t: Union[PureTerm, TermDist]) -> frozenset[str]:
     if isinstance(t, TermDist):
+        try:
+            return t._fv
+        except AttributeError:
+            pass
         out: frozenset[str] = frozenset()
         for u, _ in t.entries:
             out |= free_vars(u)
+        object.__setattr__(t, "_fv", out)
         return out
     if isinstance(t, Var):
         return frozenset((t.name,))

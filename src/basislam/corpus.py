@@ -14,7 +14,7 @@ from importlib import resources
 from typing import Optional
 
 from .checker import CheckError, check, subject_reduction_harness
-from .core import TermDist, dist_eq, phase_normalize
+from .core import TermDist, dist_eq, phase_normalize, session
 from .reduction import NormalForm, evaluate
 from .syntax import (
     ParseError,
@@ -254,14 +254,17 @@ def _subtype_rows() -> list[CorpusRow]:
 
 
 def run_corpus() -> list[CorpusRow]:
-    progs = load_corpus()
-    rows: list[CorpusRow] = []
-    rows.extend(_eval_rows(progs))
-    rows.extend(_goal_rows(progs))
-    rows.extend(_unitary_rows(progs))
-    rows.extend(_harness_rows(progs))
-    rows.extend(_subtype_rows())
-    return rows
+    """Every row, in one session: the rows share evaluations and
+    judgements."""
+    with session():
+        progs = load_corpus()
+        rows: list[CorpusRow] = []
+        rows.extend(_eval_rows(progs))
+        rows.extend(_goal_rows(progs))
+        rows.extend(_unitary_rows(progs))
+        rows.extend(_harness_rows(progs))
+        rows.extend(_subtype_rows())
+        return rows
 
 
 def format_rows(rows: list[CorpusRow]) -> str:

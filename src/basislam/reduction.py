@@ -27,7 +27,9 @@ from .core import (
     PureTerm,
     TermDist,
     Var,
+    _dist_key,
     add,
+    get_session,
     get_settings,
     is_pure_value,
     sc_eq,
@@ -284,7 +286,18 @@ def evaluate(d: TermDist) -> Trace:
 
 def evaluate_value(d: TermDist) -> Optional[TermDist]:
     """The normal form of d, or None when evaluation sticks or the fuel
-    runs out."""
+    runs out.  Inside a session each input is evaluated once.  The key
+    leaves out the names of basis annotations, so the normal form is
+    meant for a verdict, not for printing."""
+    current = get_session()
+    if current is None:
+        return _normal_form(d)
+    return current.evaluations.memo(
+        (_dist_key(d), get_settings()), lambda: _normal_form(d)
+    )
+
+
+def _normal_form(d: TermDist) -> Optional[TermDist]:
     trace = evaluate(d)
     if isinstance(trace.final, NormalForm):
         return trace.final.dist

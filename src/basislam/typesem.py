@@ -24,6 +24,7 @@ from .core import (
     PureTerm,
     TermDist,
     add,
+    basis_display_key,
     basis_eq,
     dist_eq,
     first_overlap,
@@ -82,6 +83,25 @@ def sharp_normalize(t: Type) -> Type:
         return Prod(sharp_normalize(t.left), sharp_normalize(t.right))
     inner = sharp_normalize(t.inner)
     return inner if isinstance(inner, Sharp) else Sharp(inner)
+
+
+def type_key(t: Type):
+    """Exact structural key of a type, basis names included, so that
+    types with equal keys print alike.  Cached on the node."""
+    try:
+        return t._key
+    except AttributeError:
+        pass
+    if isinstance(t, BasisType):
+        k = (0, basis_display_key(t.basis))
+    elif isinstance(t, Arrow):
+        k = (1, type_key(t.dom), type_key(t.cod))
+    elif isinstance(t, Prod):
+        k = (2, type_key(t.left), type_key(t.right))
+    else:
+        k = (3, type_key(t.inner))
+    object.__setattr__(t, "_key", k)
+    return k
 
 
 def _basis_set_eq(a: Ortho, b: Ortho) -> bool:

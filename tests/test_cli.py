@@ -43,6 +43,21 @@ class TestEval:
         assert "normal form: |1>" in out
         assert "phase: -1" in out
 
+    @pytest.mark.parametrize(
+        "argv, after_dashes",
+        [
+            (["eval", "-|1>"], ["eval", "--", "-|1>"]),
+            (["eval", "-|1>", "--json"], ["eval", "--json", "--", "-|1>"]),
+            (["check", "-|0>", "#[B]"], ["check", "--", "-|0>", "#[B]"]),
+            (["eval", "-0.5*|0>"], ["eval", "--", "-0.5*|0>"]),
+        ],
+    )
+    def test_leading_minus_is_a_term(self, capsys, argv, after_dashes):
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert (code, out) == (main(after_dashes), capsys.readouterr().out)
+        assert code == 0
+
     def test_trace_lists_rules(self, capsys, gates_path):
         code = main(["eval", "NOT |0>", "--trace", "--def", gates_path])
         out = capsys.readouterr().out
