@@ -190,9 +190,9 @@ def _node(
 
 def _usable(ctx: Context, d: TermDist) -> Context:
     fv = free_vars(d)
-    for x in fv:
-        if x not in ctx:
-            raise CheckError(f"unbound variable: {x}")
+    unbound = fv.difference(ctx)
+    if unbound:  # the smallest name, whatever the set's iteration order
+        raise CheckError(f"unbound variable: {min(unbound)}")
     used: Context = {}
     for x, b in ctx.items():
         if x in fv:

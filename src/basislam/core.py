@@ -13,6 +13,7 @@ not a superposition of functions.
 
 from __future__ import annotations
 
+import bisect
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -607,7 +608,13 @@ def is_pure_value(t: PureTerm) -> bool:
     if isinstance(t, (Var, Ket, Lam)):
         return True
     if isinstance(t, Pair):
-        return is_pure_value(t.left) and is_pure_value(t.right)
+        # cached like the keys; most pairs reduction asks about are fresh,
+        # and a dict lookup misses more cheaply than a raised AttributeError
+        v = t.__dict__.get("_value")
+        if v is None:
+            v = is_pure_value(t.left) and is_pure_value(t.right)
+            object.__setattr__(t, "_value", v)
+        return v
     return False
 
 
@@ -616,7 +623,13 @@ def is_value_dist(d: TermDist) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Canonical construction.
+# Canonical construction.  _build records on a distribution of two or more
+# entries the eps it ran under, so that the entries of one known canonical
+# under the current eps can be kept without a rebuild (merge_into).
+
+
+def _entry_key(e: tuple[PureTerm, complex]):
+    return _term_key(e[0])
 
 
 def _build(pairs: Iterable[tuple[PureTerm, complex]]) -> TermDist:
@@ -637,9 +650,54 @@ def _build(pairs: Iterable[tuple[PureTerm, complex]]) -> TermDist:
             bucket.append(len(merged))
             merged.append((t, complex(c)))
     pruned = [(t, c) for t, c in merged if not sc_is_zero(c)]
-    if len(pruned) > 1:  # so a single term's order key is never built
-        pruned.sort(key=lambda e: _term_key(e[0]))
-    return TermDist(tuple(pruned))
+    if len(pruned) < 2:  # so a single term's order key is never built
+        return TermDist(tuple(pruned))
+    pruned.sort(key=_entry_key)
+    out = TermDist(tuple(pruned))
+    object.__setattr__(out, "_eps", _settings.eps)
+    return out
+
+
+def is_canonical(d: TermDist) -> bool:
+    """Whether d, of two or more entries, was built canonical under the
+    current eps."""
+    return d.__dict__.get("_eps") == _settings.eps
+
+
+def merge_into(
+    new: TermDist, rest: Sequence[tuple[PureTerm, complex]]
+) -> TermDist:
+    """add(new, TermDist(rest)), for a `new` built by the constructors
+    under the current settings and entries `rest` of a distribution (in
+    its order) canonical under the current eps.
+
+    Only new's entries are merged, through the shape buckets of the rest:
+    each entry of rest joins the first entry of new it is term_eq to, the
+    coefficients adding in add's order, and the entries of new that
+    survive pruning go into the sorted rest by bisection.  The rest is
+    kept as it is, so the cost follows new, not the whole distribution."""
+    if not rest:
+        return new
+    buckets: dict[int, list[int]] = {shape_key(t): [] for t, _ in new.entries}
+    for j, (t, _) in enumerate(rest):
+        bucket = buckets.get(shape_key(t))
+        if bucket is not None:
+            bucket.append(j)
+    joined: set[int] = set()
+    survivors = []
+    for t, c in new.entries:
+        for j in buckets[shape_key(t)]:
+            if j not in joined and term_eq(rest[j][0], t):
+                joined.add(j)
+                c = c + rest[j][1]
+        if not sc_is_zero(c):
+            survivors.append((t, c))
+    out = [e for j, e in enumerate(rest) if j not in joined]
+    for e in survivors:
+        bisect.insort(out, e, key=_entry_key)
+    merged = TermDist(tuple(out))
+    object.__setattr__(merged, "_eps", _settings.eps)
+    return merged
 
 
 def zero() -> TermDist:

@@ -31,7 +31,9 @@ from .core import (
     add,
     get_session,
     get_settings,
+    is_canonical,
     is_pure_value,
+    merge_into,
     sc_eq,
     scale,
     single,
@@ -92,7 +94,7 @@ class Trace:
 # root decides the context rule that names the step.
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Redex:
     context: PureTerm
     redex_repr: PureTerm  # beta App, LetPair or Case, hole at the slot
@@ -102,83 +104,85 @@ class _Redex:
 
 _Found = Union[_Redex, Stuck]
 
-
-def _wrap(
-    sub: _Found, build: Callable[[PureTerm], PureTerm], rule: RuleTag
-) -> _Found:
-    if isinstance(sub, Stuck):
-        return sub
-    return _Redex(build(sub.context), sub.redex_repr, sub.slot, rule)
+# How a node is rebuilt around a new child, keyed by the context rule of
+# the child's position.
+_REBUILD: dict[RuleTag, Callable[[PureTerm, PureTerm], PureTerm]] = {
+    RuleTag.CTX_PAIR_LEFT: lambda t, c: Pair(c, t.right),
+    RuleTag.CTX_PAIR_RIGHT: lambda t, c: Pair(t.left, c),
+    RuleTag.CTX_APP_RIGHT: lambda t, c: App(t.fun, c),
+    RuleTag.CTX_APP_LEFT: lambda t, c: App(c, t.arg),
+    RuleTag.CTX_LET: lambda t, c: LetPair(
+        t.var1, t.basis1, t.var2, t.basis2, c, t.body
+    ),
+    RuleTag.CTX_CASE: lambda t, c: Case(c, t.patterns, t.branches),
+}
 
 
 def _find(t: PureTerm) -> Optional[_Found]:
     """Locate the redex this strategy fires inside a pure term, a stuck
-    position blocking it, or None when t is already a pure value."""
+    position blocking it, or None when t is already a pure value.  Nodes
+    are immutable, so the result is cached on the node: a summand that
+    does not fire keeps its redex for the next step."""
     if is_pure_value(t):
         return None
-    if isinstance(t, Pair):
-        if not is_pure_value(t.left):
-            sub = _find(t.left)
-            assert sub is not None
-            return _wrap(
-                sub, lambda c: Pair(c, t.right), RuleTag.CTX_PAIR_LEFT
+    found = t.__dict__.get("_found")  # a miss costs no raised exception
+    if found is None:
+        found = _search(t)
+        object.__setattr__(t, "_found", found)
+    return found
+
+
+def _search(t: PureTerm) -> _Found:
+    """Walk down from a node that is not a pure value to the redex, or to
+    the stuck position blocking it, then build the context back up."""
+    path: list[tuple[PureTerm, RuleTag]] = []
+    while True:
+        if isinstance(t, Pair):
+            if is_pure_value(t.left):
+                path.append((t, RuleTag.CTX_PAIR_RIGHT))
+                t = t.right
+            else:
+                path.append((t, RuleTag.CTX_PAIR_LEFT))
+                t = t.left
+        elif isinstance(t, App):
+            if not is_pure_value(t.arg):
+                path.append((t, RuleTag.CTX_APP_RIGHT))
+                t = t.arg
+            elif not is_pure_value(t.fun):
+                path.append((t, RuleTag.CTX_APP_LEFT))
+                t = t.fun
+            elif isinstance(t.fun, Lam):
+                rule, own, slot = RuleTag.CTX_APP_RIGHT, RuleTag.BETA, t.arg
+                break
+            elif isinstance(t.fun, Var):
+                return Stuck("free variable", t.fun)
+            else:
+                return Stuck("non-value in value position", t.fun)
+        elif isinstance(t, (LetPair, Case)):
+            rule = (
+                RuleTag.CTX_LET if isinstance(t, LetPair) else RuleTag.CTX_CASE
             )
-        sub = _find(t.right)
-        assert sub is not None
-        return _wrap(sub, lambda c: Pair(t.left, c), RuleTag.CTX_PAIR_RIGHT)
-    if isinstance(t, App):
-        if not is_pure_value(t.arg):
-            sub = _find(t.arg)
-            assert sub is not None
-            return _wrap(sub, lambda c: App(t.fun, c), RuleTag.CTX_APP_RIGHT)
-        if not is_pure_value(t.fun):
-            sub = _find(t.fun)
-            assert sub is not None
-            return _wrap(sub, lambda c: App(c, t.arg), RuleTag.CTX_APP_LEFT)
-        if isinstance(t.fun, Lam):
-            return _Redex(
-                Var(_HOLE), App(t.fun, Var(_HOLE)), t.arg, RuleTag.BETA
-            )
-        if isinstance(t.fun, Var):
-            return Stuck("free variable", t.fun)
-        return Stuck("non-value in value position", t.fun)
-    if isinstance(t, LetPair):
-        if not is_pure_value(t.scrutinee):
-            sub = _find(t.scrutinee)
-            assert sub is not None
-            return _wrap(
-                sub,
-                lambda c: LetPair(
-                    t.var1, t.basis1, t.var2, t.basis2, c, t.body
-                ),
-                RuleTag.CTX_LET,
-            )
-        if isinstance(t.scrutinee, Var):
-            return Stuck("free variable", t.scrutinee)
-        return _Redex(
-            Var(_HOLE),
-            LetPair(t.var1, t.basis1, t.var2, t.basis2, Var(_HOLE), t.body),
-            t.scrutinee,
-            RuleTag.LET_TENSOR,
-        )
-    if isinstance(t, Case):
-        if not is_pure_value(t.scrutinee):
-            sub = _find(t.scrutinee)
-            assert sub is not None
-            return _wrap(
-                sub,
-                lambda c: Case(c, t.patterns, t.branches),
-                RuleTag.CTX_CASE,
-            )
-        if isinstance(t.scrutinee, Var):
-            return Stuck("free variable", t.scrutinee)
-        return _Redex(
-            Var(_HOLE),
-            Case(Var(_HOLE), t.patterns, t.branches),
-            t.scrutinee,
-            RuleTag.CASE_MATCH,
-        )
-    raise TypeError(f"not a pure term: {t!r}")
+            if not is_pure_value(t.scrutinee):
+                path.append((t, rule))
+                t = t.scrutinee
+            elif isinstance(t.scrutinee, Var):
+                return Stuck("free variable", t.scrutinee)
+            else:
+                own = (
+                    RuleTag.LET_TENSOR
+                    if isinstance(t, LetPair)
+                    else RuleTag.CASE_MATCH
+                )
+                slot = t.scrutinee
+                break
+        else:
+            raise TypeError(f"not a pure term: {t!r}")
+    # the redex with the hole at its value slot, and its context
+    redex_repr = _REBUILD[rule](t, Var(_HOLE))
+    context: PureTerm = Var(_HOLE)
+    for node, r in reversed(path):
+        context = _REBUILD[r](node, context)
+    return _Redex(context, redex_repr, slot, path[0][1] if path else own)
 
 
 def _same_redex(a: _Redex, b: _Redex) -> bool:
@@ -220,7 +224,13 @@ def _fire(r: _Redex, value: TermDist) -> Union[TermDist, Stuck]:
 
 def step(d: TermDist) -> StepResult:
     """One deterministic step: the canonically first reducible summand
-    fires, together with every summand sharing its context and redex."""
+    fires, together with every summand sharing its context and redex.
+
+    d is expected canonical.  When it was built under the current eps,
+    the entries that do not fire are reused, terms and order as they
+    are, and only the fired part is merged into them; otherwise they are
+    rebuilt, so that a tolerance changed since d was built prunes and
+    merges them too."""
     finds = [_find(t) for t, _ in d.entries]
     picked = next((f for f in finds if isinstance(f, _Redex)), None)
     if picked is None:
@@ -242,14 +252,18 @@ def step(d: TermDist) -> StepResult:
     if isinstance(fired, Stuck):
         return fired
     plugged = subst_term(picked.context, _HOLE, fired)
-    rest = add(
-        *(
-            scale(c, single(t))
-            for i, (t, c) in enumerate(d.entries)
-            if i not in group
-        )
-    )
-    result = add(plugged, rest)
+    in_group = set(group)
+    # each kept coefficient as scale(c, single(t)) leaves it: times 1+0j,
+    # which can flip the sign of a zero part, and changes nothing twice
+    kept = [
+        (t, c * (1 + 0j))
+        for i, (t, c) in enumerate(d.entries)
+        if i not in in_group
+    ]
+    if not kept or is_canonical(d):
+        result = merge_into(plugged, kept)
+    else:  # built under another eps: rebuilt, so the current eps prunes
+        result = add(plugged, add(*(scale(c, single(t)) for t, c in kept)))
 
     if len(group) < len(d.entries):
         tag = RuleTag.CTX_SUM

@@ -4,9 +4,13 @@ interactive loop, and definition loading."""
 import importlib.resources
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import basislam
 from basislam.cli import main
 from basislam.core import get_settings, local_settings
 from basislam.syntax import parse_type
@@ -120,6 +124,24 @@ class TestCheck:
         assert code == 1
         assert f"subtype check failed #[B] ≤ {basis}" in out
         assert type_eq(parse_type(basis), parse_type("[X]"))
+
+    def test_unbound_variable_is_the_same_under_every_hash_seed(self):
+        # the free names form a set; the diagnostic names the smallest
+        src = os.path.dirname(os.path.dirname(basislam.__file__))
+        lines = set()
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed))
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "basislam.cli",
+                 "check", "(a, b)", "[B] * [B]"],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 1
+            lines.add(proc.stdout.strip())
+        assert lines == {"type error: unbound variable: a"}
 
 
 class TestOrtho:

@@ -342,6 +342,31 @@ def test_hd_layer_comparisons_stay_linear(monkeypatch):
     assert calls <= 20_000
 
 
+def test_hd_layer_step_merges_only_what_fired(monkeypatch):
+    # seven wires of `Hd |0>`: 254 steps, 128 summands.  A step that
+    # rebuilt the summands it did not fire pushed 54,539 entries through
+    # canonical construction here.
+    hd = corpus_program("gates").defs["Hd"]
+    term = mk_app(hd, K0)
+    for _ in range(6):
+        term = mk_pair(mk_app(hd, K0), term)
+    entries = 0
+    original = core._build
+
+    def counted(pairs):
+        nonlocal entries
+        pairs = list(pairs)
+        entries += len(pairs)
+        return original(pairs)
+
+    monkeypatch.setattr(core, "_build", counted)
+    trace = evaluate(term)
+    assert isinstance(trace.final, NormalForm)
+    assert len(trace.steps) == 254
+    assert len(trace.final.dist) == 128
+    assert entries <= 10_000
+
+
 def test_gate_chain_skips_self_comparison(monkeypatch):
     # 16 one-wire gates on |0>, 32 steps.  Comparing the picked redex with
     # itself walked each gate's body: 4,572 recursive _term_eq calls.
