@@ -18,7 +18,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import (
     ABS,
@@ -66,6 +66,10 @@ class ParseError(Exception):
         self.path = path
         where = f"{path}:" if path else ""
         super().__init__(f"{where}{line}:{col}: {message}")
+
+
+class _NotFinite(ParseError):
+    """A scalar that parses but has no finite value."""
 
 
 @dataclass(frozen=True)
@@ -163,46 +167,68 @@ class _Parser:
         raise ParseError(message, tok.line, tok.col, self.path)
 
     # -- scalars ----------------------------------------------------------
+    # Scalar syntax overlaps term syntax, so a scalar is tried and the
+    # parse backtracks when the tokens do not form one.  A scalar that
+    # parses but has no finite value is an error at once.
 
-    def try_scalar(self) -> Optional[complex]:
+    def attempt(self, parse: Callable[[], complex]) -> Optional[complex]:
+        """parse(), or None with the position restored when the tokens
+        do not form a scalar."""
         mark = self.pos
         try:
-            return self.scalar_sum()
+            return parse()
+        except _NotFinite:
+            raise
         except ParseError:
             self.pos = mark
             return None
+
+    def finite(self, value: complex, tok: Token) -> complex:
+        if not cmath.isfinite(value):
+            raise _NotFinite(
+                "scalar is not finite", tok.line, tok.col, self.path
+            )
+        return value
+
+    def try_scalar(self) -> Optional[complex]:
+        return self.attempt(self.scalar_sum)
 
     def scalar_sum(self) -> complex:
         value = self.scalar_prod()
         while self.at_op("+") or self.at_op("-"):
             mark = self.pos
-            op = self.next().text
-            try:
-                rhs = self.scalar_prod()
-            except ParseError:
+            op = self.next()
+            rhs = self.attempt(self.scalar_prod)
+            if rhs is None:
                 self.pos = mark
                 break
-            value = value + rhs if op == "+" else value - rhs
+            value = self.finite(
+                value + rhs if op.text == "+" else value - rhs, op
+            )
         return value
 
     def scalar_prod(self) -> complex:
         value = self.scalar_atom()
         while self.at_op("*") or self.at_op("/"):
             mark = self.pos
-            op = self.next().text
-            try:
-                rhs = self.scalar_atom()
-            except ParseError:
+            op = self.next()
+            rhs = self.attempt(self.scalar_atom)
+            if rhs is None:
                 self.pos = mark
                 break
-            value = value * rhs if op == "*" else value / rhs
+            if op.text == "*":
+                value = self.finite(value * rhs, op)
+            elif rhs == 0:
+                raise _NotFinite("division by zero", op.line, op.col, self.path)
+            else:
+                value = self.finite(value / rhs, op)
         return value
 
     def scalar_atom(self) -> complex:
         tok = self.peek()
         if tok.kind == "num":
             self.next()
-            return complex(float(tok.text))
+            return self.finite(complex(float(tok.text)), tok)
         if tok.kind == "op" and tok.text == "-":
             self.next()
             return -self.scalar_atom()
@@ -226,7 +252,10 @@ class _Parser:
                     self.expect_op("(")
                     value = self.scalar_sum()
                     self.expect_op(")")
-                    return cmath.exp(value)
+                    try:
+                        return cmath.exp(value)
+                    except OverflowError:
+                        return self.finite(complex(math.inf), tok)
                 self.pos = mark
         self.err("expected a scalar")
         raise AssertionError
@@ -234,6 +263,7 @@ class _Parser:
     # -- terms -----------------------------------------------------------
 
     def term(self) -> TermDist:
+        start = self.peek()
         negate = False
         if self.at_op("-"):
             self.next()
@@ -245,6 +275,11 @@ class _Parser:
             op = self.next().text
             rhs = self.product()
             value = add(value, rhs) if op == "+" else sub(value, rhs)
+        # finite scalars can still overflow in a product or a sum
+        if not all(cmath.isfinite(c) for _, c in value.entries):
+            raise ParseError(
+                "coefficient is not finite", start.line, start.col, self.path
+            )
         return value
 
     def product(self) -> TermDist:

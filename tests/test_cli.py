@@ -241,6 +241,41 @@ class TestUsage:
         assert code == 2
         assert "error: term too deep" in capsys.readouterr().err
 
+    # Each of these failed before non-finite scalars were rejected: the
+    # literal and the product printed `(nan+nan*i)*|0>` with exit 0 (and
+    # `"phase": [NaN, NaN]`, not JSON, under --json); the pair overflowed
+    # the same way in its product; the division and the exponential
+    # raised a traceback.
+    @pytest.mark.parametrize(
+        "term, where",
+        [
+            ("1" + "0" * 320 + " * |0>", "1:1: scalar is not finite"),
+            (
+                "1" + "0" * 200 + " * 1" + "0" * 200 + " * |0>",
+                "1:203: scalar is not finite",
+            ),
+            (
+                "(1" + "0" * 200 + "*|0>, 1" + "0" * 200 + "*|1>)",
+                "1:1: coefficient is not finite",
+            ),
+            ("2/0 * |0>", "1:2: division by zero"),
+            ("e^(1000) * |0>", "1:1: scalar is not finite"),
+        ],
+    )
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_non_finite_scalar_is_usage(self, capsys, term, where, json_flag):
+        code = main(["eval", *json_flag, "--", term])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {where}\n"
+
+    def test_non_finite_literal_folded_away(self, capsys):
+        # 1/inf is 0, but the literal itself is already unusable
+        code = main(["eval", "--", "1/1" + "0" * 320 + " * |0> + |1>"])
+        assert code == 2
+        assert "error: 1:3: scalar is not finite" in capsys.readouterr().err
+
     def test_negative_fuel(self, capsys):
         code = main(["eval", "|0>", "--max-steps", "-3"])
         assert code == 2
@@ -339,6 +374,15 @@ class TestRepl:
         code, out = self._run(monkeypatch, capsys, script)
         assert code == 0
         assert "error: term too deep" in out
+        assert "|1>  [steps 0, phase 1]" in out
+
+    def test_non_finite_scalar_does_not_exit(self, monkeypatch, capsys):
+        # failed before: the REPL printed `(nan+nan*i)*|0>`
+        script = "1" + "0" * 320 + " * |0>\n|1>\n:q\n"
+        code, out = self._run(monkeypatch, capsys, script)
+        assert code == 0
+        assert "error: 1:1: scalar is not finite" in out
+        assert "nan" not in out
         assert "|1>  [steps 0, phase 1]" in out
 
     def test_eof_terminates(self, monkeypatch, capsys):
