@@ -471,6 +471,8 @@ def _term_eq(
     eb: Optional[_Env],
     depth: int,
 ) -> bool:
+    if a is b and ea is eb:  # one shared node under the same binders
+        return True
     if type(a) is not type(b):
         return False
     if isinstance(a, Ket):

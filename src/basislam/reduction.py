@@ -27,6 +27,7 @@ from .core import (
     PureTerm,
     TermDist,
     Var,
+    _build,
     _dist_key,
     add,
     get_session,
@@ -38,6 +39,7 @@ from .core import (
     scale,
     single,
     term_eq,
+    validate_case_patterns,
 )
 from .subst import SubstUndefined, subst_basis, subst_tensor, subst_term
 
@@ -91,7 +93,8 @@ class Trace:
 # Redex search.  A located redex is described by two pure terms: the
 # context, with a hole variable at the redex node, and the redex itself,
 # with the hole at its value slot.  The search direction taken at the
-# root decides the context rule that names the step.
+# root decides the context rule that names the step.  The context keeps
+# every sibling of the path from the root to the hole as the same object.
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,9 @@ class _Redex:
     redex_repr: PureTerm  # beta App, LetPair or Case, hole at the slot
     slot: PureTerm
     rule: RuleTag  # the redex's own rule, or the context rule at the root
+    # the context's node and rule at each level of the path, innermost
+    # first; the nodes are the context's own, so no cycle holds a summand
+    path: tuple[tuple[PureTerm, RuleTag], ...]
 
 
 _Found = Union[_Redex, Stuck]
@@ -180,15 +186,41 @@ def _search(t: PureTerm) -> _Found:
     # the redex with the hole at its value slot, and its context
     redex_repr = _REBUILD[rule](t, Var(_HOLE))
     context: PureTerm = Var(_HOLE)
+    levels = []
     for node, r in reversed(path):
         context = _REBUILD[r](node, context)
-    return _Redex(context, redex_repr, slot, path[0][1] if path else own)
+        levels.append((context, r))
+    return _Redex(
+        context, redex_repr, slot, path[0][1] if path else own, tuple(levels)
+    )
 
 
 def _same_redex(a: _Redex, b: _Redex) -> bool:
     return term_eq(a.context, b.context) and term_eq(
         a.redex_repr, b.redex_repr
     )
+
+
+def _plug(r: _Redex, fired: TermDist) -> TermDist:
+    """subst_term(r.context, _HOLE, fired), rebuilding only the nodes on
+    the path from the hole to the root.  Every sibling stays the same
+    object, its cached keys included, and is not rebuilt or re-validated;
+    each entry of fired is wrapped level by level and one _build merges
+    the results, as the constructors' nested builds did."""
+    if not r.path:
+        return fired
+    for node, _ in r.path:  # as mk_case did, the innermost first
+        if isinstance(node, Case):
+            validate_case_patterns(node.patterns)
+    # mk_pair and mk_app multiplied each coefficient by 1+0j, which can
+    # flip the sign of a zero part and changes nothing twice
+    unit = any(isinstance(node, (Pair, App)) for node, _ in r.path)
+    entries = []
+    for t, c in fired.entries:
+        for node, rule in r.path:
+            t = _REBUILD[rule](node, t)
+        entries.append((t, c * (1 + 0j) if unit else c))
+    return _build(entries)
 
 
 def _instance(r: _Redex, slot: PureTerm) -> PureTerm:
@@ -230,7 +262,12 @@ def step(d: TermDist) -> StepResult:
     the entries that do not fire are reused, terms and order as they
     are, and only the fired part is merged into them; otherwise they are
     rebuilt, so that a tolerance changed since d was built prunes and
-    merges them too."""
+    merges them too.
+
+    The fired part is plugged back in along the path from the redex to
+    the root only: the siblings of that path are kept as they are, so a
+    `Case` beside the path is not validated again under the current eps
+    (a `Case` on the path is, and a `Case` redex never was)."""
     finds = [_find(t) for t, _ in d.entries]
     picked = next((f for f in finds if isinstance(f, _Redex)), None)
     if picked is None:
@@ -251,7 +288,7 @@ def step(d: TermDist) -> StepResult:
     fired = _fire(picked, value)
     if isinstance(fired, Stuck):
         return fired
-    plugged = subst_term(picked.context, _HOLE, fired)
+    plugged = _plug(picked, fired)
     in_group = set(group)
     # each kept coefficient as scale(c, single(t)) leaves it: times 1+0j,
     # which can flip the sign of a zero part, and changes nothing twice

@@ -9,6 +9,7 @@ products.  The shape key itself must satisfy term_eq(a, b) =>
 shape_key(a) == shape_key(b).
 """
 
+import gc
 import struct
 
 import numpy as np
@@ -377,3 +378,39 @@ def test_gate_chain_skips_self_comparison(monkeypatch):
     dist, calls = _count_term_eq(monkeypatch, term)
     assert len(dist) == 1
     assert calls <= 2_500
+
+
+def _gate_chain(names):
+    gates = corpus_program("gates").defs
+    term = K0
+    for name in names:
+        term = mk_app(gates[name], term)
+    return term
+
+
+CHAIN_28 = ("Hd", "NOT", "Z", "Z") * 7  # 56 steps on |0>
+
+
+def test_gate_chain_compares_shared_siblings_once(monkeypatch):
+    # Plugging through subst_term rebuilt every sibling of the path, so
+    # each step compared fresh copies of the gates' bodies: 4,761
+    # recursive _term_eq calls here.
+    dist, calls = _count_term_eq(monkeypatch, _gate_chain(CHAIN_28))
+    assert len(dist) == 2
+    assert calls <= 2_000
+
+
+def test_gate_chain_leaves_no_reference_cycle():
+    # The redex cached on a summand must not hold that summand: a record
+    # of the path's original nodes left 5,239 cyclic objects here.
+    term = _gate_chain(CHAIN_28)
+    gc.collect()
+    gc.disable()
+    try:
+        trace = evaluate(term)
+        assert isinstance(trace.final, NormalForm)
+        assert len(trace.steps) == 56
+        del trace
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

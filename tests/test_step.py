@@ -1,18 +1,22 @@
 """The incremental reduction step against the step it replaced.
 
 `reduction.step` caches each node's redex search, keeps the summands
-that do not fire as they are and merges only the fired part into them.
-The reference below is the earlier step, kept verbatim: it searches
-every summand with an uncached walk, rebuilds the rest through
-`scale`/`single`/`add` and sorts the whole result again.  Whole
-`evaluate` traces must agree: the same entries in the same order, the
-same representative objects, bitwise-equal coefficients (signed zeros
-included), the same rule tags and the same stuck reason and offending
-term.
+that do not fire as they are, plugs the fired part back in along the
+path from the redex to the root only, and merges the result into the
+kept summands.  The reference below is the earlier step, kept verbatim
+and independent of `reduction`'s redex records: it searches every
+summand with an uncached walk, compares redexes with its own
+`_same_redex`, plugs through `subst_term`, which rebuilds the whole
+context, rebuilds the rest through `scale`/`single`/`add` and sorts the
+whole result again.  Whole `evaluate` traces must agree: the same
+entries in the same order, the same representative objects,
+bitwise-equal coefficients (signed zeros included, nested ones too),
+the same rule tags and the same stuck reason and offending term.
 """
 
 import dataclasses
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from basislam.core import (
     Lam,
     LetPair,
     Pair,
+    PureTerm,
     Var,
     add,
     get_settings,
@@ -37,6 +42,7 @@ from basislam.core import (
     sc_eq,
     scale,
     single,
+    term_eq,
 )
 from basislam.corpus import EVAL_CASES, load_corpus
 from basislam.reduction import (
@@ -47,15 +53,28 @@ from basislam.reduction import (
     Stuck,
     Trace,
     _fire,
-    _Redex,
-    _same_redex,
     evaluate,
 )
 from basislam.subst import subst_term
 from basislam.syntax import parse_term
 
 # ---------------------------------------------------------------------------
-# Reference: the step with an uncached search and a rebuilt rest.
+# Reference: the step with an uncached search, a context plugged through
+# subst_term and a rebuilt rest.
+
+
+@dataclass(frozen=True)
+class _Redex:
+    context: PureTerm
+    redex_repr: PureTerm  # beta App, LetPair or Case, hole at the slot
+    slot: PureTerm
+    rule: RuleTag  # the redex's own rule, or the context rule at the root
+
+
+def _same_redex(a: _Redex, b: _Redex) -> bool:
+    return term_eq(a.context, b.context) and term_eq(
+        a.redex_repr, b.redex_repr
+    )
 
 
 def ref_is_pure_value(t):
@@ -409,3 +428,50 @@ def test_stale_tolerance_merges_kept_lambdas():
     assert len(final) == 2
     lam, c = next((t, c) for t, c in final.entries if isinstance(t, Lam))
     assert lam.body is body and c == 1
+
+
+# ---------------------------------------------------------------------------
+# The one intended difference: a step rebuilds only the path from the
+# redex to the root, so a `Case` beside that path is not validated again.
+# Built under eps=1e-3 and evaluated under the default eps, the case's
+# second pattern no longer has norm 1.  The reference rebuilt the
+# sibling through mk_case and raised; a lone `Case` redex is never
+# validated again, at the reference either.
+
+
+def test_stale_case_sibling_is_kept_as_built():
+    src = r"((\x:B. x) |0>, case |0> of { |0> -> |0> | 1.0005*|1> -> |1> })"
+    with local_settings(eps=1e-3):
+        d = parse_term(src)
+    with pytest.raises(ValueError, match="case patterns must have norm 1"):
+        ref_evaluate(d)
+    trace = evaluate(d)
+    assert [r for _, r in trace.steps] == [
+        RuleTag.CTX_PAIR_LEFT,
+        RuleTag.CTX_PAIR_RIGHT,
+    ]
+    case = d.entries[0][0].right
+    first = trace.steps[0][0]
+    assert first.entries[0][0].right is case  # the sibling, not a copy
+    final = trace.final.dist
+    assert len(final) == 1 and final.entries[0][1] == 1
+    assert struct(final.entries[0][0], {}) == struct(Pair(Ket(0), Ket(0)), {})
+
+
+# ---------------------------------------------------------------------------
+# term_eq stops at a shared node only under the same binders.
+
+
+def test_shared_body_under_other_binders_is_compared():
+    body = single(Var("x"))
+    # x is bound on the left and free on the right
+    assert not term_eq(Lam("x", STD, body), Lam("y", STD, body))
+    assert term_eq(Lam("x", STD, body), Lam("x", STD, body))
+
+
+def test_term_eq_is_reflexive_on_generated_terms():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        d, _, _ = gen.closed_term(rng)
+        for t, _ in d.entries:
+            assert term_eq(t, t)
