@@ -183,11 +183,12 @@ class _Parser:
             self.pos = mark
             return None
 
-    def finite(self, value: complex, tok: Token) -> complex:
+    def unusable(self, message: str, tok: Token):
+        raise _NotFinite(message, tok.line, tok.col, self.path)
+
+    def require_finite(self, value: complex, tok: Token) -> complex:
         if not cmath.isfinite(value):
-            raise _NotFinite(
-                "scalar is not finite", tok.line, tok.col, self.path
-            )
+            self.unusable("scalar is not finite", tok)
         return value
 
     def try_scalar(self) -> Optional[complex]:
@@ -202,7 +203,7 @@ class _Parser:
             if rhs is None:
                 self.pos = mark
                 break
-            value = self.finite(
+            value = self.require_finite(
                 value + rhs if op.text == "+" else value - rhs, op
             )
         return value
@@ -217,18 +218,18 @@ class _Parser:
                 self.pos = mark
                 break
             if op.text == "*":
-                value = self.finite(value * rhs, op)
+                value = self.require_finite(value * rhs, op)
             elif rhs == 0:
-                raise _NotFinite("division by zero", op.line, op.col, self.path)
+                self.unusable("division by zero", op)
             else:
-                value = self.finite(value / rhs, op)
+                value = self.require_finite(value / rhs, op)
         return value
 
     def scalar_atom(self) -> complex:
         tok = self.peek()
         if tok.kind == "num":
             self.next()
-            return self.finite(complex(float(tok.text)), tok)
+            return self.require_finite(complex(float(tok.text)), tok)
         if tok.kind == "op" and tok.text == "-":
             self.next()
             return -self.scalar_atom()
@@ -255,7 +256,7 @@ class _Parser:
                     try:
                         return cmath.exp(value)
                     except OverflowError:
-                        return self.finite(complex(math.inf), tok)
+                        self.unusable("scalar is not finite", tok)
                 self.pos = mark
         self.err("expected a scalar")
         raise AssertionError

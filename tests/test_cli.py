@@ -245,7 +245,7 @@ class TestUsage:
     # literal and the product printed `(nan+nan*i)*|0>` with exit 0 (and
     # `"phase": [NaN, NaN]`, not JSON, under --json); the pair overflowed
     # the same way in its product; the division and the exponential
-    # raised a traceback.
+    # raised a traceback; 1/<the literal> parsed as 0.
     @pytest.mark.parametrize(
         "term, where",
         [
@@ -260,6 +260,8 @@ class TestUsage:
             ),
             ("2/0 * |0>", "1:2: division by zero"),
             ("e^(1000) * |0>", "1:1: scalar is not finite"),
+            # 1/inf is 0, but the literal itself is already unusable
+            ("1/1" + "0" * 320 + " * |0> + |1>", "1:3: scalar is not finite"),
         ],
     )
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
@@ -269,12 +271,6 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert err == f"error: {where}\n"
-
-    def test_non_finite_literal_folded_away(self, capsys):
-        # 1/inf is 0, but the literal itself is already unusable
-        code = main(["eval", "--", "1/1" + "0" * 320 + " * |0> + |1>"])
-        assert code == 2
-        assert "error: 1:3: scalar is not finite" in capsys.readouterr().err
 
     def test_negative_fuel(self, capsys):
         code = main(["eval", "|0>", "--max-steps", "-3"])
