@@ -14,7 +14,7 @@ from basislam.checker import (
     uses_sharp_binding,
 )
 from basislam.core import App, Ket, Var, scale, single, zero
-from basislam.syntax import parse_term, parse_type
+from basislam.syntax import parse_term, parse_type, print_term
 
 
 def _check_def(prog, name: str, ty: str) -> Derivation:
@@ -41,6 +41,17 @@ class TestRuleSelection:
         term = parse_term("let (x:B, y:B) = (|0>, |1>) in (y, x)")
         d = check({}, term, parse_type("[B] * [B]"))
         assert d.rule == "LetPair"
+
+    def test_let_binder_shadowing_context_is_renamed(self):
+        # the context's x is free in the scrutinee, so the body sees the
+        # binder under a fresh name
+        ctx = {"x": Binding(parse_type("[B]"), STD)}
+        term = parse_term("let (x:B, y:B) = (x, |1>) in (y, x)")
+        d = check(ctx, term, parse_type("[B] * [B]"))
+        assert d.rule == "LetPair"
+        body = d.premises[1]
+        assert [name for name, _ in body.ctx] == ["x1", "y"]
+        assert print_term(body.term) == "(y, x1)"
 
     def test_case_root(self):
         term = parse_term("case |0> of { |0> -> |1> | |1> -> |0> }")

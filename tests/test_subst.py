@@ -8,6 +8,7 @@ from basislam.core import (
     ABS,
     Ket,
     Lam,
+    LetPair,
     Ortho,
     Var,
     add,
@@ -15,6 +16,7 @@ from basislam.core import (
     free_vars,
     mk_app,
     mk_lam,
+    mk_letpair,
     mk_pair,
     scale,
     single,
@@ -32,6 +34,7 @@ K0 = single(Ket(0))
 K1 = single(Ket(1))
 X = single(Var("x"))
 Y = single(Var("y"))
+W = single(Var("w"))
 
 
 class TestStructural:
@@ -52,6 +55,22 @@ class TestStructural:
         assert free_vars(out) == frozenset({"y"})
         expected = mk_lam("w", STD, mk_pair(Y, single(Var("w"))))
         assert dist_eq(out, expected)
+
+    def test_let_capture_avoidance_names(self):
+        # both binders are free in the value: each is renamed away from
+        # the value, the body and the other binder, the first one first
+        body = mk_pair(mk_pair(X, single(Var("x1"))), mk_pair(Y, W))
+        let = mk_letpair("x", STD, "y", STD, single(Var("s")), body)
+        out = subst_dist(let, "w", mk_pair(X, Y))
+        t = out.entries[0][0]
+        assert isinstance(t, LetPair)
+        assert (t.var1, t.var2) == ("x2", "y1")
+        x2, y1 = single(Var("x2")), single(Var("y1"))
+        expected = mk_pair(
+            mk_pair(x2, single(Var("x1"))), mk_pair(y1, mk_pair(X, Y))
+        )
+        assert dist_eq(t.body, expected)
+        assert free_vars(out) == frozenset({"s", "x", "x1", "y"})
 
     def test_fresh_name_avoids(self):
         assert fresh_name("x", frozenset({"x", "x1"})) not in {"x", "x1"}
