@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 from .core import (
@@ -59,7 +59,7 @@ from .core import (
 )
 from .basis import NAMED_BASES, qubit_arity
 from .reduction import NormalForm, evaluate, evaluate_value
-from .subst import apply_sigma, fresh_name, subst_dist
+from .subst import apply_sigma, fresh_name, rename_away, subst_dist
 from .syntax import print_type
 from .typesem import (
     Arrow,
@@ -73,7 +73,6 @@ from .typesem import (
     is_member,
     is_member_phase,
     realizes,
-    sharp_normalize,
     span_generators,
     subtype,
     type_eq,
@@ -162,10 +161,7 @@ def derivation_bindings(d: Derivation) -> list[tuple[str, Binding]]:
 def uses_sharp_binding(d: Derivation) -> bool:
     """True when any context anywhere in the derivation binds a variable
     at a sharp type."""
-    return any(
-        isinstance(sharp_normalize(b.type), Sharp)
-        for _, b in derivation_bindings(d)
-    )
+    return any(isinstance(b.type, Sharp) for _, b in derivation_bindings(d))
 
 
 def _snapshot(ctx: Context) -> tuple[tuple[str, Binding], ...]:
@@ -197,7 +193,7 @@ def _usable(ctx: Context, d: TermDist) -> Context:
     for x, b in ctx.items():
         if x in fv:
             used[x] = b
-        elif not isinstance(sharp_normalize(b.type), BasisType):
+        elif not isinstance(b.type, BasisType):
             raise CheckError(
                 f"linear variable dropped: {x}", kind=ErrorKind.LINEAR
             )
@@ -214,23 +210,13 @@ def _split(ctx: Context, parts: list[frozenset[str]]) -> list[Context]:
     out: list[Context] = [{} for _ in parts]
     for x, b in ctx.items():
         hits = [i for i, fv in enumerate(parts) if x in fv]
-        if len(hits) > 1 and not isinstance(
-            sharp_normalize(b.type), BasisType
-        ):
+        if len(hits) > 1 and not isinstance(b.type, BasisType):
             raise CheckError(
                 f"linear variable duplicated: {x}", kind=ErrorKind.LINEAR
             )
         for i in hits:
             out[i][x] = b
     return out
-
-
-def _rebind(ctx: Context, var: str, body: TermDist) -> tuple[str, TermDist]:
-    """Rename a binder that would shadow a context variable."""
-    if var not in ctx:
-        return var, body
-    fresh = fresh_name(var, frozenset(ctx) | free_vars(body))
-    return fresh, subst_dist(body, var, single(Var(fresh)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,31 +245,13 @@ def _factor_bilinear(d: TermDist) -> Optional[tuple[TermDist, TermDist]]:
 def _factor_scrutinee(
     d: TermDist,
 ) -> Optional[tuple[PureTerm, TermDist]]:
-    """A sum of lets (or cases) that differ only in the scrutinee is one
-    let (or case) of the summed scrutinees."""
+    """A sum of lets (or of cases, every summand of one class) that differ
+    only in the scrutinee is one let (or case) of the summed scrutinees."""
     sample = d.entries[0][0]
-    scrs = []
-    for t, c in d.entries:
-        if isinstance(sample, LetPair):
-            if not isinstance(t, LetPair):
-                return None
-            probe = LetPair(
-                t.var1, t.basis1, t.var2, t.basis2, sample.scrutinee, t.body
-            )
-            if not term_eq(probe, sample):
-                return None
-            scrs.append((t.scrutinee, c))
-        elif isinstance(sample, Case):
-            if not isinstance(t, Case):
-                return None
-            probe = Case(sample.scrutinee, t.patterns, t.branches)
-            if not term_eq(probe, sample):
-                return None
-            scrs.append((t.scrutinee, c))
-        else:
+    for t, _ in d.entries:
+        if not term_eq(replace(t, scrutinee=sample.scrutinee), sample):
             return None
-    scr = add(*(scale(c, single(t)) for t, c in scrs))
-    return sample, scr
+    return sample, add(*(scale(c, single(t.scrutinee)) for t, c in d.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +330,6 @@ class _Checker:
 
     def check(self, ctx: Context, d: TermDist, goal: Type) -> Derivation:
         ctx = _usable(ctx, d)
-        goal = sharp_normalize(goal)
         current = get_session()
         if current is None:
             return self._derive(ctx, d, goal)
@@ -436,9 +403,7 @@ class _Checker:
                     "rule not applicable",
                     f"annotation basis of {t.name} does not generate its type",
                 )
-        axiom = _node(
-            "Axiom", ctx, d, sharp_normalize(binding.type), note=t.name
-        )
+        axiom = _node("Axiom", ctx, d, binding.type, note=t.name)
         return self._coerce(ctx, d, axiom, binding.type, goal)
 
     def _coerce(
@@ -449,7 +414,6 @@ class _Checker:
         have: Type,
         goal: Type,
     ) -> Derivation:
-        have, goal = sharp_normalize(have), sharp_normalize(goal)
         if type_eq(have, goal):
             return inner
         verdict = subtype(have, goal)
@@ -525,15 +489,14 @@ class _Checker:
         ctx_f, ctx_a = _split(ctx, [free_vars(fun), free_vars(arg)])
         tried = _Tried()
         fun_type = self.synth(ctx_f, fun)
-        arrow = None if fun_type is None else sharp_normalize(fun_type)
-        if isinstance(arrow, Arrow):
+        if isinstance(fun_type, Arrow):
             with tried:
-                fun_deriv = self.check(ctx_f, fun, arrow)
-                arg_deriv = self.check(ctx_a, arg, arrow.dom)
+                fun_deriv = self.check(ctx_f, fun, fun_type)
+                arg_deriv = self.check(ctx_a, arg, fun_type.dom)
                 node = _node(
-                    "App", ctx, d, arrow.cod, (fun_deriv, arg_deriv)
+                    "App", ctx, d, fun_type.cod, (fun_deriv, arg_deriv)
                 )
-                return self._coerce(ctx, d, node, arrow.cod, goal)
+                return self._coerce(ctx, d, node, fun_type.cod, goal)
         # the argument's type, or else the domains the function proposes
         arg_type = self.synth(ctx_a, arg)
         if arg_type is not None:
@@ -556,36 +519,27 @@ class _Checker:
         if len(d.entries) == 1 and isinstance(d.entries[0][0], Var):
             name = d.entries[0][0].name
             if name in ctx and sc_eq(d.entries[0][1], 1.0):
-                return sharp_normalize(ctx[name].type)
+                return ctx[name].type
         value_type = _synth_value(d)
         if value_type is not None:
             return value_type
         kinds = {type(t) for t, _ in d.entries}
-        if kinds == {App}:
-            fact = _factor_bilinear(d)
-            if fact is None:
-                return None
-            fun_type = self.synth(_restrict(ctx, fact[0]), fact[0])
-            if fun_type is None or not isinstance(
-                sharp_normalize(fun_type), Arrow
-            ):
-                return None
-            arrow = sharp_normalize(fun_type)
-            try:
-                self.check(_restrict(ctx, fact[1]), fact[1], arrow.dom)
-            except CheckError:
-                return None
-            return arrow.cod
+        fact = _factor_bilinear(d) if kinds in ({App}, {Pair}) else None
+        if fact is None:
+            return None
+        left = self.synth(_restrict(ctx, fact[0]), fact[0])
         if kinds == {Pair}:
-            fact = _factor_bilinear(d)
-            if fact is None:
-                return None
-            left = self.synth(_restrict(ctx, fact[0]), fact[0])
             right = self.synth(_restrict(ctx, fact[1]), fact[1])
             if left is None or right is None:
                 return None
             return Prod(left, right)
-        return None
+        if not isinstance(left, Arrow):
+            return None
+        try:
+            self.check(_restrict(ctx, fact[1]), fact[1], left.dom)
+        except CheckError:
+            return None
+        return left.cod
 
     # -- pairs ----------------------------------------------------------
 
@@ -633,20 +587,18 @@ class _Checker:
             ctx,
             [free_vars(scrutinee), free_vars(body) - {node.var1, node.var2}],
         )
-        var1, body = _rebind(ctx, node.var1, body)
-        var2, body = _rebind(ctx, node.var2, body)
+        # a binder that would shadow a context variable is renamed
+        var1, body = rename_away(node.var1, body, frozenset(ctx))
+        var2, body = rename_away(node.var2, body, frozenset(ctx))
         tried = _Tried()
 
         # plain let over a product
-        product: Optional[Prod] = None
-        synthesized = self.synth(ctx_s, scrutinee)
-        if synthesized is not None and isinstance(
-            sharp_normalize(synthesized), Prod
+        product = self.synth(ctx_s, scrutinee)
+        if not isinstance(product, Prod) and (
+            isinstance(node.basis1, Ortho) and isinstance(node.basis2, Ortho)
         ):
-            product = sharp_normalize(synthesized)
-        elif isinstance(node.basis1, Ortho) and isinstance(node.basis2, Ortho):
             product = Prod(BasisType(node.basis1), BasisType(node.basis2))
-        if product is not None:
+        if isinstance(product, Prod):
             with tried:
                 scr_d = self.check(ctx_s, scrutinee, product)
                 inner_ctx = dict(ctx_b)
@@ -888,12 +840,11 @@ def _context_pools(
     members of a finite type, or the generators of a span type (flagged
     True), which suffice by linearity."""
     for x, b in sorted(ctx.items()):
-        tn = sharp_normalize(b.type)
-        members = finite_members(tn)
+        members = finite_members(b.type)
         if members is not None:
             yield x, members, b.basis, False
             continue
-        gens = span_generators(tn) if isinstance(tn, Sharp) else None
+        gens = span_generators(b.type) if isinstance(b.type, Sharp) else None
         if gens is None:
             raise CheckError(
                 "context not basis-enumerable",

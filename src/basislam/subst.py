@@ -58,6 +58,17 @@ def fresh_name(base: str, avoid: frozenset[str]) -> str:
     return f"{base}{i}"
 
 
+def rename_away(
+    var: str, body: TermDist, avoid: frozenset[str]
+) -> tuple[str, TermDist]:
+    """The binder var and its body, the binder renamed apart from avoid
+    and from the body's free names when it is in avoid."""
+    if var not in avoid:
+        return var, body
+    fresh = fresh_name(var, avoid | free_vars(body))
+    return fresh, subst_dist(body, var, single(Var(fresh)))
+
+
 # ---------------------------------------------------------------------------
 # Plain substitution.  The substituted distribution enters term formers
 # through the smart constructors, so sums distribute exactly where the
@@ -76,27 +87,16 @@ def subst_term(t: PureTerm, x: str, v: TermDist) -> TermDist:
     if isinstance(t, Lam):
         if t.var == x or x not in free_vars(t.body):
             return single(t)
-        var, body = t.var, t.body
-        fv = free_vars(v)
-        if var in fv:
-            var2 = fresh_name(var, fv | free_vars(body) | {x})
-            body = subst_dist(body, var, single(Var(var2)))
-            var = var2
+        var, body = rename_away(t.var, t.body, free_vars(v) | {x})
         return mk_lam(var, t.basis, subst_dist(body, x, v))
     if isinstance(t, LetPair):
         scrut = subst_term(t.scrutinee, x, v)
         var1, var2, body = t.var1, t.var2, t.body
         if x in (var1, var2) or x not in free_vars(body):
             return mk_letpair(var1, t.basis1, var2, t.basis2, scrut, body)
-        fv = free_vars(v)
-        if var1 in fv:
-            new1 = fresh_name(var1, fv | free_vars(body) | {x, var2})
-            body = subst_dist(body, var1, single(Var(new1)))
-            var1 = new1
-        if var2 in fv:
-            new2 = fresh_name(var2, fv | free_vars(body) | {x, var1})
-            body = subst_dist(body, var2, single(Var(new2)))
-            var2 = new2
+        fv = free_vars(v) | {x}
+        var1, body = rename_away(var1, body, fv | {var2})
+        var2, body = rename_away(var2, body, fv | {var1})
         return mk_letpair(
             var1, t.basis1, var2, t.basis2, scrut, subst_dist(body, x, v)
         )

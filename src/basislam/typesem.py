@@ -60,9 +60,19 @@ class Prod:
     right: "Type"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Sharp:
+    """#A.  Since ##A = #A, the sharp of a sharp type is that type itself,
+    so no type value holds # directly under #."""
+
     inner: "Type"
+
+    def __new__(cls, inner: "Type") -> "Sharp":
+        if isinstance(inner, Sharp):
+            return inner
+        self = object.__new__(cls)
+        object.__setattr__(self, "inner", inner)
+        return self
 
 
 Type = Union[BasisType, Arrow, Prod, Sharp]
@@ -72,17 +82,6 @@ class Undecidable(Exception):
     def __init__(self, message: str = "membership undecidable for this domain"):
         super().__init__(message)
         self.message = message
-
-
-def sharp_normalize(t: Type) -> Type:
-    if isinstance(t, BasisType):
-        return t
-    if isinstance(t, Arrow):
-        return Arrow(sharp_normalize(t.dom), sharp_normalize(t.cod))
-    if isinstance(t, Prod):
-        return Prod(sharp_normalize(t.left), sharp_normalize(t.right))
-    inner = sharp_normalize(t.inner)
-    return inner if isinstance(inner, Sharp) else Sharp(inner)
 
 
 def type_key(t: Type):
@@ -119,27 +118,21 @@ def _basis_set_eq(a: Ortho, b: Ortho) -> bool:
 
 
 def type_eq(a: Type, b: Type) -> bool:
-    """Structural equality after sharp normalization; basis types compare
-    their elements as multisets."""
-    a, b = sharp_normalize(a), sharp_normalize(b)
-    return _type_eq(a, b)
-
-
-def _type_eq(a: Type, b: Type) -> bool:
+    """Structural equality; basis types compare their elements as
+    multisets."""
     if type(a) is not type(b):
         return False
     if isinstance(a, BasisType):
         return _basis_set_eq(a.basis, b.basis)
     if isinstance(a, Arrow):
-        return _type_eq(a.dom, b.dom) and _type_eq(a.cod, b.cod)
+        return type_eq(a.dom, b.dom) and type_eq(a.cod, b.cod)
     if isinstance(a, Prod):
-        return _type_eq(a.left, b.left) and _type_eq(a.right, b.right)
-    return _type_eq(a.inner, b.inner)
+        return type_eq(a.left, b.left) and type_eq(a.right, b.right)
+    return type_eq(a.inner, b.inner)
 
 
 def finite_members(t: Type) -> Optional[list[TermDist]]:
     """The complete list of members when the type denotes a finite set."""
-    t = sharp_normalize(t)
     if isinstance(t, BasisType):
         return list(t.basis.elements)
     if isinstance(t, Prod):
@@ -150,7 +143,6 @@ def finite_members(t: Type) -> Optional[list[TermDist]]:
 def span_generators(t: Type) -> Optional[list[TermDist]]:
     """An orthonormal family spanning the same space as the type's
     members, when one exists."""
-    t = sharp_normalize(t)
     if isinstance(t, BasisType):
         return list(t.basis.elements)
     if isinstance(t, Sharp):
@@ -175,12 +167,12 @@ def _pairs(
 
 
 def is_member(v: TermDist, t: Type) -> bool:
-    return _member(v, sharp_normalize(t), phase=False)
+    return _member(v, t, phase=False)
 
 
 def is_member_phase(v: TermDist, t: Type) -> bool:
     """Membership up to a global phase."""
-    return _member(v, sharp_normalize(t), phase=True)
+    return _member(v, t, phase=True)
 
 
 def _member(v: TermDist, t: Type, phase: bool) -> bool:
@@ -202,7 +194,7 @@ def _member(v: TermDist, t: Type, phase: bool) -> bool:
         if gens is None:
             # span of an arrow type: a member of the arrow itself is the
             # only certificate this checker can produce
-            if _member(v, sharp_normalize(t.inner), True):
+            if _member(v, t.inner, True):
                 return True
             raise Undecidable()
         return sc_eq(norm(v), 1.0) and in_span(v, Ortho(tuple(gens)))
@@ -237,7 +229,7 @@ def _prod_member(v: TermDist, t: Prod, phase: bool) -> bool:
                 mk_pair(m, residual) if side == "left" else mk_pair(residual, m)
             )
             if dist_eq(rebuilt, v):
-                return _member(residual, sharp_normalize(other), phase)
+                return _member(residual, other, phase)
         return False
     return _rank1_member(v, t)
 
@@ -253,8 +245,8 @@ def _rank1_member(v: TermDist, t: Prod) -> bool:
     factors = factor_rank1([(u.left, u.right, c) for u, c in v.entries])
     if factors is None:
         return False
-    return _member(factors[0], sharp_normalize(t.left), True) and _member(
-        factors[1], sharp_normalize(t.right), True
+    return _member(factors[0], t.left, True) and _member(
+        factors[1], t.right, True
     )
 
 
@@ -301,8 +293,7 @@ def _arrow_member(v: TermDist, t: Arrow, phase: bool) -> bool:
         return False
     if not sc_eq(norm(v), 1.0):
         return False
-    dom = sharp_normalize(t.dom)
-    cod = sharp_normalize(t.cod)
+    dom, cod = t.dom, t.cod
 
     members = finite_members(dom)
     if members is not None:
@@ -347,7 +338,7 @@ def _curried_member(v: TermDist, t: Arrow) -> bool:
     layers: list[tuple[bool, list[TermDist]]] = []
     cur: Type = t
     while isinstance(cur, Arrow):
-        dom = sharp_normalize(cur.dom)
+        dom = cur.dom
         members = finite_members(dom)
         if members is not None:
             layers.append((False, members))
@@ -356,7 +347,7 @@ def _curried_member(v: TermDist, t: Arrow) -> bool:
             if gens is None:
                 raise Undecidable()
             layers.append((True, gens))
-        cur = sharp_normalize(cur.cod)
+        cur = cur.cod
     span_cod = isinstance(cur, Sharp) and span_generators(cur) is not None
     if not span_cod and not isinstance(cur, Prod):
         raise Undecidable()
@@ -421,10 +412,9 @@ def realizes(t: TermDist, goal: Type) -> bool:
 
 
 def subtype(a: Type, b: Type) -> Optional[bool]:
-    a, b = sharp_normalize(a), sharp_normalize(b)
-    if _type_eq(a, b):
+    if type_eq(a, b):
         return True
-    if isinstance(b, Sharp) and _type_eq(a, b.inner):
+    if isinstance(b, Sharp) and type_eq(a, b.inner):
         return True
     members = finite_members(a)
     if members is not None:

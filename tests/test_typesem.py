@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,7 +22,6 @@ from basislam.typesem import (
     is_member,
     is_member_phase,
     realizes,
-    sharp_normalize,
     span_generators,
     subtype,
     type_eq,
@@ -33,14 +34,31 @@ K0 = single(Ket(0))
 K1 = single(Ket(1))
 
 
+def _is_normal(t) -> bool:
+    """No # directly under #, anywhere in the type."""
+    if isinstance(t, BasisType):
+        return True
+    if isinstance(t, Sharp):
+        return not isinstance(t.inner, Sharp) and _is_normal(t.inner)
+    return all(_is_normal(getattr(t, f.name)) for f in dataclasses.fields(t))
+
+
 class TestNormalize:
     def test_sharp_idempotent(self):
-        assert type_eq(sharp_normalize(Sharp(Sharp(B))), Sharp(B))
+        once = Sharp(B)
+        twice = Sharp(once)
+        assert twice is once
+        assert _is_normal(twice) and type_eq(twice, Sharp(B))
 
     def test_sharp_normalize_recurses(self):
         t = Arrow(Sharp(Sharp(B)), Prod(Sharp(Sharp(X)), B))
-        n = sharp_normalize(t)
-        assert type_eq(n, Arrow(Sharp(B), Prod(Sharp(X), B)))
+        assert _is_normal(t)
+        assert type_eq(t, Arrow(Sharp(B), Prod(Sharp(X), B)))
+
+    def test_replace_keeps_sharp_normal(self):
+        t = dataclasses.replace(Sharp(B), inner=Sharp(X))
+        assert _is_normal(t)
+        assert type_eq(t, Sharp(X))
 
     def test_type_eq_is_multiset_on_bases(self):
         flipped = BasisType(type(STD)((K1, K0)))
