@@ -636,7 +636,8 @@ def _entry_key(e: tuple[PureTerm, complex]):
 
 def _build(pairs: Iterable[tuple[PureTerm, complex]]) -> TermDist:
     """Merge equal terms (each into the first earlier entry it is term_eq
-    to), prune zero coefficients and sort."""
+    to), prune zero coefficients and sort.  A coefficient that is not
+    finite raises OverflowError."""
     merged: list[tuple[PureTerm, complex]] = []
     buckets: dict[int, list[int]] = {}  # shape key -> indices into merged
     for t, c in pairs:
@@ -651,7 +652,15 @@ def _build(pairs: Iterable[tuple[PureTerm, complex]]) -> TermDist:
         else:
             bucket.append(len(merged))
             merged.append((t, complex(c)))
-    pruned = [(t, c) for t, c in merged if not sc_is_zero(c)]
+    eps = _settings.eps
+    pruned = []
+    for t, c in merged:
+        m = abs(c)
+        if m <= eps:
+            continue
+        if not m < math.inf:  # nan or infinity
+            raise OverflowError("coefficient is not finite")
+        pruned.append((t, c))
     if len(pruned) < 2:  # so a single term's order key is never built
         return TermDist(tuple(pruned))
     pruned.sort(key=_entry_key)
@@ -677,7 +686,8 @@ def merge_into(
     each entry of rest joins the first entry of new it is term_eq to, the
     coefficients adding in add's order, and the entries of new that
     survive pruning go into the sorted rest by bisection.  The rest is
-    kept as it is, so the cost follows new, not the whole distribution."""
+    kept as it is, so the cost follows new, not the whole distribution.
+    A coefficient that is not finite raises OverflowError, as in _build."""
     if not rest:
         return new
     buckets: dict[int, list[int]] = {shape_key(t): [] for t, _ in new.entries}
@@ -687,13 +697,18 @@ def merge_into(
             bucket.append(j)
     joined: set[int] = set()
     survivors = []
+    eps = _settings.eps
     for t, c in new.entries:
         for j in buckets[shape_key(t)]:
             if j not in joined and term_eq(rest[j][0], t):
                 joined.add(j)
                 c = c + rest[j][1]
-        if not sc_is_zero(c):
-            survivors.append((t, c))
+        m = abs(c)
+        if m <= eps:
+            continue
+        if not m < math.inf:
+            raise OverflowError("coefficient is not finite")
+        survivors.append((t, c))
     out = [e for j, e in enumerate(rest) if j not in joined]
     for e in survivors:
         bisect.insort(out, e, key=_entry_key)

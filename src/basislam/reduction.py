@@ -313,25 +313,24 @@ def step(d: TermDist) -> StepResult:
 
 def evaluate(d: TermDist) -> Trace:
     """Reduce to normal form, recording every step; stops with a stuck
-    result or after the fuel of the current settings runs out."""
+    result, at a coefficient that is not finite, or after the fuel of
+    the current settings runs out.  The fuel used is the step count."""
     max_steps = get_settings().max_steps
     trace = Trace()
     current = d
-    for used in range(max_steps):
-        res = step(current)
-        if isinstance(res, Reduced):
-            trace.steps.append((res.dist, res.rule))
-            current = res.dist
-            continue
-        trace.final = res
-        trace.fuel_used = used
-        return trace
-    res = step(current)
-    if isinstance(res, Reduced):
-        trace.final = Stuck(f"fuel exhausted after {max_steps} steps", None)
-    else:
-        trace.final = res
-    trace.fuel_used = max_steps
+    while True:
+        try:
+            res = step(current)
+        except OverflowError:
+            res = Stuck("coefficient is not finite", None)
+        if isinstance(res, Reduced) and len(trace.steps) == max_steps:
+            res = Stuck(f"fuel exhausted after {max_steps} steps", None)
+        if not isinstance(res, Reduced):
+            break
+        trace.steps.append((res.dist, res.rule))
+        current = res.dist
+    trace.final = res
+    trace.fuel_used = len(trace.steps)
     return trace
 
 

@@ -269,18 +269,19 @@ class _Parser:
         if self.at_op("-"):
             self.next()
             negate = True
-        value = self.product()
-        if negate:
-            value = scale(-1.0, value)
-        while self.at_op("+") or self.at_op("-"):
-            op = self.next().text
-            rhs = self.product()
-            value = add(value, rhs) if op == "+" else sub(value, rhs)
         # finite scalars can still overflow in a product or a sum
-        if not all(cmath.isfinite(c) for _, c in value.entries):
+        try:
+            value = self.product()
+            if negate:
+                value = scale(-1.0, value)
+            while self.at_op("+") or self.at_op("-"):
+                op = self.next().text
+                rhs = self.product()
+                value = add(value, rhs) if op == "+" else sub(value, rhs)
+        except OverflowError:
             raise ParseError(
                 "coefficient is not finite", start.line, start.col, self.path
-            )
+            ) from None
         return value
 
     def product(self) -> TermDist:

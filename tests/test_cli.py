@@ -17,6 +17,14 @@ from basislam.syntax import parse_type
 from basislam.typesem import type_eq
 
 
+Z = "1" + "0" * 300
+OVERFLOW = f"(\\x:B. {Z}*x) ((\\x:B. {Z}*x) |0>)"
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
 @pytest.fixture(scope="module")
 def gates_path():
     return str(
@@ -84,6 +92,21 @@ class TestEval:
         assert payload["steps"] == 2
         assert payload["phase"] == [1.0, 0.0]
 
+    # Z*Z overflows while evaluating: before, this printed
+    # `(nan+nan*i)*|0>` with exit 0, and NaN (not JSON) under --json
+    @pytest.mark.parametrize("json_flag", [False, True])
+    def test_non_finite_coefficient_is_stuck(self, capsys, json_flag):
+        code = main(["eval", *(["--json"] if json_flag else []), OVERFLOW])
+        out = capsys.readouterr().out
+        assert code == 1
+        if json_flag:
+            payload = json.loads(out, parse_constant=_reject_constant)
+            assert payload == {
+                "stuck": "coefficient is not finite", "at": None, "steps": 1
+            }
+        else:
+            assert out.startswith("stuck: coefficient is not finite\n")
+
     def test_json_stuck_with_trace(self, capsys):
         code = main(["eval", "|0> |1>", "--json", "--trace"])
         payload = json.loads(capsys.readouterr().out)
@@ -112,6 +135,18 @@ class TestCheck:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload == {"ok": True, "rule": "Lit"}
+
+    def test_non_finite_coefficient_is_a_type_error(self, capsys):
+        code = main(["check", OVERFLOW, "#[B]"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out.startswith("type error:")
+        assert err == ""
+
+    def test_double_sharp_goal_echoes_normal(self, capsys):
+        code = main(["check", "|0>", "##[B]"])
+        assert code == 0
+        assert "well-typed: #[B]\n" in capsys.readouterr().out
 
     def test_diagnostic_names_anonymous_basis(self, capsys, gates_path):
         # ZX's case patterns form an unnamed basis; the error prints its
@@ -205,6 +240,12 @@ class TestParse:
         assert code == 0
         assert capsys.readouterr().out.strip() == "#[B] -> #([B] * [B])"
 
+    def test_type_mode_double_sharp_is_sharp(self, capsys):
+        # ##A is #A by construction, so the canonical form has one #
+        code = main(["parse", "--type", "##[B]"])
+        assert code == 0
+        assert capsys.readouterr().out == "#[B]\n"
+
     def test_json(self, capsys):
         code = main(["parse", "|01>", "--json"])
         assert code == 0
@@ -256,6 +297,10 @@ class TestUsage:
             ),
             (
                 "(1" + "0" * 200 + "*|0>, 1" + "0" * 200 + "*|1>)",
+                "1:1: coefficient is not finite",
+            ),
+            (
+                "1" + "0" * 200 + " * (1" + "0" * 200 + " * |0>)",
                 "1:1: coefficient is not finite",
             ),
             ("2/0 * |0>", "1:2: division by zero"),

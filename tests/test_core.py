@@ -16,6 +16,7 @@ from basislam.core import (
     inner_product,
     is_closed,
     local_settings,
+    merge_into,
     mk_app,
     mk_case,
     mk_lam,
@@ -63,6 +64,23 @@ class TestCanonical:
         d = add(K0, scale(-1.0, K0))
         assert d.is_zero()
         assert d.entries == ()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: scale(complex("nan"), K0),
+            lambda: scale(float("inf"), K0),
+            lambda: add(scale(1e308, K0), scale(1e308, K0)),
+            lambda: mk_pair(scale(1e200, K0), scale(1e200, K1)),
+            lambda: merge_into(
+                scale(1e308, K0), add(scale(1e308, K0), K1).entries
+            ),
+        ],
+        ids=["nan", "inf", "sum", "pair", "merge"],
+    )
+    def test_non_finite_coefficient_raises(self, build):
+        with pytest.raises(OverflowError, match="coefficient is not finite"):
+            build()
 
     def test_alpha_equivalence(self):
         assert dist_eq(ident("x"), ident("y"))
