@@ -591,12 +591,11 @@ class _Checker:
         var1, body = rename_away(node.var1, body, frozenset(ctx))
         var2, body = rename_away(node.var2, body, frozenset(ctx))
         tried = _Tried()
+        ortho = isinstance(node.basis1, Ortho) and isinstance(node.basis2, Ortho)
 
         # plain let over a product
         product = self.synth(ctx_s, scrutinee)
-        if not isinstance(product, Prod) and (
-            isinstance(node.basis1, Ortho) and isinstance(node.basis2, Ortho)
-        ):
+        if not isinstance(product, Prod) and ortho:
             product = Prod(BasisType(node.basis1), BasisType(node.basis2))
         if isinstance(product, Prod):
             with tried:
@@ -608,11 +607,7 @@ class _Checker:
                 return _node("LetPair", ctx, d, goal, (scr_d, body_d))
 
         # tensor let: sharp scrutinee, sharp binders, sharp conclusion
-        if (
-            isinstance(goal, Sharp)
-            and isinstance(node.basis1, Ortho)
-            and isinstance(node.basis2, Ortho)
-        ):
+        if isinstance(goal, Sharp) and ortho:
             scr_goal = Sharp(
                 Prod(BasisType(node.basis1), BasisType(node.basis2))
             )
