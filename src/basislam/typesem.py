@@ -74,6 +74,9 @@ class Sharp:
         object.__setattr__(self, "inner", inner)
         return self
 
+    def __getnewargs__(self) -> tuple["Type"]:  # copy and pickle
+        return (self.inner,)
+
 
 Type = Union[BasisType, Arrow, Prod, Sharp]
 

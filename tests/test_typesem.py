@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 from hypothesis import given
@@ -43,6 +45,10 @@ def _is_normal(t) -> bool:
     return all(_is_normal(getattr(t, f.name)) for f in dataclasses.fields(t))
 
 
+def _pickled(t):
+    return pickle.loads(pickle.dumps(t))
+
+
 class TestNormalize:
     def test_sharp_idempotent(self):
         once = Sharp(B)
@@ -59,6 +65,12 @@ class TestNormalize:
         t = dataclasses.replace(Sharp(B), inner=Sharp(X))
         assert _is_normal(t)
         assert type_eq(t, Sharp(X))
+
+    def test_copy_and_pickle_rebuild_sharp(self):
+        t = Arrow(Sharp(B), Sharp(Prod(B, X)))
+        for clone in (copy.copy, copy.deepcopy, _pickled):
+            assert type_eq(clone(t), t)
+        assert type_eq(copy.copy(Sharp(B)), Sharp(B))
 
     def test_type_eq_is_multiset_on_bases(self):
         flipped = BasisType(type(STD)((K1, K0)))
