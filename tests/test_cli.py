@@ -286,7 +286,9 @@ class TestUsage:
     # literal and the product printed `(nan+nan*i)*|0>` with exit 0 (and
     # `"phase": [NaN, NaN]`, not JSON, under --json); the pair overflowed
     # the same way in its product; the division and the exponential
-    # raised a traceback; 1/<the literal> parsed as 0.
+    # raised a traceback; 1/<the literal> parsed as 0.  The nested product
+    # overflows inside a constructor, which the parser locates at the
+    # enclosing term; the complex scalar raised a traceback from abs().
     @pytest.mark.parametrize(
         "term, where",
         [
@@ -301,6 +303,10 @@ class TestUsage:
             ),
             (
                 "1" + "0" * 200 + " * (1" + "0" * 200 + " * |0>)",
+                "1:1: coefficient is not finite",
+            ),
+            (
+                "(15" + "0" * 307 + " + 15" + "0" * 307 + "*i) * |0>",
                 "1:1: coefficient is not finite",
             ),
             ("2/0 * |0>", "1:2: division by zero"),
