@@ -56,7 +56,7 @@ class TestNormalize:
         assert twice is once
         assert _is_normal(twice) and type_eq(twice, Sharp(B))
 
-    def test_sharp_normalize_recurses(self):
+    def test_nested_sharps_are_normal(self):
         t = Arrow(Sharp(Sharp(B)), Prod(Sharp(Sharp(X)), B))
         assert _is_normal(t)
         assert type_eq(t, Arrow(Sharp(B), Prod(Sharp(X), B)))
