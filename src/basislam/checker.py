@@ -58,7 +58,7 @@ from .core import (
     term_eq,
 )
 from .basis import NAMED_BASES, qubit_arity
-from .reduction import NormalForm, evaluate, evaluate_value
+from .reduction import NormalForm, evaluate, evaluate_value, table_trace
 from .subst import apply_sigma, fresh_name, rename_away, subst_dist
 from .syntax import print_type
 from .typesem import (
@@ -907,8 +907,8 @@ def subject_reduction_harness(
     ctx: Context, term: TermDist, goal: Type
 ) -> HarnessReport:
     """Re-check the judgement at every reduction step of the term, in one
-    session, so that a sub-judgement shared by the steps is derived
-    once."""
+    session, so that a sub-judgement shared by the steps is derived once
+    and the evaluation of each step is the tabled rest of the trace."""
     with session():
         report = HarnessReport(ok=True)
         try:
@@ -916,6 +916,7 @@ def subject_reduction_harness(
         except CheckError as e:
             return HarnessReport(ok=False, failure=f"initial judgement: {e}")
         trace = evaluate(term)
+        table_trace(term, trace)
         for i, (dist, rule) in enumerate(trace.steps):
             try:
                 check(ctx, dist, goal)

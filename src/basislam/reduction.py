@@ -336,22 +336,48 @@ def evaluate(d: TermDist) -> Trace:
 
 def evaluate_value(d: TermDist) -> Optional[TermDist]:
     """The normal form of d, or None when evaluation sticks or the fuel
-    runs out.  Inside a session each input is evaluated once.  The key
-    leaves out the names of basis annotations, so the normal form is
-    meant for a verdict, not for printing."""
+    runs out.  Inside a session each input is evaluated at most once,
+    and a miss also tables its answer under every distribution its trace
+    passes through (see `table_trace`), so a later call on one of them
+    is a hit.  The key leaves out the names of basis annotations, so the
+    normal form is meant for a verdict, not for printing."""
     current = get_session()
-    if current is None:
-        return _normal_form(d)
+    if current is None:  # then table_trace tables nothing
+        return table_trace(d, evaluate(d))
     return current.evaluations.memo(
-        (_dist_key(d), get_settings()), lambda: _normal_form(d)
+        (_dist_key(d), get_settings()), lambda: table_trace(d, evaluate(d))
     )
 
 
-def _normal_form(d: TermDist) -> Optional[TermDist]:
-    trace = evaluate(d)
-    if isinstance(trace.final, NormalForm):
-        return trace.final.dist
-    return None
+def table_trace(d: TermDist, trace: Trace) -> Optional[TermDist]:
+    """The answer of trace, the evaluation of d: its normal form, or None.
+    Inside a session it is also stored, under the evaluation table's key,
+    for d and for every distribution of the trace, where no entry is yet.
+    `Table.memo` alone counts lookups; what is stored here is what a
+    fresh `evaluate_value` of each of them would return:
+
+    - `step` is deterministic, and a fresh evaluation from step i gets
+      the whole fuel, at least the fuel that was left at step i.  So a
+      normal form, or a stuck term that fuel does not cause (a free
+      variable, a value outside a span, a coefficient that is not
+      finite), is the answer of every step too.
+    - A trace that ran out of fuel says nothing about its steps: a step
+      could finish with fresh fuel.  So the steps of a trace that used
+      all its fuel, a conservative test, are not stored.
+    - The key leaves out basis names, as `evaluate_value`'s does: the
+      stored normal form is meant for a verdict, not for printing."""
+    answer = trace.final.dist if isinstance(trace.final, NormalForm) else None
+    current = get_session()
+    if current is None:
+        return answer
+    settings = get_settings()
+    dists = [d]
+    if trace.fuel_used < settings.max_steps:
+        dists += [dist for dist, _ in trace.steps]
+    entries = current.evaluations.entries
+    for dist in dists:
+        entries.setdefault((_dist_key(dist), settings), answer)
+    return answer
 
 
 # the reduction relation is written as an evaluator; keep the short name

@@ -124,17 +124,21 @@ def check_unitary(
     dom: Optional[Ortho] = None,
     tol: float = GRAM_TOL,
 ) -> UnitaryReport:
-    """Gram-matrix unitarity verdict with the worst entry as witness."""
+    """Gram-matrix unitarity verdict with the worst entry as witness.
+    Finite images whose gram matrix overflows are an extraction error:
+    no verdict could be read from it."""
     matrix, basis = extract_matrix(f, dom, validate_norms=False)
-    gram = matrix.conj().T @ matrix
-    delta = gram - np.eye(gram.shape[0])
-    flat = int(np.argmax(np.abs(delta)))
-    i, j = divmod(flat, gram.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = matrix.conj().T @ matrix
+        error = np.abs(gram - np.eye(gram.shape[0]))
+    if not np.isfinite(error).all():
+        raise UnitaryError("gram matrix of the images is not finite")
+    i, j = divmod(int(np.argmax(error)), gram.shape[1])
     return UnitaryReport(
         matrix=matrix,
         basis=basis,
         square=matrix.shape[0] == matrix.shape[1],
-        deviation=float(np.abs(delta[i, j])),
+        deviation=float(error[i, j]),
         witness=(i, j, complex(gram[i, j])),
         tol=tol,
     )

@@ -227,6 +227,30 @@ class TestUnitary:
         assert code == 1
         assert "error: matrix extraction needs a single abstraction" in out
 
+    # The images are finite, but their gram matrix overflows: before,
+    # `--json` printed `Infinity` and NaN, and numpy warned on stderr.
+    # Run as a process, so a warning would reach the real stderr.
+    @pytest.mark.parametrize("json_flag", [False, True])
+    def test_overflowing_gram_is_an_error(self, json_flag):
+        src = os.path.dirname(os.path.dirname(basislam.__file__))
+        env = dict(os.environ, PYTHONWARNINGS="default")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "basislam.cli", "unitary",
+             *(["--json"] if json_flag else []), f"\\x:B. {Z}*x"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        error = "gram matrix of the images is not finite"
+        if json_flag:
+            payload = json.loads(proc.stdout, parse_constant=_reject_constant)
+            assert payload == {"error": error}
+        else:
+            assert proc.stdout == f"error: {error}\n"
+
 
 class TestParse:
     def test_term_canonical_form(self, capsys):

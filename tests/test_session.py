@@ -1,10 +1,11 @@
 """Sessions: each input evaluated once, each judgement derived once.
 
 A session tables `evaluate_value` and the checker's judgements for the
-length of one command.  Its keys are exact, so every output must be what
-the untabled code gives: these tests run the same work with and without
-the tables and compare.  The untabled runs replace `session` with a block
-that opens none, so nothing is tabled at all.
+length of one command; an evaluation's answer is also tabled under every
+distribution of its trace.  Its keys are exact, so every output must be
+what the untabled code gives: these tests run the same work with and
+without the tables and compare.  The untabled runs replace `session`
+with a block that opens none, so nothing is tabled at all.
 """
 
 import contextlib
@@ -23,7 +24,7 @@ from basislam.checker import (
 )
 from basislam.core import dist_eq, get_session, local_settings, session
 from basislam.corpus import EVAL_CASES, load_corpus, run_corpus
-from basislam.reduction import evaluate_value
+from basislam.reduction import evaluate, evaluate_value
 from basislam.syntax import parse_term, parse_type
 from test_golden_derivations import GOLDEN, golden_rows
 
@@ -148,9 +149,69 @@ def test_corpus_runs_in_one_session_that_tables(monkeypatch):
     assert seen and seen[0] is not None
     assert all(s is seen[0] for s in seen)
     # Without the tables the run evaluates 459 distinct inputs 12,440
-    # times and derives 1,149 distinct judgements 21,864 times.
-    assert seen[0].evaluations.misses == 459
+    # times and derives 1,149 distinct judgements 21,864 times.  A miss
+    # tables its answer under every step of its trace too, and each
+    # harness seeds the table with its own trace, so a step's re-check
+    # finds its evaluation tabled: 162 of the 459 inputs are evaluated.
+    assert seen[0].evaluations.misses == 162
     assert seen[0].judgements.misses == 1149
+
+
+def _same_answer(a, b) -> bool:
+    return a is None and b is None or (
+        a is not None and b is not None and dist_eq(a, b)
+    )
+
+
+def test_corpus_harness_steps_match_fresh_evaluations():
+    progs = load_corpus()
+    cases = []
+    for pname, src, _, type_src in EVAL_CASES:
+        bases = progs[pname].all_bases()
+        term = parse_term(src, bases, progs[pname].defs)
+        dists = [term] + [d for d, _ in evaluate(term).steps]
+        fresh = [evaluate_value(d) for d in dists]  # no session is open
+        cases.append((term, parse_type(type_src, bases), dists, fresh))
+    steps = 0
+    with session() as s:
+        for term, goal, dists, fresh in cases:
+            assert subject_reduction_harness({}, term, goal).ok
+            misses = s.evaluations.misses
+            for d, want in zip(dists, fresh):
+                assert _same_answer(evaluate_value(d), want)
+            # the harness tabled its own trace: every step is a hit
+            assert s.evaluations.misses == misses
+            steps += len(dists) - 1
+    assert steps == 299
+
+
+def _gates_term(gates_prog, src):
+    return parse_term(src, gates_prog.all_bases(), gates_prog.defs)
+
+
+def test_trace_out_of_fuel_leaves_its_steps_untabled(gates_prog):
+    term = _gates_term(gates_prog, "NOT (NOT (NOT |0>))")
+    steps = [d for d, _ in evaluate(term).steps]
+    assert len(steps) == 6
+    with session(), local_settings(max_steps=4):
+        assert evaluate_value(term) is None  # fuel runs out after 4
+        # four steps remain from steps[1]: within the fuel of a fresh
+        # evaluation, though not within what was left of the first one
+        got = evaluate_value(steps[1])
+        assert got is not None and dist_eq(got, parse_term("|1>"))
+
+
+def test_stuck_trace_tables_none_under_its_steps(gates_prog):
+    term = _gates_term(gates_prog, "(\\x:B. (\\u:B. y u) x) (NOT |0>)")
+    trace = evaluate(term)
+    assert trace.final.reason == "free variable"
+    assert len(trace.steps) == 4
+    with session() as s:
+        assert evaluate_value(term) is None
+        assert (s.evaluations.misses, s.evaluations.hits) == (1, 0)
+        for d, _ in trace.steps:
+            assert evaluate_value(d) is None
+        assert (s.evaluations.misses, s.evaluations.hits) == (1, 4)
 
 
 def _record_sessions(monkeypatch) -> list:
