@@ -8,11 +8,17 @@ Summands that share the same surrounding context and the same redex up
 to its value slot fire together: their slots are recombined into one
 value distribution and substituted through the binder's annotation basis
 in a single step, which is reduction modulo the vector-space congruence.
+
+`evaluate` keeps a table of the contractions it fires for the length of
+the call, keyed on the identity of the redex's fields and on the value's
+terms and coefficient bits, so a gate fired on the same value in many
+branches of a superposition is substituted once (see `step`).
 """
 
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -254,7 +260,26 @@ def _fire(r: _Redex, value: TermDist) -> Union[TermDist, Stuck]:
     return Stuck(reason, offending)
 
 
-def step(d: TermDist) -> StepResult:
+# a coefficient's two floats as bytes: equal keys are bitwise equal
+# coefficients, so 0.0 and -0.0 are told apart
+_coeff_bits = struct.Struct("dd").pack
+
+
+def _fire_key(node: PureTerm, value: TermDist) -> tuple:
+    """The table key of a contraction: the identity of the redex's fields
+    (the hole left out) and the value's terms and coefficient bits."""
+    if isinstance(node, App):
+        redex = node.fun
+    elif isinstance(node, Case):
+        redex = (node.patterns, node.branches)
+    else:
+        redex = (node.var1, node.basis1, node.var2, node.basis2, node.body)
+    return redex, tuple(
+        (t, _coeff_bits(c.real, c.imag)) for t, c in value.entries
+    )
+
+
+def step(d: TermDist, fires: Optional[dict] = None) -> StepResult:
     """One deterministic step: the canonically first reducible summand
     fires, together with every summand sharing its context and redex.
 
@@ -267,7 +292,28 @@ def step(d: TermDist) -> StepResult:
     The fired part is plugged back in along the path from the redex to
     the root only: the siblings of that path are kept as they are, so a
     `Case` beside the path is not validated again under the current eps
-    (a `Case` on the path is, and a `Case` redex never was)."""
+    (a `Case` on the path is, and a `Case` redex never was).
+
+    fires tables contractions: a (redex, value) key to `_fire`'s result.
+    `evaluate` passes one table for all its steps; a bare `step(d)` uses
+    a throwaway one.  A hit gives what a fresh `_fire` would give, bit
+    for bit, by these rules:
+
+    - The redex is keyed on the identity of its fields, not on their
+      structure, and the hole is left out: the `Lam` of an `App`; the
+      `patterns` and `branches` tuples of a `Case` (their elements are
+      `eq=False` distributions, so tuple equality is element identity);
+      the two names, the two bases and the body of a `LetPair`.
+    - The value is keyed on its entries: each term object, and its
+      coefficient bit for bit.  `0.0 == -0.0`, so a key on the complex
+      would merge two values that a fresh fire tells apart, as `scale`
+      multiplies the sign of a zero part through.
+    - The key holds these objects, so no id is reused while the table
+      lives.
+    - A hit never hands back a summand that a previous step holds.  At
+      the root (an empty path) `_plug` returns the fired distribution
+      itself, so root fires neither read nor write the table; below the
+      root `_plug` wraps every fired summand in new nodes."""
     finds = [_find(t) for t, _ in d.entries]
     picked = next((f for f in finds if isinstance(f, _Redex)), None)
     if picked is None:
@@ -285,7 +331,15 @@ def step(d: TermDist) -> StepResult:
     value = add(
         *(scale(d.entries[i][1], single(finds[i].slot)) for i in group)
     )
-    fired = _fire(picked, value)
+    if picked.path:
+        key = _fire_key(picked.redex_repr, value)
+        if fires is None:
+            fires = {}
+        fired = fires.get(key)
+        if fired is None:
+            fired = fires[key] = _fire(picked, value)
+    else:  # a root fire is not tabled: see the last rule above
+        fired = _fire(picked, value)
     if isinstance(fired, Stuck):
         return fired
     plugged = _plug(picked, fired)
@@ -314,13 +368,19 @@ def step(d: TermDist) -> StepResult:
 def evaluate(d: TermDist) -> Trace:
     """Reduce to normal form, recording every step; stops with a stuck
     result, at a coefficient that is not finite, or after the fuel of
-    the current settings runs out.  The fuel used is the step count."""
+    the current settings runs out.  The fuel used is the step count.
+
+    One table of contractions serves all the steps (see `step`), so a
+    gate fired on the same value in many branches is substituted once.
+    It lives for this call only: `evaluate` keeps nothing between calls,
+    and tables only its own fires."""
     max_steps = get_settings().max_steps
     trace = Trace()
     current = d
+    fires: dict = {}
     while True:
         try:
-            res = step(current)
+            res = step(current, fires)
         except OverflowError:
             res = Stuck("coefficient is not finite", None)
         if isinstance(res, Reduced) and len(trace.steps) == max_steps:

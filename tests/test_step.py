@@ -12,6 +12,10 @@ whole result again.  Whole `evaluate` traces must agree: the same
 entries in the same order, the same representative objects,
 bitwise-equal coefficients (signed zeros included, nested ones too),
 the same rule tags and the same stuck reason and offending term.
+
+`evaluate` also tables its contractions for the length of the call, so
+the traces compared here are tabled ones; the tests after the wide
+circuits pin the table's own rules.
 """
 
 import dataclasses
@@ -22,6 +26,7 @@ import numpy as np
 import pytest
 
 import gen
+from basislam import reduction
 from basislam.basis import STD
 from basislam.core import (
     ABS,
@@ -32,6 +37,7 @@ from basislam.core import (
     LetPair,
     Pair,
     PureTerm,
+    TermDist,
     Var,
     add,
     get_settings,
@@ -53,7 +59,9 @@ from basislam.reduction import (
     Stuck,
     Trace,
     _fire,
+    _fire_key,
     evaluate,
+    step,
 )
 from basislam.subst import subst_term
 from basislam.syntax import parse_term
@@ -318,6 +326,70 @@ def test_wide_circuits():
     for term in wide_terms(3):  # the benchmark's seed
         trace = check(term)
         assert isinstance(trace.final, NormalForm)
+
+
+# ---------------------------------------------------------------------------
+# The table of contractions that `evaluate` keeps (see `reduction.step`).
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_each_contraction_fires_once_per_evaluation(monkeypatch, seed):
+    # a product circuit fires the same gate on the same wire value in
+    # every branch of the superposition; the table substitutes it once
+    keys = []
+
+    def counted(r, value):
+        keys.append(_fire_key(r.redex_repr, value) if r.path else None)
+        return _fire(r, value)
+
+    monkeypatch.setattr(reduction, "_fire", counted)
+    fires = steps = 0
+    for term in wide_terms(seed):
+        keys.clear()
+        trace = evaluate(term)
+        assert isinstance(trace.final, NormalForm)
+        tabled = [k for k in keys if k is not None]
+        assert len(set(tabled)) == len(tabled)
+        fires += len(keys)
+        steps += len(trace.steps)
+    assert fires < steps
+
+
+def test_table_keys_coefficients_bit_for_bit():
+    # 0.0 == -0.0, so a key on the complex would merge values that differ
+    # only in the sign of a zero part; the identity fires keep that sign
+    ident = Lam("x", ABS, single(Var("x")))
+    t = Pair(Ket(1), App(ident, Ket(0)))  # fires below the root
+    node = reduction._find(t).redex_repr
+    for zeros in ((complex(1, -0.0), 1 + 0j), (complex(-1, -0.0), -1 + 0j)):
+        values = [TermDist(((Ket(0), c),)) for c in zeros]
+        assert len({_fire_key(node, v) for v in values}) == 2
+    # through step, whose value is c * (1+0j): the second pair survives it
+    dists = [TermDist(((t, c),)) for c in (complex(-1, -0.0), -1 + 0j)]
+    fires: dict = {}
+    tabled = [step(d, fires) for d in dists]
+    assert len(fires) == 2
+    bits = []
+    for got, d in zip(tabled, dists):
+        fresh = step(d)  # a throwaway table
+        memo: dict = {}
+        bits.append(struct(got.dist.entries, memo))
+        assert bits[-1] == struct(fresh.dist.entries, memo)
+    assert bits[0] != bits[1]
+
+
+def test_root_fire_never_hands_back_a_previous_summand():
+    # omega fires at the root on the same value at every step: a tabled
+    # root fire would return the previous step's distribution, whose
+    # summand `_plug` does not wrap in new nodes
+    omega = mk_lam("x", ABS, mk_app(single(Var("x")), single(Var("x"))))
+    d = mk_app(omega, omega)
+    with local_settings(max_steps=5):
+        trace = check(d)
+    dists = [d] + [dist for dist, _ in trace.steps]
+    assert len(dists) == 6
+    for prev, cur in zip(dists, dists[1:]):
+        assert not {id(t) for t, _ in prev} & {id(t) for t, _ in cur}
 
 
 def test_generated_terms_and_shuffles():
