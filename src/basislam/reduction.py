@@ -9,6 +9,15 @@ to its value slot fire together: their slots are recombined into one
 value distribution and substituted through the binder's annotation basis
 in a single step, which is reduction modulo the vector-space congruence.
 
+A located redex is a stack of frames, one per node of the path from the
+summand's root down to the redex, each that node rebuilt around a hole
+at the child the path goes through (Huet's zipper).  A step wraps what
+fired in new nodes along the frames only, and each new summand's redex
+search resumes where the fired part was plugged in rather than at its
+root (refocusing, Danvy & Nielsen 2004), so a step costs the fire and a
+walk of the frames, not a fresh search and a canonical rebuild of the
+path.
+
 `evaluate` keeps a table of the contractions it fires for the length of
 the call, keyed on the identity of the redex's fields and on the value's
 terms and coefficient bits, so a gate fired on the same value in many
@@ -33,7 +42,6 @@ from .core import (
     PureTerm,
     TermDist,
     Var,
-    _build,
     _dist_key,
     add,
     get_session,
@@ -50,6 +58,7 @@ from .core import (
 from .subst import SubstUndefined, subst_basis, subst_tensor, subst_term
 
 _HOLE = "__hole__"  # lexer identifiers never start with an underscore
+_HOLE_VAR = Var(_HOLE)  # the one hole every frame and redex is built around
 
 class RuleTag(enum.Enum):
     BETA = "Beta"
@@ -96,22 +105,26 @@ class Trace:
 
 
 # ---------------------------------------------------------------------------
-# Redex search.  A located redex is described by two pure terms: the
-# context, with a hole variable at the redex node, and the redex itself,
-# with the hole at its value slot.  The search direction taken at the
-# root decides the context rule that names the step.  The context keeps
-# every sibling of the path from the root to the hole as the same object.
+# Redex search.  A located redex is a stack of frames and the redex node.
+# A frame is one node of the path from the root down to the redex, rebuilt
+# around the shared `_HOLE_VAR` at the child the path goes through, with
+# the context rule of that child's position; its other children are the
+# node's own objects.  The redex node is rebuilt around the hole at its
+# value slot.  The rule at the root names the step.
 
 
 @dataclass(frozen=True)
 class _Redex:
-    context: PureTerm
-    redex_repr: PureTerm  # beta App, LetPair or Case, hole at the slot
+    """A redex located in a summand: its frames, innermost first, each a
+    node rebuilt around the hole with the context rule of the hole's
+    position; the redex node with the hole at its value slot; the value
+    in that slot; and the rule that names the step.  The frames hold only
+    nodes below the summand's root, so no cycle holds a summand."""
+
+    frames: tuple[tuple[PureTerm, RuleTag], ...]
+    redex_repr: PureTerm  # beta App, LetPair or Case, the hole at the slot
     slot: PureTerm
-    rule: RuleTag  # the redex's own rule, or the context rule at the root
-    # the context's node and rule at each level of the path, innermost
-    # first; the nodes are the context's own, so no cycle holds a summand
-    path: tuple[tuple[PureTerm, RuleTag], ...]
+    rule: RuleTag  # the outermost frame's rule, or the redex's own
 
 
 _Found = Union[_Redex, Stuck]
@@ -134,7 +147,8 @@ def _find(t: PureTerm) -> Optional[_Found]:
     """Locate the redex this strategy fires inside a pure term, a stuck
     position blocking it, or None when t is already a pure value.  Nodes
     are immutable, so the result is cached on the node: a summand that
-    does not fire keeps its redex for the next step."""
+    does not fire keeps its redex for the next step, and a summand that
+    `_plug` makes comes with its redex already found."""
     if is_pure_value(t):
         return None
     found = t.__dict__.get("_found")  # a miss costs no raised exception
@@ -144,25 +158,25 @@ def _find(t: PureTerm) -> Optional[_Found]:
     return found
 
 
-def _search(t: PureTerm) -> _Found:
-    """Walk down from a node that is not a pure value to the redex, or to
-    the stuck position blocking it, then build the context back up."""
-    path: list[tuple[PureTerm, RuleTag]] = []
+def _search(
+    t: PureTerm, above: tuple[tuple[PureTerm, RuleTag], ...] = ()
+) -> _Found:
+    """Walk down from t, a node that is not a pure value, to the redex or
+    to the stuck position blocking it, stacking a frame for each level it
+    passes on top of above: the frames from t's parent up to the root,
+    none when t is the root."""
+    below: list[tuple[PureTerm, RuleTag]] = []  # outermost first
     while True:
         if isinstance(t, Pair):
             if is_pure_value(t.left):
-                path.append((t, RuleTag.CTX_PAIR_RIGHT))
-                t = t.right
+                rule, child = RuleTag.CTX_PAIR_RIGHT, t.right
             else:
-                path.append((t, RuleTag.CTX_PAIR_LEFT))
-                t = t.left
+                rule, child = RuleTag.CTX_PAIR_LEFT, t.left
         elif isinstance(t, App):
             if not is_pure_value(t.arg):
-                path.append((t, RuleTag.CTX_APP_RIGHT))
-                t = t.arg
+                rule, child = RuleTag.CTX_APP_RIGHT, t.arg
             elif not is_pure_value(t.fun):
-                path.append((t, RuleTag.CTX_APP_LEFT))
-                t = t.fun
+                rule, child = RuleTag.CTX_APP_LEFT, t.fun
             elif isinstance(t.fun, Lam):
                 rule, own, slot = RuleTag.CTX_APP_RIGHT, RuleTag.BETA, t.arg
                 break
@@ -175,8 +189,7 @@ def _search(t: PureTerm) -> _Found:
                 RuleTag.CTX_LET if isinstance(t, LetPair) else RuleTag.CTX_CASE
             )
             if not is_pure_value(t.scrutinee):
-                path.append((t, rule))
-                t = t.scrutinee
+                child = t.scrutinee
             elif isinstance(t.scrutinee, Var):
                 return Stuck("free variable", t.scrutinee)
             else:
@@ -189,44 +202,72 @@ def _search(t: PureTerm) -> _Found:
                 break
         else:
             raise TypeError(f"not a pure term: {t!r}")
-    # the redex with the hole at its value slot, and its context
-    redex_repr = _REBUILD[rule](t, Var(_HOLE))
-    context: PureTerm = Var(_HOLE)
-    levels = []
-    for node, r in reversed(path):
-        context = _REBUILD[r](node, context)
-        levels.append((context, r))
-    return _Redex(
-        context, redex_repr, slot, path[0][1] if path else own, tuple(levels)
-    )
+        below.append((_REBUILD[rule](t, _HOLE_VAR), rule))
+        t = child
+    frames = tuple(reversed(below)) + above if below else above
+    redex_repr = _REBUILD[rule](t, _HOLE_VAR)
+    return _Redex(frames, redex_repr, slot, frames[-1][1] if frames else own)
 
 
 def _same_redex(a: _Redex, b: _Redex) -> bool:
-    return term_eq(a.context, b.context) and term_eq(
-        a.redex_repr, b.redex_repr
-    )
+    """Whether a and b have term_eq contexts and redexes.  No frame binds
+    a name, so the contexts compare level by level; summands that one
+    `_plug` made share their frames, which compare by identity."""
+    if a.frames is not b.frames:
+        if len(a.frames) != len(b.frames):
+            return False
+        for (f, _), (g, _) in zip(a.frames, b.frames):
+            if f is not g and not term_eq(f, g):
+                return False
+    return term_eq(a.redex_repr, b.redex_repr)
 
 
 def _plug(r: _Redex, fired: TermDist) -> TermDist:
-    """subst_term(r.context, _HOLE, fired), rebuilding only the nodes on
-    the path from the hole to the root.  Every sibling stays the same
-    object, its cached keys included, and is not rebuilt or re-validated;
-    each entry of fired is wrapped level by level and one _build merges
-    the results, as the constructors' nested builds did."""
-    if not r.path:
+    """fired put back in r's place: each entry wrapped in a new node per
+    frame, innermost first.  Every other child is the frame's own object,
+    so nothing beside the path is rebuilt, re-keyed or re-validated.
+
+    The wrapped entries are already the distribution `_build` would make
+    of them, and are returned as they stand.  fired is canonical; nodes
+    that differ only in one child order as that child does, and are
+    term_eq only when that child is, so the wrapped entries keep fired's
+    order and stay pairwise apart; and the factor 1+0j keeps every
+    modulus, so nothing is pruned.
+
+    Each new summand is stored with its redex already found (see
+    `_find`).  Below its lowest node that is not a pure value nothing
+    changed, and at each frame above it the search goes down into that
+    node, so those frames stand and the search starts at that node."""
+    frames = r.frames
+    if not frames:
         return fired
-    for node, _ in r.path:  # as mk_case did, the innermost first
-        if isinstance(node, Case):
-            validate_case_patterns(node.patterns)
+    for frame, _ in frames:  # as mk_case did, the innermost first
+        if isinstance(frame, Case):
+            validate_case_patterns(frame.patterns)
     # mk_pair and mk_app multiplied each coefficient by 1+0j, which can
     # flip the sign of a zero part and changes nothing twice
-    unit = any(isinstance(node, (Pair, App)) for node, _ in r.path)
+    unit = any(isinstance(frame, (Pair, App)) for frame, _ in frames)
+    tails: dict[int, tuple] = {}  # one tuple per level, shared by summands
     entries = []
     for t, c in fired.entries:
-        for node, rule in r.path:
-            t = _REBUILD[rule](node, t)
+        level = 0
+        for frame, rule in frames:  # up to the lowest non-value
+            if not is_pure_value(t):
+                break
+            t = _REBUILD[rule](frame, t)
+            level += 1
+        low, above = t, tails.get(level)
+        if above is None:
+            above = tails[level] = frames[level:]
+        for frame, rule in above:
+            t = _REBUILD[rule](frame, t)
+        if above or not is_pure_value(t):
+            object.__setattr__(t, "_found", _search(low, above))
         entries.append((t, c * (1 + 0j) if unit else c))
-    return _build(entries)
+    out = TermDist(tuple(entries))
+    if len(entries) > 1:  # as _build stamps it
+        object.__setattr__(out, "_eps", get_settings().eps)
+    return out
 
 
 def _instance(r: _Redex, slot: PureTerm) -> PureTerm:
@@ -289,10 +330,12 @@ def step(d: TermDist, fires: Optional[dict] = None) -> StepResult:
     rebuilt, so that a tolerance changed since d was built prunes and
     merges them too.
 
-    The fired part is plugged back in along the path from the redex to
-    the root only: the siblings of that path are kept as they are, so a
-    `Case` beside the path is not validated again under the current eps
-    (a `Case` on the path is, and a `Case` redex never was).
+    The fired part is plugged back in through the redex's frames only:
+    each frame gets a new node and keeps its other children as they are,
+    so a `Case` beside the path is not validated again under the current
+    eps (a `Case` frame is, and a `Case` redex never was).  The new
+    summands come with their redexes found, the search resumed where the
+    fired part ends rather than started again at the root (see `_plug`).
 
     fires tables contractions: a (redex, value) key to `_fire`'s result.
     `evaluate` passes one table for all its steps; a bare `step(d)` uses
@@ -311,7 +354,7 @@ def step(d: TermDist, fires: Optional[dict] = None) -> StepResult:
     - The key holds these objects, so no id is reused while the table
       lives.
     - A hit never hands back a summand that a previous step holds.  At
-      the root (an empty path) `_plug` returns the fired distribution
+      the root (no frames) `_plug` returns the fired distribution
       itself, so root fires neither read nor write the table; below the
       root `_plug` wraps every fired summand in new nodes."""
     finds = [_find(t) for t, _ in d.entries]
@@ -331,7 +374,7 @@ def step(d: TermDist, fires: Optional[dict] = None) -> StepResult:
     value = add(
         *(scale(d.entries[i][1], single(finds[i].slot)) for i in group)
     )
-    if picked.path:
+    if picked.frames:
         key = _fire_key(picked.redex_repr, value)
         if fires is None:
             fires = {}

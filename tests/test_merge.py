@@ -39,6 +39,7 @@ from basislam.core import (
     single,
     term_eq,
 )
+from basislam import reduction
 from basislam.corpus import corpus_program
 from basislam.reduction import NormalForm, evaluate
 
@@ -398,6 +399,26 @@ def test_gate_chain_compares_shared_siblings_once(monkeypatch):
     dist, calls = _count_term_eq(monkeypatch, _gate_chain(CHAIN_28))
     assert len(dist) == 2
     assert calls <= 2_000
+
+
+def test_gate_chain_search_resumes_at_the_plug(monkeypatch):
+    # The redex search asks whether a node is a pure value at each node it
+    # walks.  Searching every new summand again from its root asked 1,375
+    # times here, 56 steps under up to 27 frames; resumed where the fired
+    # part was plugged in, the search asks about six times a step.
+    calls = 0
+    original = reduction.is_pure_value
+
+    def counted(t):
+        nonlocal calls
+        calls += 1
+        return original(t)
+
+    monkeypatch.setattr(reduction, "is_pure_value", counted)
+    trace = evaluate(_gate_chain(CHAIN_28))
+    assert isinstance(trace.final, NormalForm)
+    assert len(trace.steps) == 56
+    assert calls <= 8 * len(trace.steps)
 
 
 def test_gate_chain_leaves_no_reference_cycle():

@@ -1,8 +1,9 @@
 """The incremental reduction step against the step it replaced.
 
 `reduction.step` caches each node's redex search, keeps the summands
-that do not fire as they are, plugs the fired part back in along the
-path from the redex to the root only, and merges the result into the
+that do not fire as they are, plugs the fired part back in through the
+redex's frames only, with each new summand's search resumed at the plug
+rather than started again at its root, and merges the result into the
 kept summands.  The reference below is the earlier step, kept verbatim
 and independent of `reduction`'s redex records: it searches every
 summand with an uncached walk, compares redexes with its own
@@ -14,8 +15,8 @@ bitwise-equal coefficients (signed zeros included, nested ones too),
 the same rule tags and the same stuck reason and offending term.
 
 `evaluate` also tables its contractions for the length of the call, so
-the traces compared here are tabled ones; the tests after the wide
-circuits pin the table's own rules.
+the traces compared here are tabled ones; the tests after the deep
+chains pin the plug and the table's own rules.
 """
 
 import dataclasses
@@ -26,7 +27,7 @@ import numpy as np
 import pytest
 
 import gen
-from basislam import reduction
+from basislam import core, reduction
 from basislam.basis import STD
 from basislam.core import (
     ABS,
@@ -328,6 +329,127 @@ def test_wide_circuits():
         assert isinstance(trace.final, NormalForm)
 
 
+# perfbench's `deep` schedule: (depth, items), Hd at every fourth place
+# from the first, the other gates NOT or Z.
+DEEP_SCHEDULE = ((12, 8), (16, 8), (20, 8), (24, 8), (28, 8))
+
+
+def deep_terms(seed: int):
+    """The `deep` gate chains, drawn as the benchmark draws them."""
+    rng = random.Random(f"deep:{seed}")
+    terms = []
+    for depth, count in DEEP_SCHEDULE:
+        for _ in range(count):
+            d = single(Ket(rng.randrange(2)))
+            for i in range(depth):
+                g = "Hd" if i % 4 == 0 else rng.choice(("NOT", "Z"))
+                d = mk_app(GATES[g], d)
+            terms.append(d)
+    return terms
+
+
+@pytest.mark.parametrize("seed", [0, 3])  # the benchmark's seeds
+def test_deep_chains(seed):
+    for term in deep_terms(seed):
+        trace = check(term)
+        assert isinstance(trace.final, NormalForm)
+
+
+# A value lands in a frame, and the search resumed there moves on: to a
+# sibling, to the node that now holds a redex, or to a stuck position.
+RESUMED = [
+    # a pair's left side finishes while its right side still reduces
+    "(NOT |0>, Z (NOT |1>))",
+    "(NOT |0>, Hd |1>) + (Z |1>, |0>)",
+    # an argument finishes, and then the function reduces
+    r"((\x:B. \y:B. (x, y)) (NOT |0>)) (Hd |1>)",
+    # a let or case scrutinee becomes a value: the redex is its node
+    "let (a:B, b:B) = (NOT |0>, Hd |1>) in (b, a)",
+    "(|0>, let (a:B, b:B) = (NOT |0>, |1>) in (b, a))",
+    "NOT (case NOT |0> of { |0> -> |1> | |1> -> |0> })",
+    "Hd (case Hd |0> of { |+> -> |1> | |-> -> |0> })",
+    # a sibling stuck on a free variable
+    "(NOT |0>, f |1>)",
+    "(Hd |0>, case y of { |0> -> |1> | |1> -> |0> })",
+]
+
+
+@pytest.mark.parametrize("src", RESUMED)
+def test_search_resumed_at_the_plug(src):
+    check(parse_term(src, defs=GATES))
+
+
+# A `Case` frame is validated again at each plug, under the current eps.
+CASE_FRAME = (
+    r"(|1>, case ((\x:B. x) |0>) of { |0> -> |0> | 1.0005*|1> -> |1> })"
+)
+
+
+def test_case_frame_revalidated_under_the_current_eps():
+    with local_settings(eps=1e-3):
+        d = parse_term(CASE_FRAME)
+        check(d)  # the eps it was built under
+    for evaluation in (ref_evaluate, evaluate):
+        with pytest.raises(ValueError, match="case patterns must have norm 1"):
+            evaluation(d)
+    with local_settings(eps=1e-2):  # a looser eps accepts the patterns
+        check(d)
+
+
+def test_plug_gives_what_build_and_a_fresh_search_give(monkeypatch):
+    # `_plug` hands back its wrapped entries without `_build`, and stores
+    # each new summand's redex found by a search resumed at the plug
+    plug = reduction._plug
+    plugs = resumed = 0
+
+    def pinned(r, fired):
+        nonlocal plugs, resumed
+        out = plug(r, fired)
+        if not r.frames:  # a root fire hands back fired itself
+            assert out is fired
+            return out
+        plugs += 1
+        built = core._build(out.entries)
+        assert [t for t, _ in built.entries] == [t for t, _ in out.entries]
+        for (t, c), (u, e) in zip(out.entries, built.entries):
+            assert t is u and struct(c, {}) == struct(e, {})
+        eps = get_settings().eps if len(out) > 1 else None
+        assert out.__dict__.get("_eps") == eps  # as `_build` stamps it
+        for t, _ in out.entries:
+            stored = t.__dict__.get("_found")
+            if stored is None:
+                assert core.is_pure_value(t)
+                continue
+            resumed += 1
+            fresh = reduction._search(t)
+            assert type(stored) is type(fresh)
+            if isinstance(fresh, Stuck):
+                assert stored.reason == fresh.reason
+                assert stored.offending is fresh.offending
+                continue
+            assert stored.slot is fresh.slot and stored.rule is fresh.rule
+            assert [r for _, r in stored.frames] == [
+                r for _, r in fresh.frames
+            ]
+            for f, g in zip(
+                [f for f, _ in stored.frames] + [stored.redex_repr],
+                [g for g, _ in fresh.frames] + [fresh.redex_repr],
+            ):
+                assert type(f) is type(g)
+                for field in dataclasses.fields(f):
+                    assert getattr(f, field.name) is getattr(g, field.name)
+        return out
+
+    monkeypatch.setattr(reduction, "_plug", pinned)
+    for d in deep_terms(0) + deep_terms(3):
+        evaluate(d)
+    for src in RESUMED:
+        evaluate(parse_term(src, defs=GATES))
+    with local_settings(eps=1e-3):  # through a `Case` frame
+        evaluate(parse_term(CASE_FRAME))
+    assert plugs > 1000 and resumed > 1000
+
+
 # ---------------------------------------------------------------------------
 # The table of contractions that `evaluate` keeps (see `reduction.step`).
 
@@ -339,7 +461,7 @@ def test_each_contraction_fires_once_per_evaluation(monkeypatch, seed):
     keys = []
 
     def counted(r, value):
-        keys.append(_fire_key(r.redex_repr, value) if r.path else None)
+        keys.append(_fire_key(r.redex_repr, value) if r.frames else None)
         return _fire(r, value)
 
     monkeypatch.setattr(reduction, "_fire", counted)
