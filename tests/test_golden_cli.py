@@ -1,11 +1,14 @@
 """Command line outputs, pinned.
 
-`golden_cli.json` holds the stdout and the exit code of `corpus --json`;
-of `eval --trace` and `eval --trace --json` for every definition of the
-bundled programs and every `EVAL_CASES` term; of `unitary --json` for
-every definition of `gates.lb` and `deutsch.lb`; and of `check --json`
-for every `goal`.  Each command runs in-process with the program it
-names loaded through `--def`.
+`golden_cli.json` holds the stdout and the exit code of `corpus` and
+`corpus --json`; of `eval --trace` and `eval --trace --json` for every
+definition of the bundled programs and every `EVAL_CASES` term; of
+`unitary` and `unitary --json` for every definition of `gates.lb` and
+`deutsch.lb`; of `check` and `check --json` for every `goal`; of `parse`
+and `parse --json` on the `EVAL_CASES` terms and, with `--type`, on their
+distinct types; and of `ortho` and `ortho --json` on the `ORTHO_CASES`.  Each
+command runs in-process with the program it names loaded through `--def`.
+Every `--json` stdout is one JSON object without NaN or Infinity.
 
 Run this file as a script to rewrite the JSON after an intended change.
 """
@@ -21,6 +24,18 @@ from basislam.corpus import CORPUS_NAMES, EVAL_CASES, load_corpus
 from basislam.syntax import print_type
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_cli.json"
+
+# (program or "", left, right, type): well-typed pairs, both verdicts
+ORTHO_CASES = [
+    ("", "|0>", "|1>", "[B]"),
+    ("", "|+>", "|->", "[X]"),
+    ("", "|0>", "|+>", "#[B]"),
+    ("", "|0>", "|0>", "[B]"),
+    ("", "(|0>, |1>)", "(|1>, |1>)", "[B] * [B]"),
+    ("gates", "Hd |0>", "Hd |1>", "[X]"),
+    ("gates", "Z |1>", "|0>", "[B]"),
+    ("gates", "CNOT |+> |0>", "CNOT |-> |0>", "#([B] * [B])"),
+]
 
 
 def commands() -> list[tuple[str, list[str]]]:
@@ -40,6 +55,22 @@ def commands() -> list[tuple[str, list[str]]]:
             out.append(
                 (pname, ["check", "--json", goal.name, print_type(goal.type)])
             )
+    out.append(("", ["corpus"]))
+    for pname in ("gates", "deutsch"):
+        for name in progs[pname].defs:
+            out.append((pname, ["unitary", name]))
+    for pname in CORPUS_NAMES:
+        for goal in progs[pname].goals:
+            out.append((pname, ["check", goal.name, print_type(goal.type)]))
+    types = dict.fromkeys(type_src for _, _, _, type_src in EVAL_CASES)
+    for flags in ([], ["--json"]):
+        for pname, src, _, _ in EVAL_CASES:
+            out.append((pname, ["parse", *flags, src]))
+        for type_src in types:
+            out.append(("", ["parse", "--type", *flags, type_src]))
+    for pname, left, right, type_src in ORTHO_CASES:
+        for flags in ([], ["--json"]):
+            out.append((pname, ["ortho", *flags, left, right, type_src]))
     return out
 
 
@@ -60,6 +91,10 @@ def golden_rows() -> list[dict]:
     ]
 
 
+def _no_constant(name: str):
+    raise ValueError(f"non-finite number {name} in JSON output")
+
+
 def test_cli_outputs_match_golden():
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert [(w["program"], w["argv"]) for w in want] == [
@@ -71,6 +106,11 @@ def test_cli_outputs_match_golden():
             w["program"],
             w["argv"],
         )
+        if "--json" in w["argv"]:
+            text = got["stdout"]
+            assert text.count("\n") == 1 and text.endswith("\n"), w["argv"]
+            payload = json.loads(text, parse_constant=_no_constant)
+            assert isinstance(payload, dict), w["argv"]
 
 
 if __name__ == "__main__":
