@@ -12,36 +12,24 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from basislam import (
     Settings,
     TermDist,
     Undecidable,
     check_unitary,
-    curried_bases,
     is_member,
     local_settings,
-    print_basis,
-    uncurry2,
+    uncurried,
 )
 from basislam.typesem import Arrow, BasisType, Sharp
 from basislam.corpus import corpus_program
 
 
-@dataclass
-class Config:
-    tol: float = 1e-6
-
-
-def survey(name: str, term: TermDist, cfg: Config) -> bool:
-    parts = curried_bases(term)
-    note = ""
-    if parts is not None:
-        left, right = parts
-        term = uncurry2(term, left, right)
-        note = f" (uncurried over {print_basis(left)} x {print_basis(right)})"
-    report = check_unitary(term, tol=cfg.tol)
+def survey(name: str, term: TermDist) -> bool:
+    term, over = uncurried(term)
+    note = "" if over is None else f" (uncurried over {over})"
+    report = check_unitary(term)
     rows, cols = report.matrix.shape
     member = None
     if report.square:
@@ -64,7 +52,6 @@ def survey(name: str, term: TermDist, cfg: Config) -> bool:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--tol", type=float, default=Config.tol)
     ap.add_argument("--max-steps", type=int, default=Settings.max_steps)
     args = ap.parse_args()
     try:
@@ -72,15 +59,15 @@ def main() -> int:
     except ValueError as e:
         ap.error(str(e))
     with local_settings(settings):
-        return run(Config(tol=args.tol))
+        return run()
 
 
-def run(cfg: Config) -> int:
+def run() -> int:
     prog = corpus_program("gates")
     print("gate survey:")
     ok = True
     for name, term in prog.defs.items():
-        ok = survey(name, term, cfg) and ok
+        ok = survey(name, term) and ok
     print("result:", "verdicts and membership agree" if ok else "DISAGREEMENTS above")
     return 0 if ok else 1
 

@@ -671,9 +671,7 @@ class _Checker:
                         self.check(ctx_b, b, branch_goal)
                         for b in node.branches
                     )
-                    self._require_orthogonal(
-                        ctx_b, node.branches, branch_goal
-                    )
+                    self._require_orthogonal(ctx_b, node.branches)
                     return _node(
                         "UnitCase", ctx, d, goal, (scr_d,) + branch_ds
                     )
@@ -698,21 +696,17 @@ class _Checker:
                     for t, _ in d.entries
                 )
                 self._require_orthogonal(
-                    ctx, [single(t) for t, _ in d.entries], part_goal
+                    ctx, [single(t) for t, _ in d.entries]
                 )
                 return _node("Sum", ctx, d, goal, premises)
         raise tried.best()
 
-    def _require_orthogonal(
-        self, ctx: Context, parts: list[TermDist], goal: Type
-    ) -> None:
+    def _require_orthogonal(self, ctx: Context, parts: list[TermDist]) -> None:
         """The orthogonality premise of the Sum and UnitCase rules, for
         every pair of parts."""
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
-                if not check_orthogonality(
-                    ctx, {}, parts[i], {}, parts[j], goal
-                ):
+                if not check_orthogonality(ctx, {}, parts[i], {}, parts[j]):
                     raise CheckError(
                         f"orthogonality premise failed (branches {i},{j})",
                         kind=ErrorKind.ORTHOGONALITY,
@@ -865,12 +859,12 @@ def check_orthogonality(
     t: TermDist,
     delta2: Context,
     s: TermDist,
-    goal: Type,
 ) -> bool:
     """The orthogonality judgement: under every pair of independent
     substitutions for the two contexts, both sides reduce to values with
     inner product zero.  Sharp variables range over span generators,
-    which suffices by linearity."""
+    which suffices by linearity.  The judgement's type is the caller's:
+    it checks both sides at that type."""
     left_subs = _enumerate_context(_restrict({**gamma, **delta1}, t))
     right_subs = _enumerate_context(_restrict({**gamma, **delta2}, s))
     sides = []

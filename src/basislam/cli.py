@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .basis import Ortho
 from .checker import CheckError, Derivation, check, check_orthogonality
@@ -39,14 +39,7 @@ from .syntax import (
     render_scalar,
 )
 from .typesem import Type
-from .unitary import (
-    GRAM_TOL,
-    UnitaryError,
-    UnitaryReport,
-    check_unitary,
-    curried_bases,
-    uncurry2,
-)
+from .unitary import GRAM_TOL, UnitaryError, check_unitary, uncurried
 
 ANALYSIS_FAILURE = 1
 USAGE_ERROR = 2
@@ -88,21 +81,34 @@ def _environment(
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Subcommands.  Each but repl returns a report and prints nothing; main
+# prints it.
 
 
-def _cmd_parse(args, bases, defs) -> int:
+class Report(NamedTuple):
+    """A command's output: the payload printed as one JSON object under
+    --json, else the text lines; and the exit code."""
+
+    payload: dict
+    lines: list[str]
+    code: int = 0
+
+
+def _type_error(key: str, e: CheckError) -> Report:
+    return Report(
+        {key: False, "error": str(e)}, [f"type error: {e}"], ANALYSIS_FAILURE
+    )
+
+
+def _cmd_parse(args, bases, defs) -> Report:
     if args.type:
         text = print_type(parse_type(args.term, bases))
-        payload = {"type": text}
-    else:
-        text = print_term(parse_term(args.term, bases, defs))
-        payload = {"term": text}
-    print(json.dumps(payload) if args.json else text)
-    return 0
+        return Report({"type": text}, [text])
+    text = print_term(parse_term(args.term, bases, defs))
+    return Report({"term": text}, [text])
 
 
-def _cmd_eval(args, bases, defs) -> int:
+def _cmd_eval(args, bases, defs) -> Report:
     d = parse_term(args.term, bases, defs)
     trace = evaluate(d)
     final = trace.final
@@ -140,8 +146,7 @@ def _cmd_eval(args, bases, defs) -> int:
             f"{k + 1:>4}. {step['rule']:<12} {step['term']}"
             for k, step in enumerate(steps)
         ]
-    print(json.dumps(payload) if args.json else "\n".join(lines))
-    return code
+    return Report(payload, lines, code)
 
 
 def _check_source(
@@ -153,106 +158,79 @@ def _check_source(
     return goal, check({}, d, goal)
 
 
-def _cmd_check(args, bases, defs) -> int:
+def _cmd_check(args, bases, defs) -> Report:
     try:
         goal, deriv = _check_source(args.term, args.type_, bases, defs)
     except CheckError as e:
-        if args.json:
-            print(json.dumps({"ok": False, "error": str(e)}))
-        else:
-            print(f"type error: {e}")
-        return ANALYSIS_FAILURE
-    if args.json:
-        print(json.dumps({"ok": True, "rule": deriv.rule}))
-    else:
-        print(f"well-typed: {print_type(goal)}")
-        print(f"rule: {deriv.rule}")
-    return 0
+        return _type_error("ok", e)
+    return Report(
+        {"ok": True, "rule": deriv.rule},
+        [f"well-typed: {print_type(goal)}", f"rule: {deriv.rule}"],
+    )
 
 
-def _cmd_ortho(args, bases, defs) -> int:
+def _cmd_ortho(args, bases, defs) -> Report:
     left = parse_term(args.left, bases, defs)
     right = parse_term(args.right, bases, defs)
     goal = parse_type(args.type_, bases)
-    ok = check_orthogonality({}, {}, left, {}, right, goal)
-    if args.json:
-        print(json.dumps({"orthogonal": ok}))
-    else:
-        print("orthogonal" if ok else "not orthogonal")
-    return 0 if ok else ANALYSIS_FAILURE
+    try:
+        for side in (left, right):  # the judgement types both sides
+            check({}, side, goal)
+    except CheckError as e:
+        return _type_error("orthogonal", e)
+    ok = check_orthogonality({}, {}, left, {}, right)
+    return Report(
+        {"orthogonal": ok},
+        ["orthogonal" if ok else "not orthogonal"],
+        0 if ok else ANALYSIS_FAILURE,
+    )
 
 
 def _fmt_entry(z: complex) -> str:
     return f"{z.real:+.6f}{z.imag:+.6f}i"
 
 
-def _unitary_source(
-    src: str, bases, defs
-) -> tuple[UnitaryReport, Optional[str]]:
-    """Parse a term and run the gram analysis on it.  A curried
-    two-argument abstraction with annotated binders is first wrapped
-    through uncurry2, so its matrix is taken over the product basis;
-    the second value names that product, or is None."""
-    d = parse_term(src, bases, defs)
-    parts = curried_bases(d)
-    if parts is None:
-        return check_unitary(d), None
-    left, right = parts
-    note = f"{print_basis(left)} x {print_basis(right)}"
-    return check_unitary(uncurry2(d, left, right)), note
-
-
-def _cmd_unitary(args, bases, defs) -> int:
+def _cmd_unitary(args, bases, defs) -> Report:
+    f, over = uncurried(parse_term(args.term, bases, defs))
     try:
-        report, uncurried = _unitary_source(args.term, bases, defs)
+        report = check_unitary(f)
     except UnitaryError as e:
-        if args.json:
-            print(json.dumps({"error": str(e)}))
-        else:
-            print(f"error: {e}")
-        return ANALYSIS_FAILURE
+        return Report({"error": str(e)}, [f"error: {e}"], ANALYSIS_FAILURE)
     i, j, g = report.witness
-    if args.json:
-        payload = {
-            "uncurried_over": uncurried,
-            "label": report.label,
-            "unitary": report.unitary,
-            "isometry": report.isometry,
-            "square": report.square,
-            "deviation": report.deviation,
-            "witness": [i, j, _complex_pair(g)],
-            "basis": print_basis(report.basis),
-            "matrix": [
-                [_complex_pair(z) for z in row] for row in report.matrix
-            ],
-        }
-        print(json.dumps(payload))
-    else:
-        if uncurried is not None:
-            print(f"uncurried over {uncurried}")
-        print(f"basis: {print_basis(report.basis)}")
-        print("matrix:")
-        for row in report.matrix:
-            print("  [ " + "  ".join(_fmt_entry(z) for z in row) + " ]")
-        print(f"{report.label} (deviation {report.deviation:.3g})")
-        if not report.isometry:
-            print(f"witness: gram entry ({i},{j}) = {g:.6g}")
-    return 0 if report.unitary else ANALYSIS_FAILURE
+    basis = print_basis(report.basis)
+    payload = {
+        "uncurried_over": over,
+        "label": report.label,
+        "unitary": report.unitary,
+        "isometry": report.isometry,
+        "square": report.square,
+        "deviation": report.deviation,
+        "witness": [i, j, _complex_pair(g)],
+        "basis": basis,
+        "matrix": [[_complex_pair(z) for z in row] for row in report.matrix],
+    }
+    lines = [] if over is None else [f"uncurried over {over}"]
+    lines += [f"basis: {basis}", "matrix:"]
+    lines += [
+        "  [ " + "  ".join(_fmt_entry(z) for z in row) + " ]"
+        for row in report.matrix
+    ]
+    lines.append(f"{report.label} (deviation {report.deviation:.3g})")
+    if not report.isometry:
+        lines.append(f"witness: gram entry ({i},{j}) = {g:.6g}")
+    return Report(payload, lines, 0 if report.unitary else ANALYSIS_FAILURE)
 
 
-def _cmd_corpus(args, bases, defs) -> int:
+def _cmd_corpus(args, bases, defs) -> Report:
     rows = run_corpus()
-    if args.json:
-        passed = sum(1 for r in rows if r.ok)
-        payload = {
-            "rows": [asdict(r) for r in rows],
-            "passed": passed,
-            "failed": len(rows) - passed,
-        }
-        print(json.dumps(payload))
-    else:
-        print(format_rows(rows))
-    return 0 if all(r.ok for r in rows) else ANALYSIS_FAILURE
+    passed = sum(1 for r in rows if r.ok)
+    payload = {
+        "rows": [asdict(r) for r in rows],
+        "passed": passed,
+        "failed": len(rows) - passed,
+    }
+    code = 0 if passed == len(rows) else ANALYSIS_FAILURE
+    return Report(payload, [format_rows(rows)], code)
 
 
 _REPL_HELP = """commands:
@@ -278,7 +256,8 @@ def _repl_line(line: str, bases, defs) -> None:
         print(f"well-typed via {deriv.rule}")
         return
     if line.startswith(":u "):
-        report, _ = _unitary_source(line[3:], bases, defs)
+        f, _ = uncurried(parse_term(line[3:], bases, defs))
+        report = check_unitary(f)
         print(f"{report.label} (deviation {report.deviation:.3g})")
         return
     d = parse_term(line, bases, defs)
@@ -457,7 +436,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             if args.handler is _cmd_repl:  # a session per line
                 return _cmd_repl(args, bases, defs)
             with session():
-                return args.handler(args, bases, defs)
+                report = args.handler(args, bases, defs)
+            if args.json:
+                print(json.dumps(report.payload, allow_nan=False))
+            else:
+                print("\n".join(report.lines))
+            return report.code
     except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR

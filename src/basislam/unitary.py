@@ -31,6 +31,7 @@ from .core import (
 from .basis import STD, decompose, product_basis, support_arity, to_vector
 from .reduction import NormalForm, Stuck, evaluate
 from .subst import fresh_name
+from .syntax import print_basis
 
 GRAM_TOL = 1e-6
 
@@ -46,11 +47,10 @@ class UnitaryReport:
     square: bool
     deviation: float
     witness: tuple[int, int, complex]
-    tol: float
 
     @property
     def isometry(self) -> bool:
-        return self.deviation <= self.tol
+        return self.deviation <= GRAM_TOL
 
     @property
     def unitary(self) -> bool:
@@ -77,15 +77,11 @@ def _annotation(f: TermDist) -> Ortho:
 
 
 def extract_matrix(
-    f: TermDist,
-    dom: Optional[Ortho] = None,
-    validate_norms: bool = True,
+    f: TermDist, validate_norms: bool = True
 ) -> tuple[np.ndarray, Ortho]:
-    """Images of the domain basis elements as matrix columns, in
-    computational coordinates.  The domain defaults to the abstraction's
-    own annotation."""
-    if dom is None:
-        dom = _annotation(f)
+    """Images of the elements of the abstraction's annotation basis as
+    matrix columns, in computational coordinates."""
+    dom = _annotation(f)
     columns = []
     arity: Optional[int] = None
     for k, element in enumerate(dom.elements):
@@ -119,15 +115,11 @@ def extract_matrix(
     return matrix, dom
 
 
-def check_unitary(
-    f: TermDist,
-    dom: Optional[Ortho] = None,
-    tol: float = GRAM_TOL,
-) -> UnitaryReport:
+def check_unitary(f: TermDist) -> UnitaryReport:
     """Gram-matrix unitarity verdict with the worst entry as witness.
     Finite images whose gram matrix overflows are an extraction error:
     no verdict could be read from it."""
-    matrix, basis = extract_matrix(f, dom, validate_norms=False)
+    matrix, basis = extract_matrix(f, validate_norms=False)
     with np.errstate(over="ignore", invalid="ignore"):
         gram = matrix.conj().T @ matrix
         error = np.abs(gram - np.eye(gram.shape[0]))
@@ -140,7 +132,6 @@ def check_unitary(
         square=matrix.shape[0] == matrix.shape[1],
         deviation=float(error[i, j]),
         witness=(i, j, complex(gram[i, j])),
-        tol=tol,
     )
 
 
@@ -179,6 +170,20 @@ def uncurry2(f: TermDist, left: Ortho = STD, right: Ortho = STD) -> TermDist:
             mk_app(mk_app(f, single(Var(x))), single(Var(y))),
         ),
     )
+
+
+def uncurried(f: TermDist) -> tuple[TermDist, Optional[str]]:
+    """The one abstraction whose matrix stands for the gate f.  A curried
+    two-argument gate with orthonormal annotations is wrapped through
+    uncurry2 over the product of its annotation bases, and the second
+    value names that product ("B x B"); any other f is itself, with
+    None."""
+    parts = curried_bases(f)
+    if parts is None:
+        return f, None
+    left, right = parts
+    over = f"{print_basis(left)} x {print_basis(right)}"
+    return uncurry2(f, left, right), over
 
 
 def matrix_apply(matrix: np.ndarray, dom: Ortho, v: TermDist) -> np.ndarray:

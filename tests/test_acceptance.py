@@ -143,12 +143,12 @@ def test_04_unitarity_verdicts(gates_prog):
         (uncurry2(defs["CNOTX"], HAD, HAD), "#([X] * [X]) -> #([X] * [X])"),
     ]
     for f, ty in positives:
-        report = check_unitary(f, tol=1e-6)
+        report = check_unitary(f)
         assert report.unitary, ty
         assert report.deviation <= 1e-6
         assert is_member(f, parse_type(ty)) is True
 
-    report = check_unitary(defs["Cloner"], tol=1e-6)
+    report = check_unitary(defs["Cloner"])
     assert not report.unitary
     assert report.label == "not unitary"
     i, j, g = report.witness

@@ -188,15 +188,11 @@ class TestDiagnostics:
 
 class TestOrthogonalityJudgement:
     def test_closed_orthogonal(self):
-        assert check_orthogonality(
-            {}, {}, single(Ket(0)), {}, single(Ket(1)), parse_type("[B]")
-        )
+        assert check_orthogonality({}, {}, single(Ket(0)), {}, single(Ket(1)))
 
     def test_closed_overlapping(self):
         plus = parse_term("(1/sqrt2)*|0> + (1/sqrt2)*|1>")
-        assert not check_orthogonality(
-            {}, {}, single(Ket(0)), {}, plus, parse_type("#[B]")
-        )
+        assert not check_orthogonality({}, {}, single(Ket(0)), {}, plus)
 
     def test_open_orthogonal_components(self):
         # (x, |0>) and (y, |1>) stay orthogonal for every substitution
@@ -205,30 +201,22 @@ class TestOrthogonalityJudgement:
         d2 = {"y": Binding(parse_type("#[B]"), STD)}
         t = parse_term("(x, |0>)")
         s = parse_term("(y, |1>)")
-        assert check_orthogonality(
-            {}, d1, t, d2, s, parse_type("#[B] * [B]")
-        )
+        assert check_orthogonality({}, d1, t, d2, s)
 
     def test_open_overlapping_instance(self):
         d1 = {"x": Binding(parse_type("#[B]"), STD)}
         t = single(Var("x"))
-        assert not check_orthogonality(
-            {}, d1, t, {}, single(Ket(0)), parse_type("#[B]")
-        )
+        assert not check_orthogonality({}, d1, t, {}, single(Ket(0)))
 
     def test_stuck_side_rejected(self):
         bad = single(App(Ket(0), Ket(1)))
-        assert not check_orthogonality(
-            {}, {}, bad, {}, single(Ket(1)), parse_type("[B]")
-        )
+        assert not check_orthogonality({}, {}, bad, {}, single(Ket(1)))
 
     def test_non_enumerable_context(self):
         d1 = {"f": Binding(parse_type("[B] -> [B]"), STD)}
         t = single(App(Var("f"), Ket(0)))
         with pytest.raises(CheckError) as e:
-            check_orthogonality(
-                {}, d1, t, {}, single(Ket(1)), parse_type("[B]")
-            )
+            check_orthogonality({}, d1, t, {}, single(Ket(1)))
         assert e.value.message == "context not basis-enumerable"
 
 

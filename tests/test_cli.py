@@ -191,6 +191,23 @@ class TestOrtho:
         assert code == 1
         assert capsys.readouterr().out.strip() == "not orthogonal"
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["x", "|0>", "[B]"], "unbound variable: x"),
+            (
+                ["|0>", "|1>", "#([B] -> [B])"],
+                "rule not applicable (membership undecidable for this domain)",
+            ),
+        ],
+    )
+    def test_both_sides_are_checked_at_the_type(self, capsys, argv, error):
+        assert main(["ortho", *argv]) == 1
+        assert capsys.readouterr().out == f"type error: {error}\n"
+        assert main(["ortho", "--json", *argv]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"orthogonal": False, "error": error}
+
 
 class TestUnitary:
     def test_json_payload(self, capsys, gates_path):
