@@ -415,8 +415,10 @@ def evaluate(d: TermDist) -> Trace:
 
     One table of contractions serves all the steps (see `step`), so a
     gate fired on the same value in many branches is substituted once.
-    It lives for this call only: `evaluate` keeps nothing between calls,
-    and tables only its own fires."""
+    It lives for this call only, and tables only its own fires.  What
+    outlives the call is stored on the terms themselves: their keys, and
+    the instances of each body over an orthonormal annotation that
+    `subst_basis` substitutes once (see `subst._instance`)."""
     max_steps = get_settings().max_steps
     trace = Trace()
     current = d

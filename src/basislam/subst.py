@@ -6,6 +6,11 @@ the incoming value over the binder's annotation basis and substitutes
 each basis element separately; it is undefined when the value falls
 outside the annotation span.  Tensor substitution does the same for the
 two components of a pair binder.
+
+The instances of a body at the elements of an orthonormal annotation
+depend on the body alone, not on the value substituted, so a beta over
+such a binder is a decomposition and a linear combination of instances
+computed once (see `_instance`).
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .core import (
     Var,
     add,
     free_vars,
+    get_settings,
     is_closed,
     is_value_dist,
     mk_app,
@@ -115,14 +121,40 @@ def subst_dist(d: TermDist, x: str, v: TermDist) -> TermDist:
 # Basis-directed substitution.
 
 
+def _instance(body: TermDist, x: str, element: TermDist) -> TermDist:
+    """subst_dist(body, x, element) for a closed element of an orthonormal
+    annotation, computed once and stored on body, as its keys are.
+
+    The result depends only on body, x, element and eps: element is
+    closed, so renaming away picks the same names every time, and eps
+    decides what construction merges and prunes and which case patterns
+    are accepted.  The key holds element itself, compared by identity,
+    so no id is reused while body lives.  Per name and eps body holds
+    at most one entry per element of the bases it is substituted
+    through.  A substitution that raises stores nothing."""
+    memo = body.__dict__.get("_instances")  # a miss raises no exception
+    if memo is None:
+        memo = {}
+        object.__setattr__(body, "_instances", memo)
+    key = (x, element, get_settings().eps)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = subst_dist(body, x, element)
+    return out
+
+
 def subst_basis(body: TermDist, x: str, v: TermDist, basis: Basis) -> TermDist:
     """Substitute a value distribution for x in body, decomposing v over
     the binder's annotation basis first.
 
     With an abstraction annotation the decomposition is the canonical one
     over pure values, so each pure value in v is substituted separately.
-    With an orthonormal annotation v is rewritten over that basis; if it
-    has a component outside the span the substitution is undefined.
+    With an orthonormal annotation v is rewritten over that basis, and
+    the result is the combination of body's instances at the elements
+    with v's coefficients, each instance substituted once per body (see
+    `_instance`); if v has a component outside the span the substitution
+    is undefined.  The result is always a new distribution, never a
+    stored instance.
     """
     if not is_value_dist(v):
         raise ValueError("substituted distribution must be a value")
@@ -136,7 +168,7 @@ def subst_basis(body: TermDist, x: str, v: TermDist, basis: Basis) -> TermDist:
     out = zero()
     for c, element in zip(coeffs, basis.elements):
         if c != 0:
-            out = add(out, scale(c, subst_dist(body, x, element)))
+            out = add(out, scale(c, _instance(body, x, element)))
     return out
 
 
@@ -175,7 +207,7 @@ def subst_tensor(
                 continue
             left = b1.elements[idx // k]
             right = b2.elements[idx % k]
-            piece = subst_dist(subst_dist(body, x1, left), x2, right)
+            piece = _instance(_instance(body, x1, left), x2, right)
             out = add(out, scale(c, piece))
         return out
 

@@ -39,7 +39,7 @@ from basislam.core import (
     single,
     term_eq,
 )
-from basislam import reduction
+from basislam import reduction, subst
 from basislam.corpus import corpus_program
 from basislam.reduction import NormalForm, evaluate
 
@@ -419,6 +419,25 @@ def test_gate_chain_search_resumes_at_the_plug(monkeypatch):
     assert isinstance(trace.final, NormalForm)
     assert len(trace.steps) == 56
     assert calls <= 8 * len(trace.steps)
+
+
+def test_gate_chain_substitutes_each_instance_once(monkeypatch):
+    # A beta over an orthonormal annotation substituted the gate's body at
+    # every element on every fire: 129 subst_dist calls here.  Each body's
+    # instances are now substituted once, on the freshly parsed gates.
+    calls = 0
+    original = subst.subst_dist
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(subst, "subst_dist", counted)
+    trace = evaluate(_gate_chain(CHAIN_28))
+    assert isinstance(trace.final, NormalForm)
+    assert len(trace.steps) == 56
+    assert calls <= 30
 
 
 def test_gate_chain_leaves_no_reference_cycle():

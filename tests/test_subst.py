@@ -1,32 +1,68 @@
+"""Substitution: structural, basis-directed, tensor and sigma.
+
+`subst_basis` and `subst_tensor` substitute a body's instance at each
+element of an orthonormal annotation once and store it on the body.  The
+reference below is the earlier substitution, kept verbatim, which
+substituted every element on every call; the stored version must give
+the same distributions, coefficient bits included, on the first call
+(which computes the instances) and on later ones (which reuse them).
+"""
+
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from basislam.basis import HAD, KET_MINUS, KET_PLUS, STD
+from basislam import subst
+from basislam.basis import (
+    HAD,
+    KET_MINUS,
+    KET_PLUS,
+    STD,
+    decompose,
+    product_basis,
+)
 from basislam.core import (
     ABS,
+    AbsBasis,
+    App,
+    Case,
     Ket,
     Lam,
     LetPair,
     Ortho,
+    Pair,
+    TermDist,
     Var,
     add,
+    dist_display_key,
     dist_eq,
     free_vars,
+    get_settings,
+    is_closed,
+    is_value_dist,
+    local_settings,
     mk_app,
+    mk_case,
     mk_lam,
     mk_letpair,
     mk_pair,
     scale,
     single,
+    term_eq,
+    zero,
 )
+from basislam.corpus import load_corpus
 from basislam.subst import (
     SubstUndefined,
     apply_sigma,
     fresh_name,
     subst_basis,
     subst_dist,
+    subst_tensor,
 )
 from gen import random_state
 
@@ -160,3 +196,374 @@ class TestSigma:
             apply_sigma(body, {"x": (KET_MINUS, STD)})
         ).final.dist
         assert dist_eq(via_eval, via_subst)
+
+
+# ---------------------------------------------------------------------------
+# Reference: basis-directed and tensor substitution substituting every
+# element on every call, nothing stored.
+
+
+def ref_subst_basis(body, x, v, basis):
+    if not is_value_dist(v):
+        raise ValueError("substituted distribution must be a value")
+    if isinstance(basis, AbsBasis):
+        return add(
+            *(scale(c, subst_dist(body, x, single(t))) for t, c in v.entries)
+        )
+    coeffs = decompose(v, basis)
+    if coeffs is None:
+        raise SubstUndefined("argument not in annotation span")
+    out = zero()
+    for c, element in zip(coeffs, basis.elements):
+        if c != 0:
+            out = add(out, scale(c, subst_dist(body, x, element)))
+    return out
+
+
+def ref_subst_tensor(body, x1, b1, x2, b2, v):
+    if not is_value_dist(v):
+        raise ValueError("substituted distribution must be a value")
+    if not is_closed(v):
+        raise ValueError("tensor substitution needs a closed value")
+    if x1 == x2:
+        raise ValueError("let pair binders must be distinct")
+    if not all(isinstance(t, Pair) for t, _ in v.entries):
+        raise SubstUndefined("argument not in annotation span")
+
+    if isinstance(b1, Ortho) and isinstance(b2, Ortho):
+        prod = product_basis(b1, b2)
+        coeffs = decompose(v, prod)
+        if coeffs is None:
+            raise SubstUndefined("argument not in annotation span")
+        k = len(b2.elements)
+        out = zero()
+        for idx, c in enumerate(coeffs):
+            if c == 0:
+                continue
+            left = b1.elements[idx // k]
+            right = b2.elements[idx % k]
+            piece = subst_dist(subst_dist(body, x1, left), x2, right)
+            out = add(out, scale(c, piece))
+        return out
+
+    if isinstance(b1, AbsBasis) and isinstance(b2, AbsBasis):
+        out = zero()
+        for t, c in v.entries:
+            assert isinstance(t, Pair)
+            piece = subst_dist(
+                subst_dist(body, x1, single(t.left)), x2, single(t.right)
+            )
+            out = add(out, scale(c, piece))
+        return out
+
+    if isinstance(b1, AbsBasis):
+        groups = _ref_group_pairs(v, by_left=True)
+        out = zero()
+        for key, residual in groups:
+            piece = subst_dist(body, x1, single(key))
+            out = add(out, ref_subst_basis(piece, x2, residual, b2))
+        return out
+
+    groups = _ref_group_pairs(v, by_left=False)
+    out = zero()
+    for key, residual in groups:
+        piece = subst_dist(body, x2, single(key))
+        out = add(out, ref_subst_basis(piece, x1, residual, b1))
+    return out
+
+
+def _ref_group_pairs(v, by_left):
+    groups = []
+    for t, c in v.entries:
+        assert isinstance(t, Pair)
+        key = t.left if by_left else t.right
+        rest = t.right if by_left else t.left
+        for i, (k, acc) in enumerate(groups):
+            if term_eq(k, key):
+                groups[i] = (k, add(acc, scale(c, single(rest))))
+                break
+        else:
+            groups.append((key, scale(c, single(rest))))
+    return groups
+
+
+# ---------------------------------------------------------------------------
+# Differential: the stored instances against the reference.
+
+_dd = struct.Struct("dd").pack
+
+
+def _bits(x):
+    """Every field of a term, each coefficient as its two floats' bytes,
+    so 0.0 and -0.0 differ, nested coefficients included."""
+    if isinstance(x, complex):
+        return _dd(x.real, x.imag)
+    if isinstance(x, tuple):
+        return tuple(_bits(y) for y in x)
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,) + tuple(
+            _bits(getattr(x, f.name)) for f in dataclasses.fields(x)
+        )
+    return x
+
+
+def _outcome(f):
+    try:
+        return f()
+    except (SubstUndefined, ValueError) as e:
+        return type(e), str(e)
+
+
+def _assert_same(got, ref):
+    if isinstance(ref, tuple):  # the exception the reference raised
+        assert got == ref
+        return
+    assert isinstance(got, TermDist)
+    assert dist_display_key(got) == dist_display_key(ref)
+    assert _bits(got) == _bits(ref)
+
+
+def _nodes(d):
+    for t, _ in d.entries:
+        yield from _term_nodes(t)
+
+
+def _term_nodes(t):
+    yield t
+    if isinstance(t, Pair):
+        yield from _term_nodes(t.left)
+        yield from _term_nodes(t.right)
+    elif isinstance(t, App):
+        yield from _term_nodes(t.fun)
+        yield from _term_nodes(t.arg)
+    elif isinstance(t, Lam):
+        yield from _nodes(t.body)
+    elif isinstance(t, LetPair):
+        yield from _term_nodes(t.scrutinee)
+        yield from _nodes(t.body)
+    elif isinstance(t, Case):
+        yield from _term_nodes(t.scrutinee)
+        for b in t.branches:
+            yield from _nodes(b)
+
+
+def _corpus_binders():
+    """Every abstraction and pair binder with orthonormal annotations in
+    the bundled programs, each node once."""
+    lams, lets, seen = [], [], set()
+    for prog in load_corpus().values():
+        for d in prog.defs.values():
+            for t in _nodes(d):
+                if id(t) in seen:
+                    continue
+                seen.add(id(t))
+                if isinstance(t, Lam) and isinstance(t.basis, Ortho):
+                    lams.append(t)
+                elif isinstance(t, LetPair) and isinstance(
+                    t.basis1, Ortho
+                ) and isinstance(t.basis2, Ortho):
+                    lets.append(t)
+    return lams, lets
+
+
+def _combination(rng, elements):
+    """A random unit combination of the elements, over their span."""
+    c = rng.normal(size=len(elements)) + 1j * rng.normal(size=len(elements))
+    c = c / np.linalg.norm(c)
+    return add(*(scale(complex(a), e) for a, e in zip(c, elements)))
+
+
+def _values(rng, elements, arity):
+    """Each element, random combinations of them, and random states of
+    their arity, which fall outside a span that is not the whole space."""
+    return (
+        list(elements)
+        + [_combination(rng, elements) for _ in range(3)]
+        + [random_state(rng, arity) for _ in range(2)]
+    )
+
+
+def _check_calls(compute, body):
+    """The outcomes of compute on a copy of body that stores nothing yet
+    (a miss), on the copy again (a hit), and on body itself, which holds
+    the instances stored for earlier values."""
+    copy = TermDist(body.entries)
+    first = _outcome(lambda: compute(copy))
+    second = _outcome(lambda: compute(copy))
+    shared = _outcome(lambda: compute(body))
+    if isinstance(first, TermDist):
+        assert second is not first  # never a stored object
+    return first, second, shared
+
+
+def test_corpus_abstractions_match_the_reference():
+    rng = np.random.default_rng(0)
+    lams, _ = _corpus_binders()
+    assert len(lams) > 30
+    outcomes = set()
+    for lam in lams:
+        elements = lam.basis.elements
+        for v in _values(rng, elements, 1):
+            ref = _outcome(
+                lambda: ref_subst_basis(lam.body, lam.var, v, lam.basis)
+            )
+            got = _check_calls(
+                lambda b: subst_basis(b, lam.var, v, lam.basis), lam.body
+            )
+            for g in got:
+                _assert_same(g, ref)
+            outcomes.add(type(ref))
+    assert TermDist in outcomes
+
+
+def test_corpus_pair_binders_match_the_reference():
+    rng = np.random.default_rng(1)
+    _, lets = _corpus_binders()
+    assert len(lets) >= 5
+    for let in lets:
+        b1, b2 = let.basis1, let.basis2
+        prod = product_basis(b1, b2).elements
+        values = _values(rng, prod, 2) + [
+            mk_pair(_combination(rng, b1.elements), b2.elements[0])
+        ]
+        for v in values:
+            ref = _outcome(
+                lambda: ref_subst_tensor(
+                    let.body, let.var1, b1, let.var2, b2, v
+                )
+            )
+            got = _check_calls(
+                lambda b: subst_tensor(b, let.var1, b1, let.var2, b2, v),
+                let.body,
+            )
+            for g in got:
+                _assert_same(g, ref)
+
+
+def test_one_abstraction_side_matches_the_reference():
+    # a pair binder with one @fun side goes through subst_basis on the
+    # other side, once per pure value on the @fun side
+    rng = np.random.default_rng(2)
+    gates = load_corpus()["gates"].defs
+    f, x = single(Var("f")), single(Var("x"))
+    body = mk_pair(mk_app(f, x), x)
+    funs = [gates["NOT"], gates["Hd"]]
+    for basis in (STD, HAD):
+        for _ in range(4):
+            states = [_combination(rng, basis.elements) for _ in funs]
+            v = add(
+                *(
+                    scale(0.6 if i == 0 else 0.8, mk_pair(g, s))
+                    for i, (g, s) in enumerate(zip(funs, states))
+                )
+            )
+            swapped = add(
+                *(
+                    scale(c, mk_pair(single(t.right), single(t.left)))
+                    for t, c in v.entries
+                )
+            )
+            for b1, b2, x1, x2, value in (
+                (ABS, basis, "f", "x", v),
+                (basis, ABS, "x", "f", swapped),
+            ):
+                ref = _outcome(
+                    lambda: ref_subst_tensor(body, x1, b1, x2, b2, value)
+                )
+                got = _check_calls(
+                    lambda b: subst_tensor(b, x1, b1, x2, b2, value), body
+                )
+                for g in got:
+                    _assert_same(g, ref)
+                assert isinstance(ref, TermDist)
+
+
+# ---------------------------------------------------------------------------
+# What the body stores: keyed on the tolerance, nothing for @fun binders,
+# nothing when the substitution raises, at most one entry per element.
+
+
+def _stored(body):
+    return body.__dict__.get("_instances", {})
+
+
+def _near_case_body():
+    """A case on x whose patterns are orthogonal only within 1e-2: a
+    substitution into it validates them again under the current eps."""
+    a = 0.005
+    p1 = add(scale(a, single(Ket(0))), scale((1 - a * a) ** 0.5, K1))
+    with local_settings(eps=1e-2):
+        return mk_case(X, (K0, p1), (K0, K1))
+
+
+@pytest.mark.parametrize("loose_first", [True, False])
+def test_instances_are_keyed_on_eps(loose_first):
+    body = _near_case_body()
+    for v in (K0, KET_PLUS):
+        with pytest.raises(ValueError, match="not orthogonal"):
+            ref_subst_basis(body, "x", v, STD)
+
+    def loose(v):
+        with local_settings(eps=1e-2):
+            out = subst_basis(body, "x", v, STD)
+            _assert_same(out, ref_subst_basis(body, "x", v, STD))
+
+    def strict(v):
+        with pytest.raises(ValueError, match="not orthogonal"):
+            subst_basis(body, "x", v, STD)
+
+    for v in (K0, KET_PLUS):
+        for run in (loose, strict) if loose_first else (strict, loose):
+            run(v)
+    # only what succeeded is stored, under the eps it ran under
+    assert {eps for _, _, eps in _stored(body)} == {1e-2}
+
+
+def test_abstraction_binder_stores_nothing():
+    body = mk_pair(X, K0)
+    for v in (K0, KET_PLUS, mk_lam("z", STD, single(Var("z")))):
+        subst_basis(body, "x", v, ABS)
+    assert "_instances" not in body.__dict__
+
+
+def test_outside_the_span_stores_nothing():
+    body = mk_pair(X, K0)
+    with pytest.raises(SubstUndefined):
+        subst_basis(body, "x", K1, Ortho((K0,)))
+    assert "_instances" not in body.__dict__
+
+
+def test_a_body_stores_one_instance_per_element():
+    rng = np.random.default_rng(3)
+    body = mk_pair(X, mk_pair(X, Y))
+    for eps in (None, 1e-6):
+        with local_settings(**({} if eps is None else {"eps": eps})):
+            for _ in range(20):
+                subst_basis(body, "x", random_state(rng, 1), HAD)
+                subst_basis(body, "y", random_state(rng, 1), HAD)
+    keys = list(_stored(body))
+    assert len(keys) == 2 * 2 * 2  # names x eps x elements
+    for x in ("x", "y"):
+        for eps in (get_settings().eps, 1e-6):
+            held = [e for name, e, k in keys if (name, k) == (x, eps)]
+            assert len(held) <= len(HAD.elements)
+            assert all(any(e is h for h in HAD.elements) for e in held)
+
+
+def test_stored_instances_are_reused(monkeypatch):
+    # the second beta over the same body substitutes nothing
+    calls = 0
+    original = subst.subst_dist
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(subst, "subst_dist", counted)
+    body = mk_pair(X, K0)
+    subst_basis(body, "x", KET_PLUS, STD)
+    first = calls
+    assert first >= 2
+    subst_basis(body, "x", KET_MINUS, STD)
+    assert calls == first
