@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-
 import numpy as np
 
 from basislam import (
@@ -37,11 +35,6 @@ ORACLE_TABLE = {
     "id": (0, 1),
     "flip": (1, 0),
 }
-
-
-@dataclass
-class Config:
-    check: bool = True
 
 
 def answer_bit(trace_final_dist, wires: int) -> int:
@@ -79,7 +72,7 @@ def run_family(prog, disc_name: str, prefix: str, wires: int) -> bool:
     return ok
 
 
-def check_goals(prog, cfg: Config) -> bool:
+def check_goals(prog) -> bool:
     ok = True
     for goal in prog.goals:
         if goal.name not in ("Deutsch", "DeutschStd"):
@@ -108,16 +101,16 @@ def main() -> int:
     except ValueError as e:
         ap.error(str(e))
     with local_settings(settings):
-        return run(Config(check=not args.no_check))
+        return run(check_types=not args.no_check)
 
 
-def run(cfg: Config) -> int:
+def run(check_types: bool) -> int:
     prog = corpus_program("deutsch")
     ok = run_family(prog, "Deutsch", "OX_", wires=1)
     ok = run_family(prog, "DeutschStd", "OB_", wires=2) and ok
-    if cfg.check:
+    if check_types:
         print("goal typing:")
-        ok = check_goals(prog, cfg) and ok
+        ok = check_goals(prog) and ok
     print("result:", "all oracles distinguished" if ok else "FAILURES above")
     return 0 if ok else 1
 

@@ -69,11 +69,10 @@ from .typesem import (
     Type,
     Undecidable,
     factor_rank1,
-    finite_members,
     is_member,
     is_member_phase,
+    linear_pool,
     realizes,
-    span_generators,
     subtype,
     type_eq,
     type_key,
@@ -717,7 +716,7 @@ class _Checker:
     def _sem_judge(self, ctx: Context, d: TermDist, goal: Type) -> Derivation:
         basis_pools: list[tuple[str, list[TermDist], Basis]] = []
         sharp_var: Optional[tuple[str, list[TermDist], Basis]] = None
-        for x, values, basis, span in _context_pools(ctx):
+        for x, span, values, basis in _context_pools(ctx):
             if not span:
                 basis_pools.append((x, values, basis))
             elif sharp_var is None:
@@ -824,23 +823,19 @@ def check(ctx: Context, term: TermDist, goal: Type) -> Derivation:
 
 def _context_pools(
     ctx: Context,
-) -> Iterator[tuple[str, list[TermDist], Basis, bool]]:
-    """Each variable in name order with the values it ranges over: the
-    members of a finite type, or the generators of a span type (flagged
-    True), which suffice by linearity."""
+) -> Iterator[tuple[str, bool, list[TermDist], Basis]]:
+    """Each variable in name order with its type's linear pool (a span
+    flag and the values it ranges over, which suffice by linearity) and
+    its annotation."""
     for x, b in sorted(ctx.items()):
-        members = finite_members(b.type)
-        if members is not None:
-            yield x, members, b.basis, False
-            continue
-        gens = span_generators(b.type) if isinstance(b.type, Sharp) else None
-        if gens is None:
+        pool = linear_pool(b.type)
+        if pool is None:
             raise CheckError(
                 "context not basis-enumerable",
                 f"variable {x}",
                 ErrorKind.CONTEXT,
             )
-        yield x, gens, b.basis, True
+        yield x, *pool, b.basis
 
 
 def _enumerate_context(
@@ -848,8 +843,8 @@ def _enumerate_context(
 ) -> list[dict[str, tuple[TermDist, Basis]]]:
     pools = list(_context_pools(ctx))
     return [
-        {x: (value, basis) for (x, _, basis, _), value in zip(pools, combo)}
-        for combo in itertools.product(*(values for _, values, _, _ in pools))
+        {x: (value, basis) for (x, _, _, basis), value in zip(pools, combo)}
+        for combo in itertools.product(*(values for _, _, values, _ in pools))
     ]
 
 

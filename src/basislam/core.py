@@ -242,9 +242,6 @@ class TermDist:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def terms(self) -> tuple[PureTerm, ...]:
-        return tuple(t for t, _ in self.entries)
-
     def __repr__(self) -> str:
         return f"TermDist({len(self.entries)} entries)"
 
@@ -267,6 +264,9 @@ class TermDist:
 # run term_eq only inside a bucket.  A distribution's shape is that of
 # the multiset of its entries' shapes, since _dist_eq matches entries
 # pairwise rather than by position; a basis keys its elements in order.
+# alpha_classes (behind group_pairs, rank-one factoring and product
+# membership) scans one bucket the same way.  _build and merge_into, the
+# hottest path, keep their buckets inline: a shared helper slowed them.
 
 
 def _basis_key(b: Basis):
@@ -801,6 +801,48 @@ def mk_case(
         raise ValueError("case needs one branch per pattern")
     validate_case_patterns(pats)
     return _build((Case(t, pats, brs), c) for t, c in scrutinee.entries)
+
+
+# ---------------------------------------------------------------------------
+# Grouping by alpha-class.
+
+
+def alpha_classes(
+    terms: Iterable[PureTerm],
+) -> tuple[list[PureTerm], list[int]]:
+    """The first term of each alpha-class, in order of appearance, and
+    the class of each term t: the first whose representative r has
+    term_eq(r, t), tried only within t's shape bucket, where every
+    match lies."""
+    reps: list[PureTerm] = []
+    index: list[int] = []
+    buckets: dict[int, list[int]] = {}  # shape key -> indices into reps
+    for t in terms:
+        bucket = buckets.setdefault(shape_key(t), [])
+        for i in bucket:
+            if term_eq(reps[i], t):
+                break
+        else:
+            i = len(reps)
+            bucket.append(i)
+            reps.append(t)
+        index.append(i)
+    return reps, index
+
+
+def group_pairs(
+    v: TermDist, by_left: bool
+) -> list[tuple[PureTerm, TermDist]]:
+    """A sum of pairs grouped by the alpha-class of one side: each class's
+    representative with the sum of c * (other side) over its entries,
+    added in entry order."""
+    sides = [(t.left, t.right) if by_left else (t.right, t.left) for t, _ in v]
+    keys, index = alpha_classes(key for key, _ in sides)
+    groups: list[Optional[TermDist]] = [None] * len(keys)
+    for i, (_, rest), (_, c) in zip(index, sides, v.entries):
+        piece = scale(c, single(rest))
+        groups[i] = piece if groups[i] is None else add(groups[i], piece)
+    return list(zip(keys, groups))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .core import (
     add,
     free_vars,
     get_settings,
+    group_pairs,
     is_closed,
     is_value_dist,
     mk_app,
@@ -41,7 +42,6 @@ from .core import (
     mk_pair,
     scale,
     single,
-    term_eq,
     zero,
 )
 
@@ -221,39 +221,16 @@ def subst_tensor(
             out = add(out, scale(c, piece))
         return out
 
-    # One abstraction side: group the pair entries by the pure value on
-    # that side and decompose the residual on the other side.
-    if isinstance(b1, AbsBasis):
-        groups = _group_pairs(v, by_left=True)
-        out = zero()
-        for key, residual in groups:
-            piece = subst_dist(body, x1, single(key))
-            out = add(out, subst_basis(piece, x2, residual, b2))
-        return out
-
-    groups = _group_pairs(v, by_left=False)
+    # One abstraction side: group the pair entries by the class of the
+    # pure value on that side and decompose each group's residual over
+    # the other side's annotation.
+    by_left = isinstance(b1, AbsBasis)
+    x, y, basis = (x1, x2, b2) if by_left else (x2, x1, b1)
     out = zero()
-    for key, residual in groups:
-        piece = subst_dist(body, x2, single(key))
-        out = add(out, subst_basis(piece, x1, residual, b1))
+    for key, residual in group_pairs(v, by_left):
+        piece = subst_dist(body, x, single(key))
+        out = add(out, subst_basis(piece, y, residual, basis))
     return out
-
-
-def _group_pairs(
-    v: TermDist, by_left: bool
-) -> list[tuple[PureTerm, TermDist]]:
-    groups: list[tuple[PureTerm, TermDist]] = []
-    for t, c in v.entries:
-        assert isinstance(t, Pair)
-        key = t.left if by_left else t.right
-        rest = t.right if by_left else t.left
-        for i, (k, acc) in enumerate(groups):
-            if term_eq(k, key):
-                groups[i] = (k, add(acc, scale(c, single(rest))))
-                break
-        else:
-            groups.append((key, scale(c, single(rest))))
-    return groups
 
 
 # ---------------------------------------------------------------------------

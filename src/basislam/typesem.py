@@ -24,10 +24,12 @@ from .core import (
     PureTerm,
     TermDist,
     add,
+    alpha_classes,
     basis_display_key,
     basis_eq,
     dist_eq,
     first_overlap,
+    group_pairs,
     inner_product,
     is_value_dist,
     mk_app,
@@ -37,8 +39,6 @@ from .core import (
     sc_is_zero,
     scale,
     single,
-    term_eq,
-    zero,
 )
 from .reduction import evaluate_value
 
@@ -155,6 +155,17 @@ def span_generators(t: Type) -> Optional[list[TermDist]]:
     return None
 
 
+def linear_pool(t: Type) -> Optional[tuple[bool, list[TermDist]]]:
+    """The values that pin down a linear map on t: the members of a
+    finite type, else the span generators of a sharp type (flagged
+    True), which suffice by linearity; None when t has neither."""
+    members = finite_members(t)
+    if members is not None:
+        return False, members
+    gens = span_generators(t) if isinstance(t, Sharp) else None
+    return None if gens is None else (True, gens)
+
+
 def _pairs(
     left: Optional[list[TermDist]], right: Optional[list[TermDist]]
 ) -> Optional[list[TermDist]]:
@@ -209,29 +220,22 @@ def _member(v: TermDist, t: Type, phase: bool) -> bool:
 def _prod_member(v: TermDist, t: Prod, phase: bool) -> bool:
     if not all(isinstance(u, Pair) for u, _ in v.entries):
         return False
-    for side in ("left", "right"):
-        this = t.left if side == "left" else t.right
-        other = t.right if side == "left" else t.left
+    sides = ((True, t.left, t.right), (False, t.right, t.left))
+    for by_left, this, other in sides:
         members = finite_members(this)
         if members is None:
             continue
         # the factor on a finite side must be one of its members exactly;
         # any global phase moves into the residual factor
+        groups = group_pairs(v, by_left)
         for m in members:
-            residual = zero()
-            for u, c in v.entries:
-                assert isinstance(u, Pair)
-                mine = u.left if side == "left" else u.right
-                overlap = inner_product(m, single(mine))
-                if overlap != 0:
-                    rest = u.right if side == "left" else u.left
-                    residual = add(residual, scale(c * overlap, single(rest)))
+            residual = add(
+                *(scale(inner_product(m, single(k)), g) for k, g in groups)
+            )
             if residual.is_zero():
                 continue
-            rebuilt = (
-                mk_pair(m, residual) if side == "left" else mk_pair(residual, m)
-            )
-            if dist_eq(rebuilt, v):
+            pair = (m, residual) if by_left else (residual, m)
+            if dist_eq(mk_pair(*pair), v):
                 return _member(residual, other, phase)
         return False
     return _rank1_member(v, t)
@@ -241,9 +245,7 @@ def _rank1_member(v: TermDist, t: Prod) -> bool:
     """Both factor types are spans: factor the coefficient matrix and
     test the two factors, which works because spans absorb the phase
     split between them."""
-    gl = span_generators(t.left)
-    gr = span_generators(t.right)
-    if gl is None or gr is None:
+    if span_generators(t.left) is None or span_generators(t.right) is None:
         raise Undecidable()
     factors = factor_rank1([(u.left, u.right, c) for u, c in v.entries])
     if factors is None:
@@ -259,14 +261,10 @@ def factor_rank1(
     """Write the sum of c (left x right) as (sum of lefts) x (sum of
     rights) when its coefficient matrix, indexed by the alpha-classes of
     the lefts and of the rights, has rank one; None otherwise."""
-    lefts: list[PureTerm] = []
-    rights: list[PureTerm] = []
-    cells = [
-        (_class_index(lefts, lt), _class_index(rights, rt), c)
-        for lt, rt, c in entries
-    ]
+    lefts, li = alpha_classes(lt for lt, _, _ in entries)
+    rights, ri = alpha_classes(rt for _, rt, _ in entries)
     m = np.zeros((len(lefts), len(rights)), dtype=complex)
-    for i, j, c in cells:
+    for i, j, (_, _, c) in zip(li, ri, entries):
         m[i, j] += c
     u, s, vh = np.linalg.svd(m)
     if len(s) > 1 and not sc_is_zero(s[1]):
@@ -276,14 +274,6 @@ def factor_rank1(
         *(scale(s[0] * vh[0, j], single(rt)) for j, rt in enumerate(rights))
     )
     return left, right
-
-
-def _class_index(classes: list[PureTerm], t: PureTerm) -> int:
-    for i, u in enumerate(classes):
-        if term_eq(u, t):
-            return i
-    classes.append(t)
-    return len(classes) - 1
 
 
 def _arrow_member(v: TermDist, t: Arrow, phase: bool) -> bool:
@@ -341,15 +331,10 @@ def _curried_member(v: TermDist, t: Arrow) -> bool:
     layers: list[tuple[bool, list[TermDist]]] = []
     cur: Type = t
     while isinstance(cur, Arrow):
-        dom = cur.dom
-        members = finite_members(dom)
-        if members is not None:
-            layers.append((False, members))
-        else:
-            gens = span_generators(dom) if isinstance(dom, Sharp) else None
-            if gens is None:
-                raise Undecidable()
-            layers.append((True, gens))
+        pool = linear_pool(cur.dom)
+        if pool is None:
+            raise Undecidable()
+        layers.append(pool)
         cur = cur.cod
     span_cod = isinstance(cur, Sharp) and span_generators(cur) is not None
     if not span_cod and not isinstance(cur, Prod):

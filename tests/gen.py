@@ -7,6 +7,8 @@ seeded generator so the suites are reproducible.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from basislam.basis import KET_MINUS, KET_PLUS, STD, from_vector
@@ -42,6 +44,16 @@ def random_state(rng: np.random.Generator, n: int = 1) -> TermDist:
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     v = v / np.linalg.norm(v)
     return from_vector(v, n)
+
+
+def random_combination(
+    rng: np.random.Generator, elements: Sequence[TermDist]
+) -> TermDist:
+    """A random unit combination of orthonormal elements, over their
+    span."""
+    c = rng.normal(size=len(elements)) + 1j * rng.normal(size=len(elements))
+    c = c / np.linalg.norm(c)
+    return add(*(scale(complex(a), e) for a, e in zip(c, elements)))
 
 
 def random_ortho(rng: np.random.Generator, n: int = 1) -> Ortho:

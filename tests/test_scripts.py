@@ -1,5 +1,7 @@
-"""The experiment scripts under scripts/ run at their default flags and
-end with their success line."""
+"""The experiment scripts under scripts/ run at their default flags, end
+with their success line and write nothing to stderr.  They run with
+warnings as errors, as the tests themselves do: pytest's warning filter
+does not reach a subprocess."""
 
 import os
 import subprocess
@@ -27,7 +29,12 @@ def test_script_succeeds(script, last_line):
         p for p in (SRC, env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", script)],
+        [
+            sys.executable,
+            "-W",
+            "error",
+            os.path.join(ROOT, "scripts", script),
+        ],
         capture_output=True,
         text=True,
         env=env,
@@ -35,3 +42,4 @@ def test_script_succeeds(script, last_line):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == last_line
+    assert proc.stderr == ""

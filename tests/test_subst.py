@@ -60,11 +60,12 @@ from basislam.subst import (
     SubstUndefined,
     apply_sigma,
     fresh_name,
+    rename_away,
     subst_basis,
     subst_dist,
     subst_tensor,
 )
-from gen import random_state
+from gen import random_combination, random_state
 
 K0 = single(Ket(0))
 K1 = single(Ket(1))
@@ -366,19 +367,12 @@ def _corpus_binders():
     return lams, lets
 
 
-def _combination(rng, elements):
-    """A random unit combination of the elements, over their span."""
-    c = rng.normal(size=len(elements)) + 1j * rng.normal(size=len(elements))
-    c = c / np.linalg.norm(c)
-    return add(*(scale(complex(a), e) for a, e in zip(c, elements)))
-
-
 def _values(rng, elements, arity):
     """Each element, random combinations of them, and random states of
     their arity, which fall outside a span that is not the whole space."""
     return (
         list(elements)
-        + [_combination(rng, elements) for _ in range(3)]
+        + [random_combination(rng, elements) for _ in range(3)]
         + [random_state(rng, arity) for _ in range(2)]
     )
 
@@ -424,7 +418,7 @@ def test_corpus_pair_binders_match_the_reference():
         b1, b2 = let.basis1, let.basis2
         prod = product_basis(b1, b2).elements
         values = _values(rng, prod, 2) + [
-            mk_pair(_combination(rng, b1.elements), b2.elements[0])
+            mk_pair(random_combination(rng, b1.elements), b2.elements[0])
         ]
         for v in values:
             ref = _outcome(
@@ -450,7 +444,7 @@ def test_one_abstraction_side_matches_the_reference():
     funs = [gates["NOT"], gates["Hd"]]
     for basis in (STD, HAD):
         for _ in range(4):
-            states = [_combination(rng, basis.elements) for _ in funs]
+            states = [random_combination(rng, basis.elements) for _ in funs]
             v = add(
                 *(
                     scale(0.6 if i == 0 else 0.8, mk_pair(g, s))
@@ -476,6 +470,74 @@ def test_one_abstraction_side_matches_the_reference():
                 for g in got:
                     _assert_same(g, ref)
                 assert isinstance(ref, TermDist)
+
+
+def _variants(gate):
+    """The gate, an alpha-renamed copy and a copy whose body coefficient
+    is off by less than eps: every one term_eq to the gate."""
+    (lam, _), = gate.entries
+    var, body = rename_away(lam.var, lam.body, frozenset({lam.var}))
+    nudged = scale(1 + get_settings().eps / 4, lam.body)
+    return [
+        gate,
+        mk_lam(var, lam.basis, body),
+        mk_lam(lam.var, lam.basis, nudged),
+    ]
+
+
+def test_one_abstraction_side_accumulates_like_the_reference():
+    # entries whose @fun sides share a class fold into one group, the
+    # other sides added in entry order: the same gate with two states,
+    # and an alpha-renamed or a nudged copy of the gate beside it
+    rng = np.random.default_rng(4)
+    gates = load_corpus()["gates"].defs
+    f, x = single(Var("f")), single(Var("x"))
+    body = mk_pair(mk_app(f, x), x)
+    for name in ("NOT", "Hd"):
+        gate, *copies = _variants(gates[name])
+        for basis in (STD, HAD):
+            s1 = random_combination(rng, basis.elements)
+            s2 = random_combination(rng, basis.elements)
+            values = [
+                add(
+                    scale(0.6, mk_pair(gate, s1)),
+                    scale(0.8, mk_pair(gate, s2)),
+                )
+            ] + [
+                add(scale(0.6, mk_pair(gate, K0)), scale(0.8j, mk_pair(g, K1)))
+                for g in copies
+            ]
+            for v in values:
+                groups = _ref_group_pairs(v, by_left=True)
+                assert len(groups) == 1 < len(v.entries)
+                assert all(term_eq(groups[0][0], t.left) for t, _ in v.entries)
+                swapped = add(
+                    *(
+                        scale(c, mk_pair(single(t.right), single(t.left)))
+                        for t, c in v.entries
+                    )
+                )
+                for b1, b2, x1, x2, value in (
+                    (ABS, basis, "f", "x", v),
+                    (basis, ABS, "x", "f", swapped),
+                ):
+                    ref = _outcome(
+                        lambda: ref_subst_tensor(body, x1, b1, x2, b2, value)
+                    )
+                    got = _check_calls(
+                        lambda b: subst_tensor(b, x1, b1, x2, b2, value),
+                        body,
+                    )
+                    for g in got:
+                        _assert_same(g, ref)
+                    assert isinstance(ref, TermDist)
+        # the copies are other objects, so their entries stay apart
+        for g in copies:
+            v = add(mk_pair(gate, K0), mk_pair(g, K1))
+            assert {id(t.left) for t, _ in v.entries} == {
+                id(gate.entries[0][0]),
+                id(g.entries[0][0]),
+            }
 
 
 # ---------------------------------------------------------------------------

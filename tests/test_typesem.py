@@ -23,6 +23,7 @@ from basislam.typesem import (
     finite_members,
     is_member,
     is_member_phase,
+    linear_pool,
     realizes,
     span_generators,
     subtype,
@@ -91,6 +92,18 @@ class TestMembers:
         assert gens is not None and len(gens) == 2
         gens2 = span_generators(Sharp(Prod(B, B)))
         assert gens2 is not None and len(gens2) == 4
+
+    def test_linear_pool(self):
+        # a finite type's members, else a sharp type's span generators;
+        # a product of spans, though it has generators, has no pool
+        assert linear_pool(B) == (False, finite_members(B))
+        assert linear_pool(Prod(B, X))[0] is False
+        assert linear_pool(Sharp(X)) == (True, span_generators(X))
+        assert linear_pool(Sharp(Prod(B, X)))[0] is True
+        assert span_generators(Prod(Sharp(B), B)) is not None
+        assert linear_pool(Prod(Sharp(B), B)) is None
+        assert linear_pool(Arrow(B, B)) is None
+        assert linear_pool(Sharp(Arrow(B, B))) is None
 
     def test_basis_membership_is_exact(self):
         assert is_member(K0, B)
