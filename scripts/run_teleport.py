@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,12 +35,6 @@ from basislam import (
 from basislam.corpus import corpus_program
 
 
-@dataclass
-class Config:
-    n_states: int = 20
-    seed: int = 2026
-
-
 def random_state(rng: np.random.Generator):
     vec = rng.normal(size=2) + 1j * rng.normal(size=2)
     vec = vec / np.linalg.norm(vec)
@@ -58,8 +51,8 @@ def analytic_mixture(psi):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n-states", type=int, default=Config.n_states)
-    ap.add_argument("--seed", type=int, default=Config.seed)
+    ap.add_argument("--n-states", type=int, default=20)
+    ap.add_argument("--seed", type=int, default=2026)
     ap.add_argument("--max-steps", type=int, default=Settings.max_steps)
     args = ap.parse_args()
     try:
@@ -67,17 +60,17 @@ def main() -> int:
     except ValueError as e:
         ap.error(str(e))
     with local_settings(settings):
-        return run(Config(args.n_states, args.seed))
+        return run(args.n_states, args.seed)
 
 
-def run(cfg: Config) -> int:
+def run(n_states: int, seed: int) -> int:
     prog = corpus_program("teleport")
     teleport = prog.defs["Teleport"]
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
 
     worst = 0.0
     failures = 0
-    for k in range(cfg.n_states):
+    for k in range(n_states):
         psi = random_state(rng)
         trace = evaluate(mk_app(teleport, psi))
         if not isinstance(trace.final, NormalForm):
@@ -97,7 +90,7 @@ def run(cfg: Config) -> int:
 
     goal = parse_type("#[B] -> #[Bell] * #[B]")
     check({}, teleport, goal)
-    print(f"\nworst residual over {cfg.n_states} states: {worst:.2e}")
+    print(f"\nworst residual over {n_states} states: {worst:.2e}")
     print("protocol well-typed at #[B] -> #[Bell] * #[B]")
     print("result:", "all states teleported exactly" if not failures else f"{failures} FAILURES")
     return 0 if not failures else 1

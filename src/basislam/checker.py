@@ -9,8 +9,10 @@ before dispatching the checker refactors a flattened sum back into a
 single application, pair, let, or case whenever the congruence allows
 it.  Closed subterms can always fall back to direct evaluation against
 the goal, and a let or case over an enumerable context can fall back to
-a semantic check that verifies linearity of the images generator by
-generator.  Both fallbacks are recorded in the derivation, never hidden.
+a semantic check (Sem) that evaluates the images generator by generator
+and closes them by typesem.linear_images_member, the law that arrow
+membership uses too.  Both fallbacks are recorded in the derivation,
+never hidden.
 
 Where several rules could apply, the checker backtracks: each
 alternative runs under one ``_Tried`` record, in a fixed order, and the
@@ -71,6 +73,7 @@ from .typesem import (
     factor_rank1,
     is_member,
     is_member_phase,
+    linear_images_member,
     linear_pool,
     realizes,
     subtype,
@@ -322,6 +325,15 @@ def _judgement_key(ctx: Context, d: TermDist, goal: Type):
         type_key(goal),
         get_settings(),
     )
+
+
+# The Sem rule's note for each failed condition of its images.
+_SEM_NOTES = {
+    "image": "semantic image check failed",
+    "overlap": "semantic images are not orthogonal",
+    "combination": "a combination of semantic images leaves the goal",
+    "shape": "goal shape not closed under the enumerated combinations",
+}
 
 
 class _Checker:
@@ -758,50 +770,23 @@ class _Checker:
 
     def _sem_linear_images(self, images: list[TermDist], goal: Type) -> None:
         """The images of an orthonormal generating family decide the goal
-        for every unit combination, using linearity of the instantiation:
-        orthonormal images landing in a span goal, or pairwise rank-one
-        sums landing in a product goal."""
+        for every unit combination by typesem.linear_images_member.  One
+        image need only be a member up to a phase, as its phase multiples
+        are all the instances; two or more must be members exactly."""
+        member = is_member_phase if len(images) == 1 else is_member
         try:
-            if len(images) == 1:
-                if not is_member_phase(images[0], goal):
-                    raise CheckError(
-                        "rule not applicable", "semantic image check failed"
-                    )
-                return
-            for w in images:
-                if not is_member(w, goal):
-                    raise CheckError(
-                        "rule not applicable", "semantic image check failed"
-                    )
-            if first_overlap(images) is not None:
-                raise CheckError(
-                    "rule not applicable",
-                    "semantic images are not orthogonal",
+            if not all(member(w, goal) for w in images):
+                failed = "image"
+            elif first_overlap(images) is not None:
+                failed = "overlap"
+            else:
+                failed = linear_images_member(
+                    {(i,): w for i, w in enumerate(images)}, goal
                 )
-            if isinstance(goal, Sharp):
-                return
-            if isinstance(goal, Prod):
-                half = 2 ** -0.5
-                for i in range(len(images)):
-                    for j in range(i + 1, len(images)):
-                        for phase in (1, 1j):
-                            combo = add(
-                                scale(half, images[i]),
-                                scale(half * phase, images[j]),
-                            )
-                            if not is_member(combo, goal):
-                                raise CheckError(
-                                    "rule not applicable",
-                                    "a combination of semantic images "
-                                    "leaves the goal",
-                                )
-                return
-            raise CheckError(
-                "rule not applicable",
-                "goal shape not closed under the enumerated combinations",
-            )
         except Undecidable as e:
             raise CheckError("rule not applicable", str(e))
+        if failed is not None:
+            raise CheckError("rule not applicable", _SEM_NOTES[failed])
 
     # Summands of one constructor: how to refactor the sum into a single
     # node, and the rule that checks that node.

@@ -595,8 +595,15 @@ def parse_program(text: str, path: str = "") -> Program:
 
 
 def load_program(path: str) -> Program:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_program(fh.read(), path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:  # decode as text mode would, but locate a bad byte
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        col = e.start - data.rfind(b"\n", 0, e.start)
+        raise ParseError("not UTF-8 text", line, col, path) from None
+    return parse_program(text, path)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ equally annotated abstractions mapping members of the domain to
 realizers of the codomain; a sharp type is the span of its argument's
 members intersected with the unit sphere.  Membership is decided where
 the structure allows it and raises Undecidable where it does not.
+
+One linearity law, linear_images_member, decides whether the images of
+a span's generators close under unit combinations, for arrow membership
+and for the checker's Sem rule alike.
 """
 
 from __future__ import annotations
@@ -214,7 +218,7 @@ def _member(v: TermDist, t: Type, phase: bool) -> bool:
         return sc_eq(norm(v), 1.0) and in_span(v, Ortho(tuple(gens)))
     if isinstance(t, Prod):
         return _prod_member(v, t, phase)
-    return _arrow_member(v, t, phase)
+    return _arrow_member(v, t)
 
 
 def _prod_member(v: TermDist, t: Prod, phase: bool) -> bool:
@@ -276,7 +280,7 @@ def factor_rank1(
     return left, right
 
 
-def _arrow_member(v: TermDist, t: Arrow, phase: bool) -> bool:
+def _arrow_member(v: TermDist, t: Arrow) -> bool:
     lams = [u for u, _ in v.entries]
     if not all(isinstance(u, Lam) for u in lams):
         return False
@@ -295,14 +299,13 @@ def _arrow_member(v: TermDist, t: Arrow, phase: bool) -> bool:
     gens = span_generators(dom)
     if gens is None:
         raise Undecidable()
-    if isinstance(cod, Arrow):
+    span_cod = isinstance(cod, Sharp) and span_generators(cod) is not None
+    if isinstance(cod, Arrow) or (span_cod and isinstance(dom, Sharp)):
         return _curried_member(v, t)
-    if not isinstance(cod, Sharp):
+    if not span_cod:
         raise Undecidable()
-    if span_generators(cod) is None:
-        raise Undecidable()
-    # the action on the domain span is linear, so orthonormal images of
-    # an orthonormal generating family decide membership
+    # a product of spans: orthonormal images still prove membership, but
+    # the combination that witnesses an overlap is not in the domain
     images: list[TermDist] = []
     for g in gens:
         w = evaluate_value(mk_app(v, g))
@@ -310,22 +313,17 @@ def _arrow_member(v: TermDist, t: Arrow, phase: bool) -> bool:
             return False
         images.append(w)
     if first_overlap(images) is not None:
-        if isinstance(dom, Sharp):
-            return False
-        # a product domain does not contain the combination that
-        # witnesses the failure
         raise Undecidable()
     return True
 
 
 def _curried_member(v: TermDist, t: Arrow) -> bool:
-    """Curried arrows with span domains: the map extends multilinearly
-    from the domain generators, so its behavior is pinned by the images
-    of generator tuples.  A finite domain layer admits no superpositions
-    and splits the grid into independent families.  For a span codomain,
-    membership holds exactly when every image lands in the span with
-    unit norm and images of distinct tuples are orthogonal.  For a
-    product codomain only single-axis combinations are realizable by
+    """Arrows with span domains, curried or not: the map extends
+    multilinearly from the domain generators, so its behavior is pinned
+    by the images of generator tuples, which must close under
+    linear_images_member.  A finite domain layer admits no
+    superpositions and splits the grid into independent families.  For
+    a product codomain only single-axis combinations are realizable by
     arguments, so failures there refute membership, while success with
     more than one span axis is left undecided."""
     layers: list[tuple[bool, list[TermDist]]] = []
@@ -341,51 +339,60 @@ def _curried_member(v: TermDist, t: Arrow) -> bool:
         raise Undecidable()
     finite_axes = [k for k, (sp, _) in enumerate(layers) if not sp]
     sharp_axes = [k for k, (sp, _) in enumerate(layers) if sp]
-    half = 2.0 ** -0.5
 
     for fixed in itertools.product(*(layers[k][1] for k in finite_axes)):
         grid: dict[tuple[int, ...], TermDist] = {}
         index_pools = [range(len(layers[k][1])) for k in sharp_axes]
         for varying in itertools.product(*index_pools):
-            args: list[Optional[TermDist]] = [None] * len(layers)
-            for k, val in zip(finite_axes, fixed):
-                args[k] = val
+            args = dict(zip(finite_axes, fixed))
             for k, idx in zip(sharp_axes, varying):
                 args[k] = layers[k][1][idx]
             app = v
-            for a in args:
-                app = mk_app(app, a)
+            for k in range(len(layers)):
+                app = mk_app(app, args[k])
             w = evaluate_value(app)
             if w is None or not _member(w, cur, True):
                 return False
             grid[varying] = w
-        if span_cod:
-            if first_overlap(list(grid.values())) is not None:
-                return False
-        else:
-            # single-axis pair combinations are images of realizable
-            # arguments and must stay inside the product
-            for pos in range(len(sharp_axes)):
-                for base in grid:
-                    for other in grid:
-                        if other[pos] <= base[pos]:
-                            continue
-                        if any(
-                            other[q] != base[q]
-                            for q in range(len(sharp_axes))
-                            if q != pos
-                        ):
-                            continue
-                        for ph in (1, 1j):
-                            combo = add(
-                                scale(half, grid[base]),
-                                scale(half * ph, grid[other]),
-                            )
-                            if not _member(combo, cur, True):
-                                return False
+        if linear_images_member(grid, cur) is not None:
+            return False
     if not span_cod and len(sharp_axes) > 1:
         raise Undecidable()
     return True
+
+
+def linear_images_member(
+    images: dict[tuple[int, ...], TermDist], cod: Type
+) -> Optional[str]:
+    """The linearity law: do images that pin down a linear map close
+    under unit combinations?  They are keyed by tuples of generator
+    indices, one per span argument, and the caller has found each one a
+    member of cod.  One image closes.  Into a sharp type, images close
+    when pairwise orthogonal; into a product, when both
+    half-combinations (phases 1 and i) of every two tuples that differ
+    at one place are members, up to a global phase (only a finite
+    factor could notice one, and two orthogonal members of it never
+    combine into a member).  Returns None when they close, else
+    "overlap", "combination" or, for any other codomain, "shape"."""
+    if len(images) == 1:
+        return None
+    if isinstance(cod, Sharp):
+        overlap = first_overlap(list(images.values()))
+        return None if overlap is None else "overlap"
+    if not isinstance(cod, Prod):
+        return "shape"
+    half = 2.0 ** -0.5
+    for pos in range(len(next(iter(images)))):
+        for a, b in itertools.combinations(images, 2):
+            if [q for q in range(len(a)) if a[q] != b[q]] != [pos]:
+                continue  # a and b do not differ at pos only
+            for ph in (1, 1j):
+                combo = add(
+                    scale(half, images[a]), scale(half * ph, images[b])
+                )
+                if not _member(combo, cod, True):
+                    return "combination"
+    return None
 
 
 def realizes(t: TermDist, goal: Type) -> bool:

@@ -306,6 +306,17 @@ class TestUsage:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["eval", "A"], ["repl"]])
+    def test_definition_file_not_utf8(self, capsys, tmp_path, command):
+        # the decoding error was a ValueError, so it escaped as a traceback
+        path = tmp_path / "bad.lb"
+        path.write_bytes(b"def A = |0>\n\xff\n")
+        code = main([*command, "--def", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:2:1: not UTF-8 text\n"
+        )
+
     def test_invalid_tolerance(self, capsys):
         code = main(["eval", "|0>", "--eps", "-1"])
         assert code == 2

@@ -1,6 +1,8 @@
 """Every imported name is used: the package modules (except the
 re-exporting ``__init__``), the scripts and the tests.  Every private
-module-level name of the package is read somewhere in the package."""
+module-level name of the package is read somewhere in the package, and
+every parameter of the package and the scripts is read by its
+function."""
 
 import ast
 import pathlib
@@ -96,6 +98,66 @@ def test_detector_flags_only_unused_names():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters of a function, method or lambda that its body never
+    reads, a method's receiver aside.  Two kinds are allowed: the
+    command handlers' (args, bases, defs), which cli.main passes to
+    every handler, and the parameters of dunder protocol methods."""
+    tree = ast.parse(source)
+    methods = {
+        id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+        for f in c.body
+    }
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(
+            fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ):
+            continue
+        name = getattr(fn, "name", "lambda")
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        a = fn.args
+        params = [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]
+        params = [p.arg for p in params if p is not None]
+        if id(fn) in methods:
+            params = params[1:]
+        if name.startswith("_cmd_"):
+            params = [p for p in params if p not in ("args", "bases", "defs")]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {
+            n.id for b in body for n in ast.walk(b) if isinstance(n, ast.Name)
+        }
+        found += [(fn.lineno, name, p) for p in params if p not in read]
+    return [f"line {line}: {name}({p})" for line, name, p in sorted(found)]
+
+
+def test_parameter_detector():
+    src = (
+        "def f(a, b, *c, d, **e):\n    return a + d\n"
+        "class C:\n    def m(self, x):\n        return lambda y: 1\n"
+        "    def __exit__(self, kind, exc, tb):\n        pass\n"
+        "def _cmd_x(args, bases, defs, extra):\n    pass\n"
+    )
+    assert unused_parameters(src) == [
+        "line 1: f(b)",
+        "line 1: f(c)",
+        "line 1: f(e)",
+        "line 4: m(x)",
+        "line 5: lambda(y)",
+        "line 8: _cmd_x(extra)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in FILES if p.parent.name != "tests"],
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
 
 
 def test_settings_have_one_writer():
