@@ -167,21 +167,34 @@ Basis = Union[AbsBasis, Ortho]
 # Pure terms.  Children that the congruence would pull sums out of are
 # pure terms; children it never rewrites under (lambda bodies, let bodies,
 # case branches) stay full distributions.
+#
+# Nodes are frozen dataclasses, so assigning to a field raises, but each
+# class writes its fields straight into its instance dict: the __init__
+# that dataclass generates for a frozen class makes one object.__setattr__
+# call per field.  `_value` is the pure-value flag, fixed when the node
+# is built: a class attribute of every class but Pair, which stores
+# whether both its children are pure values.
 
 
 @dataclass(frozen=True, eq=False)
 class Var:
     name: str
+    _value = True
+
+    def __init__(self, name: str):
+        self.__dict__["name"] = name
 
 
 @dataclass(frozen=True, eq=False)
 class Ket:
     bit: int  # 0 or 1
+    _value = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "bit", int(self.bit))
-        if self.bit not in (0, 1):
+    def __init__(self, bit: int):
+        bit = int(bit)
+        if bit not in (0, 1):
             raise ValueError("ket bit must be 0 or 1")
+        self.__dict__["bit"] = bit
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,6 +202,13 @@ class Lam:
     var: str
     basis: Basis
     body: "TermDist"
+    _value = True
+
+    def __init__(self, var: str, basis: Basis, body: "TermDist"):
+        fields = self.__dict__
+        fields["var"] = var
+        fields["basis"] = basis
+        fields["body"] = body
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,11 +216,23 @@ class Pair:
     left: "PureTerm"
     right: "PureTerm"
 
+    def __init__(self, left: "PureTerm", right: "PureTerm"):
+        fields = self.__dict__
+        fields["left"] = left
+        fields["right"] = right
+        fields["_value"] = left._value and right._value
+
 
 @dataclass(frozen=True, eq=False)
 class App:
     fun: "PureTerm"
     arg: "PureTerm"
+    _value = False
+
+    def __init__(self, fun: "PureTerm", arg: "PureTerm"):
+        fields = self.__dict__
+        fields["fun"] = fun
+        fields["arg"] = arg
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,6 +243,24 @@ class LetPair:
     basis2: Basis
     scrutinee: "PureTerm"
     body: "TermDist"
+    _value = False
+
+    def __init__(
+        self,
+        var1: str,
+        basis1: Basis,
+        var2: str,
+        basis2: Basis,
+        scrutinee: "PureTerm",
+        body: "TermDist",
+    ):
+        fields = self.__dict__
+        fields["var1"] = var1
+        fields["basis1"] = basis1
+        fields["var2"] = var2
+        fields["basis2"] = basis2
+        fields["scrutinee"] = scrutinee
+        fields["body"] = body
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,6 +268,18 @@ class Case:
     scrutinee: "PureTerm"
     patterns: tuple["TermDist", ...]
     branches: tuple["TermDist", ...]
+    _value = False
+
+    def __init__(
+        self,
+        scrutinee: "PureTerm",
+        patterns: tuple["TermDist", ...],
+        branches: tuple["TermDist", ...],
+    ):
+        fields = self.__dict__
+        fields["scrutinee"] = scrutinee
+        fields["patterns"] = patterns
+        fields["branches"] = branches
 
 
 PureTerm = Union[Var, Ket, Lam, Pair, App, LetPair, Case]
@@ -233,6 +295,9 @@ class TermDist:
 
     entries: tuple[tuple[PureTerm, complex], ...]
 
+    def __init__(self, entries: tuple[tuple[PureTerm, complex], ...]):
+        self.__dict__["entries"] = entries
+
     def __iter__(self) -> Iterator[tuple[PureTerm, complex]]:
         return iter(self.entries)
 
@@ -247,8 +312,18 @@ class TermDist:
 
 
 # ---------------------------------------------------------------------------
-# Node keys.  Nodes are immutable, so each key is computed once, bottom-up
-# on first use, and stored on the node.
+# Node keys.  Nodes are immutable, and what a node knows about itself is
+# stored in its own dict.  Two facts are fixed when it is built: the
+# pure-value flag (`_value`, see Pure terms) and, on a distribution of
+# two or more entries that `_build` or `merge_into` makes, the eps it
+# was built under (`_eps`, see is_canonical).  What depends on a whole
+# subterm is computed once, bottom-up on first use: the order key
+# (`_key`), the shape key (`_shape`), the basis names (`_names`), a
+# distribution's free variables (`_fv`), the redex that reduction finds
+# (`_found`) and a body's instances (`_instances`, see subst).  Most
+# nodes that reduction asks about are fresh, so each of these caches is
+# read with `__dict__.get`: a miss costs a dict lookup, where a raised
+# and caught AttributeError costs ten times more.
 #
 # The order key (_term_key, _dist_key) is a total order on pure terms:
 # nested tuples, ranks separate constructors, payloads only ever compare
@@ -276,10 +351,9 @@ def _basis_key(b: Basis):
 
 
 def _term_key(t: PureTerm):
-    try:
-        return t._key
-    except AttributeError:
-        pass
+    k = t.__dict__.get("_key")
+    if k is not None:
+        return k
     if isinstance(t, Ket):
         k = (0, (t.bit,), ())
     elif isinstance(t, Var):
@@ -306,17 +380,16 @@ def _term_key(t: PureTerm):
         )
     else:
         raise TypeError(f"not a pure term: {t!r}")
-    object.__setattr__(t, "_key", k)
+    t.__dict__["_key"] = k
     return k
 
 
 def _dist_key(d: TermDist):
-    try:
-        return d._key
-    except AttributeError:
-        pass
-    k = tuple((_term_key(t), (c.real, c.imag)) for t, c in d.entries)
-    object.__setattr__(d, "_key", k)
+    k = d.__dict__.get("_key")
+    if k is None:
+        k = d.__dict__["_key"] = tuple(
+            (_term_key(t), (c.real, c.imag)) for t, c in d.entries
+        )
     return k
 
 
@@ -329,10 +402,9 @@ def _basis_shape(b: Basis) -> int:
 def shape_key(t: PureTerm) -> int:
     """Hash of t with names and scalars left out: term_eq(a, b) implies
     shape_key(a) == shape_key(b)."""
-    try:
-        return t._shape
-    except AttributeError:
-        pass
+    k = t.__dict__.get("_shape")
+    if k is not None:
+        return k
     if isinstance(t, Ket):
         k = hash((0, t.bit))
     elif isinstance(t, Var):
@@ -364,17 +436,16 @@ def shape_key(t: PureTerm) -> int:
         )
     else:
         raise TypeError(f"not a pure term: {t!r}")
-    object.__setattr__(t, "_shape", k)
+    t.__dict__["_shape"] = k
     return k
 
 
 def _dist_shape(d: TermDist) -> int:
-    try:
-        return d._shape
-    except AttributeError:
-        pass
-    k = hash(tuple(sorted(shape_key(t) for t, _ in d.entries)))
-    object.__setattr__(d, "_shape", k)
+    k = d.__dict__.get("_shape")
+    if k is None:
+        k = d.__dict__["_shape"] = hash(
+            tuple(sorted(shape_key(t) for t, _ in d.entries))
+        )
     return k
 
 
@@ -388,10 +459,9 @@ def _dist_shape(d: TermDist) -> int:
 def _names(t: Union[PureTerm, TermDist]) -> tuple:
     if isinstance(t, (Var, Ket)):
         return ()
-    try:
-        return t._names
-    except AttributeError:
-        pass
+    k = t.__dict__.get("_names")
+    if k is not None:
+        return k
     if isinstance(t, TermDist):
         k = tuple(n for u, _ in t.entries for n in _names(u))
     elif isinstance(t, Pair):
@@ -413,7 +483,7 @@ def _names(t: Union[PureTerm, TermDist]) -> tuple:
         )
     else:
         raise TypeError(f"not a pure term: {t!r}")
-    object.__setattr__(t, "_names", k)
+    t.__dict__["_names"] = k
     return k
 
 
@@ -573,14 +643,12 @@ def dist_eq(a: TermDist, b: TermDist) -> bool:
 
 def free_vars(t: Union[PureTerm, TermDist]) -> frozenset[str]:
     if isinstance(t, TermDist):
-        try:
-            return t._fv
-        except AttributeError:
-            pass
-        out: frozenset[str] = frozenset()
-        for u, _ in t.entries:
-            out |= free_vars(u)
-        object.__setattr__(t, "_fv", out)
+        out = t.__dict__.get("_fv")
+        if out is None:
+            out = frozenset()
+            for u, _ in t.entries:
+                out |= free_vars(u)
+            t.__dict__["_fv"] = out
         return out
     if isinstance(t, Var):
         return frozenset((t.name,))
@@ -607,17 +675,9 @@ def is_closed(t: Union[PureTerm, TermDist]) -> bool:
 
 
 def is_pure_value(t: PureTerm) -> bool:
-    if isinstance(t, (Var, Ket, Lam)):
-        return True
-    if isinstance(t, Pair):
-        # cached like the keys; most pairs reduction asks about are fresh,
-        # and a dict lookup misses more cheaply than a raised AttributeError
-        v = t.__dict__.get("_value")
-        if v is None:
-            v = is_pure_value(t.left) and is_pure_value(t.right)
-            object.__setattr__(t, "_value", v)
-        return v
-    return False
+    """Whether t is a variable, a ket, a lambda or a pair of pure values:
+    the flag each node fixes when it is built (see `Pair`)."""
+    return t._value
 
 
 def is_value_dist(d: TermDist) -> bool:
@@ -665,7 +725,7 @@ def _build(pairs: Iterable[tuple[PureTerm, complex]]) -> TermDist:
         return TermDist(tuple(pruned))
     pruned.sort(key=_entry_key)
     out = TermDist(tuple(pruned))
-    object.__setattr__(out, "_eps", _settings.eps)
+    out.__dict__["_eps"] = _settings.eps
     return out
 
 
@@ -713,7 +773,7 @@ def merge_into(
     for e in survivors:
         bisect.insort(out, e, key=_entry_key)
     merged = TermDist(tuple(out))
-    object.__setattr__(merged, "_eps", _settings.eps)
+    merged.__dict__["_eps"] = _settings.eps
     return merged
 
 

@@ -47,7 +47,6 @@ from .core import (
     get_session,
     get_settings,
     is_canonical,
-    is_pure_value,
     merge_into,
     sc_eq,
     scale,
@@ -61,6 +60,10 @@ _HOLE = "__hole__"  # lexer identifiers never start with an underscore
 _HOLE_VAR = Var(_HOLE)  # the one hole every frame and redex is built around
 
 class RuleTag(enum.Enum):
+    # members are singletons: hashing by identity keeps the `_REBUILD`
+    # lookups in C, where Enum's own hash is a Python call
+    __hash__ = object.__hash__
+
     BETA = "Beta"
     LET_TENSOR = "LetTensor"
     CASE_MATCH = "CaseMatch"
@@ -149,12 +152,11 @@ def _find(t: PureTerm) -> Optional[_Found]:
     are immutable, so the result is cached on the node: a summand that
     does not fire keeps its redex for the next step, and a summand that
     `_plug` makes comes with its redex already found."""
-    if is_pure_value(t):
+    if t._value:
         return None
     found = t.__dict__.get("_found")  # a miss costs no raised exception
     if found is None:
-        found = _search(t)
-        object.__setattr__(t, "_found", found)
+        found = t.__dict__["_found"] = _search(t)
     return found
 
 
@@ -168,14 +170,14 @@ def _search(
     below: list[tuple[PureTerm, RuleTag]] = []  # outermost first
     while True:
         if isinstance(t, Pair):
-            if is_pure_value(t.left):
+            if t.left._value:
                 rule, child = RuleTag.CTX_PAIR_RIGHT, t.right
             else:
                 rule, child = RuleTag.CTX_PAIR_LEFT, t.left
         elif isinstance(t, App):
-            if not is_pure_value(t.arg):
+            if not t.arg._value:
                 rule, child = RuleTag.CTX_APP_RIGHT, t.arg
-            elif not is_pure_value(t.fun):
+            elif not t.fun._value:
                 rule, child = RuleTag.CTX_APP_LEFT, t.fun
             elif isinstance(t.fun, Lam):
                 rule, own, slot = RuleTag.CTX_APP_RIGHT, RuleTag.BETA, t.arg
@@ -188,7 +190,7 @@ def _search(
             rule = (
                 RuleTag.CTX_LET if isinstance(t, LetPair) else RuleTag.CTX_CASE
             )
-            if not is_pure_value(t.scrutinee):
+            if not t.scrutinee._value:
                 child = t.scrutinee
             elif isinstance(t.scrutinee, Var):
                 return Stuck("free variable", t.scrutinee)
@@ -252,7 +254,7 @@ def _plug(r: _Redex, fired: TermDist) -> TermDist:
     for t, c in fired.entries:
         level = 0
         for frame, rule in frames:  # up to the lowest non-value
-            if not is_pure_value(t):
+            if not t._value:
                 break
             t = _REBUILD[rule](frame, t)
             level += 1
@@ -261,12 +263,12 @@ def _plug(r: _Redex, fired: TermDist) -> TermDist:
             above = tails[level] = frames[level:]
         for frame, rule in above:
             t = _REBUILD[rule](frame, t)
-        if above or not is_pure_value(t):
-            object.__setattr__(t, "_found", _search(low, above))
+        if above or not t._value:
+            t.__dict__["_found"] = _search(low, above)
         entries.append((t, c * (1 + 0j) if unit else c))
     out = TermDist(tuple(entries))
     if len(entries) > 1:  # as _build stamps it
-        object.__setattr__(out, "_eps", get_settings().eps)
+        out.__dict__["_eps"] = get_settings().eps
     return out
 
 

@@ -6,6 +6,10 @@ for the two Hadamard-basis states), juxtaposition for application, and
 explicit scalar coefficients.  A scalar is only ever attached with a
 star, so a parenthesized expression is re-read as a coefficient exactly
 when it is built from numbers, i, sqrt2, and the exponential form.
+A number may carry a decimal exponent, `1e-05` or `2.5E+12`: the printer
+writes a coefficient to twelve significant digits, in exponent form below
+1e-4 and from 1e12 up, and the lexer reads that form back.  An `e` that
+no digits follow is the base of `e^(...)` or a name.
 
 Program files hold three kinds of statements: basis declarations,
 definitions, and typing goals.  Double dash comments run to the end of
@@ -85,7 +89,7 @@ _TOKEN_RE = re.compile(
     (?P<ws>[ \t\r\n]+)
   | (?P<comment>--[^\n]*)
   | (?P<ket>\|(?:[01]+|\+|-)\>)
-  | (?P<num>\d+(?:\.\d+)?)
+  | (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
   | (?P<op>->|<=|[\\:.(),{}|=*+\-/#\[\]@^])
     """,

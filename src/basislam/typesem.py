@@ -94,10 +94,9 @@ class Undecidable(Exception):
 def type_key(t: Type):
     """Exact structural key of a type, basis names included, so that
     types with equal keys print alike.  Cached on the node."""
-    try:
-        return t._key
-    except AttributeError:
-        pass
+    k = t.__dict__.get("_key")
+    if k is not None:
+        return k
     if isinstance(t, BasisType):
         k = (0, basis_display_key(t.basis))
     elif isinstance(t, Arrow):
@@ -106,7 +105,7 @@ def type_key(t: Type):
         k = (2, type_key(t.left), type_key(t.right))
     else:
         k = (3, type_key(t.inner))
-    object.__setattr__(t, "_key", k)
+    t.__dict__["_key"] = k
     return k
 
 

@@ -363,6 +363,7 @@ class TestUsage:
             ),
             ("2/0 * |0>", "1:2: division by zero"),
             ("e^(1000) * |0>", "1:1: scalar is not finite"),
+            ("1e999*|0>", "1:1: scalar is not finite"),
             # 1/inf is 0, but the literal itself is already unusable
             ("1/1" + "0" * 320 + " * |0> + |1>", "1:3: scalar is not finite"),
         ],
@@ -374,6 +375,28 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert err == f"error: {where}\n"
+
+    # The printer writes small and large magnitudes in exponent form,
+    # which the lexer once split into a number and an identifier: the
+    # printed normal form failed with `expected a term`, exit 2.
+    @pytest.mark.parametrize(
+        "term, printed",
+        [
+            ("(0.00001)*|0> + (0.99999999995)*|1>", "1e-05*|0> + |1>"),
+            ("(1000000000000)*|0>", "1e+12*|0>"),
+            # the normal form is divided by its leading phase, -i here
+            (
+                "-0.5*i*|0> + (1 + 0.0000001*i)*|1>",
+                "(1/2)*|0> + (-1e-07+1*i)*|1>",
+            ),
+        ],
+    )
+    def test_printed_exponent_reads_back(self, capsys, term, printed):
+        assert main(["eval", term]) == 0
+        line = f"normal form: {printed}\n"
+        assert capsys.readouterr().out.startswith(line)
+        assert main(["eval", printed]) == 0
+        assert capsys.readouterr().out.startswith(line)
 
     def test_negative_fuel(self, capsys):
         code = main(["eval", "|0>", "--max-steps", "-3"])

@@ -180,3 +180,115 @@ def test_settings_have_one_writer():
             if isinstance(node, ast.Global)
         ]
     assert found == [("core.py", "local_settings", ["_settings"])]
+
+
+def cache_reads_by_exception(source: str) -> list[str]:
+    """try statements that read a private attribute, a node cache such
+    as `t._key`, and catch AttributeError: a miss then raises and
+    catches an exception, about ten times the cost of `__dict__.get`."""
+
+    def catches(handler: ast.ExceptHandler) -> bool:
+        kinds = handler.type
+        names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+        return any(
+            isinstance(n, ast.Name) and n.id == "AttributeError" for n in names
+        )
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Try):
+            continue
+        if not any(catches(h) for h in node.handlers if h.type is not None):
+            continue
+        found += [
+            f"line {a.lineno}: {a.attr}"
+            for stmt in node.body
+            for a in ast.walk(stmt)
+            if isinstance(a, ast.Attribute)
+            and isinstance(a.ctx, ast.Load)
+            and a.attr.startswith("_")
+            and not a.attr.startswith("__")
+        ]
+    return found
+
+
+def test_cache_read_detector():
+    src = (
+        "def f(t):\n    try:\n        return t._key\n"
+        "    except AttributeError:\n        pass\n"
+        "def g(t):\n    try:\n        return t._shape + t.name\n"
+        "    except (KeyError, AttributeError):\n        return 0\n"
+        "def h(t):\n    try:\n        return t._key\n"
+        "    except KeyError:\n        pass\n"
+        "def k(t):\n    try:\n        return t.name\n"
+        "    except AttributeError:\n        pass\n"
+        "def m(t):\n    return t.__dict__.get('_key')\n"
+    )
+    assert cache_reads_by_exception(src) == ["line 3: _key", "line 8: _shape"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "src" / "basislam").glob("*.py")),
+    ids=lambda p: p.name,
+)
+def test_no_cache_read_by_exception(path):
+    assert cache_reads_by_exception(path.read_text(encoding="utf-8")) == []
+
+
+def value_flag_owners(source: str) -> dict[str, bool]:
+    """For each class named in the module's `PureTerm = Union[...]`,
+    whether it sets the pure-value flag: a `_value` class attribute, or
+    a `["_value"]` item its `__init__` writes."""
+    tree = ast.parse(source)
+    union = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(
+            isinstance(t, ast.Name) and t.id == "PureTerm"
+            for t in node.targets
+        )
+    )
+    members = union.slice.elts if isinstance(union.slice, ast.Tuple) else []
+    owners = {n.id: False for n in members if isinstance(n, ast.Name)}
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or cls.name not in owners:
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_value"
+                for t in stmt.targets
+            ):
+                owners[cls.name] = True
+            elif isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+                owners[cls.name] |= any(
+                    isinstance(n, ast.Subscript)
+                    and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.slice, ast.Constant)
+                    and n.slice.value == "_value"
+                    for n in ast.walk(stmt)
+                )
+    return owners
+
+
+def test_value_flag_detector():
+    src = (
+        "class A:\n    _value = True\n"
+        "class B:\n    def __init__(self, x):\n"
+        "        self.__dict__['_value'] = x._value\n"
+        "class C:\n    value = True\n"
+        "class D:\n    def __init__(self):\n        self._value = 1\n"
+        "T = Union[A, B, C, D]\n"
+        "PureTerm = Union[A, B, C, D]\n"
+    )
+    assert value_flag_owners(src) == {
+        "A": True, "B": True, "C": False, "D": False
+    }
+
+
+def test_every_pure_term_sets_the_value_flag():
+    core = ROOT / "src" / "basislam" / "core.py"
+    owners = value_flag_owners(core.read_text(encoding="utf-8"))
+    assert len(owners) == 7
+    assert [name for name, owned in owners.items() if not owned] == []

@@ -402,23 +402,29 @@ def test_gate_chain_compares_shared_siblings_once(monkeypatch):
 
 
 def test_gate_chain_search_resumes_at_the_plug(monkeypatch):
-    # The redex search asks whether a node is a pure value at each node it
-    # walks.  Searching every new summand again from its root asked 1,375
-    # times here, 56 steps under up to 27 frames; resumed where the fired
-    # part was plugged in, the search asks about six times a step.
-    calls = 0
-    original = reduction.is_pure_value
+    # The redex search rebuilds each node it walks around the hole: a
+    # frame for each level it passes and the redex itself.  Searching
+    # every new summand again from its root walked 1,244 nodes here, 56
+    # steps under up to 27 frames; resumed where the fired part was
+    # plugged in, the search walks about two nodes a step.  Plugging
+    # rebuilds nodes around fired terms, never around the hole, so only
+    # the search is counted.
+    walked = 0
 
-    def counted(t):
-        nonlocal calls
-        calls += 1
-        return original(t)
+    def counted(rebuild):
+        def wrapped(node, child):
+            nonlocal walked
+            walked += child is reduction._HOLE_VAR
+            return rebuild(node, child)
 
-    monkeypatch.setattr(reduction, "is_pure_value", counted)
+        return wrapped
+
+    rebuilds = {rule: counted(f) for rule, f in reduction._REBUILD.items()}
+    monkeypatch.setattr(reduction, "_REBUILD", rebuilds)
     trace = evaluate(_gate_chain(CHAIN_28))
     assert isinstance(trace.final, NormalForm)
     assert len(trace.steps) == 56
-    assert calls <= 8 * len(trace.steps)
+    assert 0 < walked <= 3 * len(trace.steps)
 
 
 def test_gate_chain_substitutes_each_instance_once(monkeypatch):

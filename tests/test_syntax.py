@@ -83,6 +83,25 @@ class TestScalarsAndLiterals:
             oracles.dist_vector(d, 1), np.exp(0.5j) * oracles.KET0
         )
 
+    def test_exponent_literals(self):
+        assert [t.text for t in syntax.tokenize("1e-05 2.5E+12 7e3")] == [
+            "1e-05", "2.5E+12", "7e3", "",
+        ]
+        d = parse_term("1e-05*|0> + 2.5E+12*|1>")
+        assert np.allclose(
+            oracles.dist_vector(d, 1), np.array([1e-05, 2.5e12])
+        )
+        # an `e` that no digits follow is the exponential or a name
+        kinds = [(t.kind, t.text) for t in syntax.tokenize("2e^(i) 1e")]
+        assert kinds[:4] == [
+            ("num", "2"), ("ident", "e"), ("op", "^"), ("op", "("),
+        ]
+        assert kinds[-3:] == [("num", "1"), ("ident", "e"), ("eof", "")]
+        assert np.allclose(
+            oracles.dist_vector(parse_term("2*e^(i) * |0>"), 1),
+            2 * np.exp(1j) * oracles.KET0,
+        )
+
     def test_basis_literal_annotation(self):
         # the literal {|+>, |->} acts as the X basis: |0> is decomposed
         # over it before it is duplicated
@@ -125,6 +144,32 @@ class TestRoundTrip:
             for _ in range(10):
                 d = gen.random_state(rng, n)
                 assert dist_eq(d, parse_term(print_term(d)))
+
+    def test_exponent_scalars(self):
+        # Twelve significant digits put magnitudes below 1e-4 and from
+        # 1e12 up in exponent form, also inside a complex coefficient.
+        # Equal at the printed precision: compared with c divided out.
+        rng = np.random.default_rng(13)
+        texts = []
+        for _ in range(20):
+            d, _, _ = gen.closed_term(rng)
+            tiny = 10.0 ** rng.uniform(-8, -5)
+            huge = 10.0 ** rng.uniform(12, 15)
+            for c in (
+                tiny,
+                huge,
+                complex(tiny, rng.normal()),
+                complex(rng.normal(), 1.0) * huge,
+            ):
+                scaled = scale(c, d)
+                texts.append(print_term(scaled))
+                again = parse_term(texts[-1])
+                assert dist_eq(scale(1 / c, scaled), scale(1 / c, again)), (
+                    texts[-1]
+                )
+        assert any("e-0" in t for t in texts)
+        assert any("e+1" in t for t in texts)
+        assert any("e-0" in t and "*i)" in t for t in texts)
 
     def test_gate_definitions(self, gates_prog):
         for name, d in gates_prog.defs.items():
