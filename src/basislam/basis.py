@@ -8,7 +8,7 @@ may span only part of the 2**n dimensional space.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .core import (
     sc_eq,
     sc_is_zero,
     single,
-    sub,
 )
 
 _SQ2 = 2 ** -0.5
@@ -128,14 +127,26 @@ def validate_basis(b: Ortho) -> int:
 
 def decompose(v: TermDist, b: Ortho) -> Optional[list[complex]]:
     """Coefficients of v over b, or None when v has a component outside
-    the span (residual norm above the tolerance)."""
+    the span (residual norm above the tolerance).  The residual
+    v - sum c_i * e_i is one combination, built once."""
     coeffs = [inner_product(e, v) for e in b.elements]
-    residual = v
-    for c, e in zip(coeffs, b.elements):
-        residual = sub(residual, scale(c, e))
+    residual = add(v, *(scale(-c, e) for c, e in zip(coeffs, b.elements)))
     if not sc_is_zero(norm(residual)):
         return None
     return coeffs
+
+
+def expand(
+    v: TermDist, b: Ortho, image: Callable[[int], TermDist]
+) -> Optional[TermDist]:
+    """sum c_i * image(i) over v's coefficients c_i on b, built as one
+    combination, or None when v leaves the span.  image(i) is asked for
+    only where c_i != 0.  Beta over an orthonormal annotation, the tensor
+    let over two of them and the case match all fire through this."""
+    coeffs = decompose(v, b)
+    if coeffs is None:
+        return None
+    return add(*(scale(c, image(i)) for i, c in enumerate(coeffs) if c != 0))
 
 
 def in_span(v: TermDist, b: Ortho) -> bool:

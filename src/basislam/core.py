@@ -895,14 +895,13 @@ def group_pairs(
 ) -> list[tuple[PureTerm, TermDist]]:
     """A sum of pairs grouped by the alpha-class of one side: each class's
     representative with the sum of c * (other side) over its entries,
-    added in entry order."""
+    one construction of the pieces in entry order."""
     sides = [(t.left, t.right) if by_left else (t.right, t.left) for t, _ in v]
     keys, index = alpha_classes(key for key, _ in sides)
-    groups: list[Optional[TermDist]] = [None] * len(keys)
+    groups: list[list[TermDist]] = [[] for _ in keys]
     for i, (_, rest), (_, c) in zip(index, sides, v.entries):
-        piece = scale(c, single(rest))
-        groups[i] = piece if groups[i] is None else add(groups[i], piece)
-    return list(zip(keys, groups))
+        groups[i].append(scale(c, single(rest)))
+    return [(key, add(*pieces)) for key, pieces in zip(keys, groups)]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from .basis import decompose
+from .basis import expand
 from .core import (
     App,
     Case,
@@ -281,9 +281,9 @@ def _instance(r: _Redex, slot: PureTerm) -> PureTerm:
 def _fire(r: _Redex, value: TermDist) -> Union[TermDist, Stuck]:
     node = r.redex_repr
     if isinstance(node, Case):
-        coeffs = decompose(value, Ortho(node.patterns))
-        if coeffs is not None:
-            return add(*(scale(c, b) for c, b in zip(coeffs, node.branches)))
+        fired = expand(value, Ortho(node.patterns), node.branches.__getitem__)
+        if fired is not None:
+            return fired
         reason = "case scrutinee outside pattern span"
     else:
         try:

@@ -10,12 +10,15 @@ two components of a pair binder.
 The instances of a body at the elements of an orthonormal annotation
 depend on the body alone, not on the value substituted, so a beta over
 such a binder is a decomposition and a linear combination of instances
-computed once (see `_instance`).
+computed once (see `_instance`).  Both contractions over orthonormal
+annotations fire through `basis.expand`, which decomposes once and
+builds the combination in one construction; a pair binder with an
+abstraction side groups the pair's entries by that side's class.
 """
 
 from __future__ import annotations
 
-from .basis import decompose, product_basis
+from .basis import expand, product_basis
 from .core import (
     AbsBasis,
     App,
@@ -42,7 +45,6 @@ from .core import (
     mk_pair,
     scale,
     single,
-    zero,
 )
 
 
@@ -162,13 +164,9 @@ def subst_basis(body: TermDist, x: str, v: TermDist, basis: Basis) -> TermDist:
         return add(
             *(scale(c, subst_dist(body, x, single(t))) for t, c in v.entries)
         )
-    coeffs = decompose(v, basis)
-    if coeffs is None:
+    out = expand(v, basis, lambda i: _instance(body, x, basis.elements[i]))
+    if out is None:
         raise SubstUndefined("argument not in annotation span")
-    out = zero()
-    for c, element in zip(coeffs, basis.elements):
-        if c != 0:
-            out = add(out, scale(c, _instance(body, x, element)))
     return out
 
 
@@ -196,41 +194,30 @@ def subst_tensor(
         raise SubstUndefined("argument not in annotation span")
 
     if isinstance(b1, Ortho) and isinstance(b2, Ortho):
-        prod = product_basis(b1, b2)
-        coeffs = decompose(v, prod)
-        if coeffs is None:
-            raise SubstUndefined("argument not in annotation span")
         k = len(b2.elements)
-        out = zero()
-        for idx, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            left = b1.elements[idx // k]
-            right = b2.elements[idx % k]
-            piece = _instance(_instance(body, x1, left), x2, right)
-            out = add(out, scale(c, piece))
+        left, right = b1.elements, b2.elements
+        out = expand(
+            v,
+            product_basis(b1, b2),
+            lambda i: _instance(
+                _instance(body, x1, left[i // k]), x2, right[i % k]
+            ),
+        )
+        if out is None:
+            raise SubstUndefined("argument not in annotation span")
         return out
 
-    if isinstance(b1, AbsBasis) and isinstance(b2, AbsBasis):
-        out = zero()
-        for t, c in v.entries:
-            assert isinstance(t, Pair)
-            piece = subst_dist(
-                subst_dist(body, x1, single(t.left)), x2, single(t.right)
-            )
-            out = add(out, scale(c, piece))
-        return out
-
-    # One abstraction side: group the pair entries by the class of the
-    # pure value on that side and decompose each group's residual over
-    # the other side's annotation.
+    # An abstraction side: group the pair entries by the class of the pure
+    # value on one such side, substitute each class's representative and
+    # the group's residual through the other side's annotation.
     by_left = isinstance(b1, AbsBasis)
     x, y, basis = (x1, x2, b2) if by_left else (x2, x1, b1)
-    out = zero()
-    for key, residual in group_pairs(v, by_left):
-        piece = subst_dist(body, x, single(key))
-        out = add(out, subst_basis(piece, y, residual, basis))
-    return out
+    return add(
+        *(
+            subst_basis(subst_dist(body, x, single(key)), y, residual, basis)
+            for key, residual in group_pairs(v, by_left)
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
