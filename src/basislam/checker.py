@@ -61,7 +61,13 @@ from .core import (
 )
 from .basis import NAMED_BASES, qubit_arity
 from .reduction import NormalForm, evaluate, evaluate_value, table_trace
-from .subst import apply_sigma, fresh_name, rename_away, subst_dist
+from .subst import (
+    SubstUndefined,
+    apply_sigma,
+    fresh_name,
+    rename_away,
+    subst_dist,
+)
 from .syntax import print_type
 from .typesem import (
     Arrow,
@@ -327,6 +333,20 @@ def _judgement_key(ctx: Context, d: TermDist, goal: Type):
     )
 
 
+def _sem_instance(
+    d: TermDist, sigma: dict[str, tuple[TermDist, Basis]]
+) -> TermDist:
+    """apply_sigma for the Sem rule: a context value outside its binder's
+    annotation span fails the rule."""
+    try:
+        return apply_sigma(d, sigma)
+    except SubstUndefined:
+        raise CheckError(
+            "rule not applicable",
+            "semantic check: a context value is outside its annotation span",
+        )
+
+
 # The Sem rule's note for each failed condition of its images.
 _SEM_NOTES = {
     "image": "semantic image check failed",
@@ -408,8 +428,13 @@ class _Checker:
             raise CheckError("rule not applicable", "scaled variable")
         binding = ctx[t.name]
         if isinstance(binding.basis, Ortho):
-            side = subtype(BasisType(binding.basis), binding.type)
-            if side is not True:
+            # the annotation's elements are in the type, and the type lies
+            # in the annotation's span
+            span = BasisType(binding.basis)
+            if (
+                subtype(span, binding.type) is not True
+                or subtype(binding.type, Sharp(span)) is not True
+            ):
                 raise CheckError(
                     "rule not applicable",
                     f"annotation basis of {t.name} does not generate its type",
@@ -748,7 +773,7 @@ class _Checker:
                 for (x, _, basis), value in zip(basis_pools, combo)
             }
             if sharp_var is None:
-                if not realizes(apply_sigma(d, sigma), goal):
+                if not realizes(_sem_instance(d, sigma), goal):
                     raise CheckError(
                         "rule not applicable",
                         "semantic check failed on an enumerated substitution",
@@ -757,7 +782,9 @@ class _Checker:
             name, gens, basis = sharp_var
             images: list[TermDist] = []
             for g in gens:
-                w = evaluate_value(apply_sigma(d, {**sigma, name: (g, basis)}))
+                w = evaluate_value(
+                    _sem_instance(d, {**sigma, name: (g, basis)})
+                )
                 if w is None:
                     raise CheckError(
                         "rule not applicable",
@@ -851,7 +878,10 @@ def check_orthogonality(
     for term, subs in ((t, left_subs), (s, right_subs)):
         values = []
         for sigma in subs:
-            v = evaluate_value(apply_sigma(term, sigma))
+            try:
+                v = evaluate_value(apply_sigma(term, sigma))
+            except SubstUndefined:  # a value outside its annotation span
+                return False
             if v is None:
                 return False
             values.append(v)

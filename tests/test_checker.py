@@ -8,13 +8,22 @@ from basislam.checker import (
     Binding,
     CheckError,
     Derivation,
+    _Checker,
     check,
     check_orthogonality,
     subject_reduction_harness,
     uses_sharp_binding,
 )
-from basislam.core import App, Ket, Var, scale, single, zero
-from basislam.syntax import parse_term, parse_type, print_term
+from basislam.core import App, Ket, Ortho, Var, mk_app, scale, single, zero
+from basislam.reduction import evaluate_value
+from basislam.syntax import parse_term, parse_type, print_term, print_type
+from basislam.typesem import (
+    Arrow,
+    BasisType,
+    Prod,
+    is_member_phase,
+    linear_pool,
+)
 
 
 def _check_def(prog, name: str, ty: str) -> Derivation:
@@ -176,6 +185,16 @@ class TestDiagnostics:
         with pytest.raises(CheckError):
             check({}, term, parse_type("[B] -> [B]"))
 
+    def test_sem_value_outside_annotation_span(self):
+        ctx = {"x": Binding(BasisType(STD), Ortho((single(Ket(0)),)))}
+        term = parse_term("case x of {|0> -> |0> | |1> -> |1>}")
+        with pytest.raises(CheckError) as e:
+            _Checker()._sem_judge(ctx, term, parse_type("[B]"))
+        assert e.value.message == "rule not applicable"
+        assert e.value.note == (
+            "semantic check: a context value is outside its annotation span"
+        )
+
     def test_duplication_beats_fallback(self):
         # the evaluation fallback must not rescue a copied span variable
         # even though every image of the generators lands in the goal
@@ -207,6 +226,12 @@ class TestOrthogonalityJudgement:
         d1 = {"x": Binding(parse_type("#[B]"), STD)}
         t = single(Var("x"))
         assert not check_orthogonality({}, d1, t, {}, single(Ket(0)))
+
+    def test_value_outside_annotation_span_rejected(self):
+        # x : [B] ranges over |0> and |1>; |1> leaves the span of {|0>}
+        gamma = {"x": Binding(BasisType(STD), Ortho((single(Ket(0)),)))}
+        x = single(Var("x"))
+        assert not check_orthogonality(gamma, {}, x, {}, x)
 
     def test_stuck_side_rejected(self):
         bad = single(App(Ket(0), Ket(1)))
@@ -247,3 +272,51 @@ class TestHarness:
         assert not report.ok
         assert report.failure.startswith("initial judgement:")
         assert report.steps == []
+
+
+# ---------------------------------------------------------------------------
+# Rules alone: a derivation built from the typing rules, with no closed
+# term evaluated against its goal (Lit) and no semantic fallback (Sem),
+# must be sound on its own.  Every value that pins down a linear map on
+# the domain, applied to the term, reaches a member of the codomain.
+
+_ANNOTATIONS = ("B", "X", "{|0>}", "{|+>}")
+_DOMAINS = ("[B]", "[X]", "#[B]", "#[X]", "[{|0>}]", "[{|+>}]")
+
+
+def _by_rules_alone(d: Derivation) -> bool:
+    return d.rule not in ("Lit", "Sem") and all(
+        _by_rules_alone(p) for p in d.premises
+    )
+
+
+def _rules_alone_violations() -> list[str]:
+    found = []
+    for annotation in _ANNOTATIONS:
+        for text in _DOMAINS:
+            dom = parse_type(text)
+            for body, cod in (("x", dom), ("(x, x)", Prod(dom, dom))):
+                term = parse_term(f"\\x:{annotation}. {body}")
+                goal = Arrow(dom, cod)
+                try:
+                    derivation = check({}, term, goal)
+                except CheckError:
+                    continue
+                if not _by_rules_alone(derivation):
+                    continue
+                _, pool = linear_pool(dom)
+                for v in pool:
+                    w = evaluate_value(mk_app(term, v))
+                    if w is None or not is_member_phase(w, cod):
+                        found.append(
+                            f"{print_term(term)} : {print_type(goal)}"
+                        )
+                        break
+    return found
+
+
+def test_rules_alone_are_sound_on_the_variable_grid():
+    # a binder's type must lie in its annotation's span: at
+    # \x:{|0>}. (x, x) : [B] -> [B] * [B] the variable rule once took
+    # x : [B] from the annotation {|0>}, and |1> then got stuck
+    assert _rules_alone_violations() == []

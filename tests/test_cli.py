@@ -143,6 +143,26 @@ class TestCheck:
         assert out.startswith("type error:")
         assert err == ""
 
+    @pytest.mark.parametrize(
+        "term, goal",
+        [
+            # the binder's type leaves its annotation's span
+            (r"(\x:{|0>}. x) |1>", "[B]"),
+            # the context value |1> of x : [B] leaves the span of {|0>}
+            (r"\x:{|0>}. case x of {|0> -> |0> | |1> -> (|0>, |0>)}",
+             "[B] -> [B]"),
+            (r"\x:{|0>}. case |+> of {|0> -> x | |1> -> x}", "[B] -> #[B]"),
+        ],
+    )
+    def test_value_outside_annotation_span_is_a_type_error(
+        self, capsys, term, goal
+    ):
+        code = main(["check", term, goal])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out.startswith("type error:")
+        assert err == ""
+
     def test_double_sharp_goal_echoes_normal(self, capsys):
         code = main(["check", "|0>", "##[B]"])
         assert code == 0

@@ -1,11 +1,15 @@
 """Substitution: structural, basis-directed, tensor and sigma.
 
 `subst_basis` and `subst_tensor` substitute a body's instance at each
-element of an orthonormal annotation once and store it on the body.  The
-reference below is the earlier substitution, kept verbatim, which
-substituted every element on every call; the stored version must give
-the same distributions, coefficient bits included, on the first call
-(which computes the instances) and on later ones (which reuse them).
+element of an orthonormal annotation once and store it on the body, and
+build each combination in one construction.  The reference below is the
+earlier substitution, kept verbatim, which substituted every element on
+every call and added the pieces one at a time.  It decomposes with its
+own copy of the earlier `decompose`, so the package's decomposition and
+expansion are checked against code they do not call.  The package must
+give the same distributions, coefficient bits included, on the first
+call (which computes the instances) and on later ones (which reuse
+them).
 """
 
 import dataclasses
@@ -24,6 +28,7 @@ from basislam.basis import (
     STD,
     decompose,
     product_basis,
+    support_arity,
 )
 from basislam.core import (
     ABS,
@@ -42,6 +47,7 @@ from basislam.core import (
     dist_eq,
     free_vars,
     get_settings,
+    inner_product,
     is_closed,
     is_value_dist,
     local_settings,
@@ -50,12 +56,16 @@ from basislam.core import (
     mk_lam,
     mk_letpair,
     mk_pair,
+    norm,
     scale,
+    sc_is_zero,
     single,
+    sub,
     term_eq,
     zero,
 )
 from basislam.corpus import load_corpus
+from basislam.reduction import _HOLE_VAR, RuleTag, Stuck, _fire, _Redex
 from basislam.subst import (
     SubstUndefined,
     apply_sigma,
@@ -65,7 +75,7 @@ from basislam.subst import (
     subst_dist,
     subst_tensor,
 )
-from gen import random_combination, random_state
+from gen import random_combination, random_ortho, random_state
 
 K0 = single(Ket(0))
 K1 = single(Ket(1))
@@ -200,8 +210,31 @@ class TestSigma:
 
 
 # ---------------------------------------------------------------------------
-# Reference: basis-directed and tensor substitution substituting every
-# element on every call, nothing stored.
+# Reference: decomposition with the residual built one element at a time,
+# and basis-directed and tensor substitution and the case match adding
+# one piece at a time, every element substituted on every call, nothing
+# stored.
+
+
+def ref_decompose(v, b):
+    coeffs = [inner_product(e, v) for e in b.elements]
+    residual = v
+    for c, e in zip(coeffs, b.elements):
+        residual = sub(residual, scale(c, e))
+    if not sc_is_zero(norm(residual)):
+        return None
+    return coeffs
+
+
+def ref_case_fire(value, patterns, branches):
+    coeffs = ref_decompose(value, Ortho(patterns))
+    if coeffs is None:
+        return SubstUndefined, "case scrutinee outside pattern span"
+    out = zero()
+    for c, branch in zip(coeffs, branches):
+        if c != 0:
+            out = add(out, scale(c, branch))
+    return out
 
 
 def ref_subst_basis(body, x, v, basis):
@@ -211,7 +244,7 @@ def ref_subst_basis(body, x, v, basis):
         return add(
             *(scale(c, subst_dist(body, x, single(t))) for t, c in v.entries)
         )
-    coeffs = decompose(v, basis)
+    coeffs = ref_decompose(v, basis)
     if coeffs is None:
         raise SubstUndefined("argument not in annotation span")
     out = zero()
@@ -233,7 +266,7 @@ def ref_subst_tensor(body, x1, b1, x2, b2, v):
 
     if isinstance(b1, Ortho) and isinstance(b2, Ortho):
         prod = product_basis(b1, b2)
-        coeffs = decompose(v, prod)
+        coeffs = ref_decompose(v, prod)
         if coeffs is None:
             raise SubstUndefined("argument not in annotation span")
         k = len(b2.elements)
@@ -349,9 +382,9 @@ def _term_nodes(t):
 
 
 def _corpus_binders():
-    """Every abstraction and pair binder with orthonormal annotations in
-    the bundled programs, each node once."""
-    lams, lets, seen = [], [], set()
+    """Every abstraction and pair binder with orthonormal annotations and
+    every case in the bundled programs, each node once."""
+    lams, lets, cases, seen = [], [], [], set()
     for prog in load_corpus().values():
         for d in prog.defs.values():
             for t in _nodes(d):
@@ -364,7 +397,9 @@ def _corpus_binders():
                     t.basis1, Ortho
                 ) and isinstance(t.basis2, Ortho):
                     lets.append(t)
-    return lams, lets
+                elif isinstance(t, Case):
+                    cases.append(t)
+    return lams, lets, cases
 
 
 def _values(rng, elements, arity):
@@ -392,7 +427,7 @@ def _check_calls(compute, body):
 
 def test_corpus_abstractions_match_the_reference():
     rng = np.random.default_rng(0)
-    lams, _ = _corpus_binders()
+    lams, _, _ = _corpus_binders()
     assert len(lams) > 30
     outcomes = set()
     for lam in lams:
@@ -412,7 +447,7 @@ def test_corpus_abstractions_match_the_reference():
 
 def test_corpus_pair_binders_match_the_reference():
     rng = np.random.default_rng(1)
-    _, lets = _corpus_binders()
+    _, lets, _ = _corpus_binders()
     assert len(lets) >= 5
     for let in lets:
         b1, b2 = let.basis1, let.basis2
@@ -432,6 +467,64 @@ def test_corpus_pair_binders_match_the_reference():
             )
             for g in got:
                 _assert_same(g, ref)
+
+
+def test_corpus_case_fires_match_the_reference():
+    rng = np.random.default_rng(3)
+    _, _, cases = _corpus_binders()
+    assert len(cases) >= 10
+    outcomes = set()
+    for node in cases:
+        redex = _Redex(
+            (),
+            Case(_HOLE_VAR, node.patterns, node.branches),
+            node.scrutinee,
+            RuleTag.CASE_MATCH,
+        )
+        arity = support_arity(node.patterns[0])
+        # a value of one more qubit lies outside every pattern span
+        wider = mk_pair(node.patterns[0], K0)
+        for v in _values(rng, node.patterns, arity) + [wider]:
+            ref = ref_case_fire(v, node.patterns, node.branches)
+            got = _fire(redex, v)
+            if isinstance(got, Stuck):
+                got = SubstUndefined, got.reason
+            _assert_same(got, ref)
+            outcomes.add(type(ref))
+    assert outcomes == {TermDist, tuple}
+
+
+def _off_span(rng, n):
+    """Orthonormal families of 1 to 4 elements on n qubits, each with
+    combinations in its span and, where the space has room, one of them
+    pushed off the span by 0.5, 1 and 2 times the tolerance along a unit
+    vector orthogonal to it, and a random state."""
+    eps = get_settings().eps
+    full = random_ortho(rng, n).elements
+    for k in range(1, min(4, len(full)) + 1):
+        family = Ortho(full[:k])
+        values = [random_combination(rng, family.elements) for _ in range(2)]
+        if k < len(full):
+            values += [add(values[0], scale(f * eps, full[k])) for f in
+                       (0.5, 1, 2)]
+            values.append(random_state(rng, n))
+        yield family, values
+
+
+def test_decompose_matches_the_sequential_reference():
+    rng = np.random.default_rng(8)
+    verdicts = set()
+    for n in (1, 2, 3):
+        for _ in range(8):
+            for family, values in _off_span(rng, n):
+                for v in values:
+                    ref = ref_decompose(v, family)
+                    got = decompose(v, family)
+                    assert (got is None) == (ref is None)
+                    if ref is not None:
+                        assert _bits(tuple(got)) == _bits(tuple(ref))
+                    verdicts.add(ref is None)
+    assert verdicts == {True, False}
 
 
 def test_one_abstraction_side_matches_the_reference():
@@ -538,6 +631,68 @@ def test_one_abstraction_side_accumulates_like_the_reference():
                 id(gate.entries[0][0]),
                 id(g.entries[0][0]),
             }
+
+
+def test_two_abstraction_sides_match_the_earlier_branch():
+    # a pair binder with two @fun sides is grouped by the left side's
+    # class like one with a single @fun side; the earlier branch
+    # substituted entry by entry.  Gates of the library are pairwise not
+    # alpha-equivalent, so the two agree bit for bit, a gate repeated on
+    # the left included
+    rng = np.random.default_rng(9)
+    gates = load_corpus()["gates"].defs
+    names = sorted(gates)
+    f, g = single(Var("f")), single(Var("g"))
+    bodies = [
+        mk_pair(mk_app(f, K0), mk_app(g, K1)),
+        mk_app(f, mk_app(g, K0)),
+        mk_pair(g, f),
+    ]
+    for trial in range(60):
+        k = int(rng.integers(1, 5))
+        lefts = rng.choice(len(names), size=k, replace=trial % 2 == 1)
+        rights = rng.choice(len(names), size=k)
+        c = rng.normal(size=k) + 1j * rng.normal(size=k)
+        c = c / np.linalg.norm(c)
+        v = add(
+            *(
+                scale(complex(a), mk_pair(gates[names[i]], gates[names[j]]))
+                for a, i, j in zip(c, lefts, rights)
+            )
+        )
+        body = bodies[trial % len(bodies)]
+        ref = _outcome(lambda: ref_subst_tensor(body, "f", ABS, "g", ABS, v))
+        got = _outcome(lambda: subst_tensor(body, "f", ABS, "g", ABS, v))
+        _assert_same(got, ref)
+
+
+def test_two_abstraction_sides_substitute_the_class_representative():
+    # an alpha-renamed or nudged copy of a gate beside it on the left is
+    # substituted as the first of its class: the result equals the
+    # earlier branch's, and bit for bit the earlier branch's on the value
+    # with every left side replaced by that representative
+    gates = load_corpus()["gates"].defs
+    f, g = single(Var("f")), single(Var("g"))
+    body = mk_pair(mk_app(f, K0), mk_app(g, K1))
+    for name in ("NOT", "Hd", "CNOT"):
+        gate, *copies = _variants(gates[name])
+        for copy in copies:
+            for a, b in ((gate, copy), (copy, gate)):
+                v = add(
+                    scale(0.6, mk_pair(a, gates["Z"])),
+                    scale(0.8j, mk_pair(b, gates["NOT"])),
+                )
+                rep = single(v.entries[0][0].left)
+                pinned = add(
+                    *(scale(c, mk_pair(rep, single(t.right)))
+                      for t, c in v.entries)
+                )
+                got = subst_tensor(body, "f", ABS, "g", ABS, v)
+                ref = ref_subst_tensor(body, "f", ABS, "g", ABS, v)
+                assert dist_eq(got, ref)
+                _assert_same(
+                    got, ref_subst_tensor(body, "f", ABS, "g", ABS, pinned)
+                )
 
 
 # ---------------------------------------------------------------------------
