@@ -19,6 +19,7 @@ from .core import (
     PureTerm,
     TermDist,
     add,
+    combine,
     first_overlap,
     inner_product,
     mk_pair,
@@ -90,11 +91,11 @@ def to_vector(d: TermDist, n: int) -> np.ndarray:
 def from_vector(vec: np.ndarray, n: int) -> TermDist:
     if len(vec) != 2 ** n:
         raise ValueError("vector length must be 2**n")
-    parts = []
-    for i, c in enumerate(vec):
-        if not sc_is_zero(c):
-            parts.append(scale(complex(c), multi_ket(format(i, f"0{n}b"))))
-    return add(*parts)
+    return combine(
+        (complex(c), multi_ket(format(i, f"0{n}b")))
+        for i, c in enumerate(vec)
+        if not sc_is_zero(c)
+    )
 
 
 class BasisError(ValueError):
@@ -130,7 +131,9 @@ def decompose(v: TermDist, b: Ortho) -> Optional[list[complex]]:
     the span (residual norm above the tolerance).  The residual
     v - sum c_i * e_i is one combination, built once."""
     coeffs = [inner_product(e, v) for e in b.elements]
-    residual = add(v, *(scale(-c, e) for c, e in zip(coeffs, b.elements)))
+    residual = combine(
+        [(None, v)] + [(-c, e) for c, e in zip(coeffs, b.elements)]
+    )
     if not sc_is_zero(norm(residual)):
         return None
     return coeffs
@@ -146,7 +149,7 @@ def expand(
     coeffs = decompose(v, b)
     if coeffs is None:
         return None
-    return add(*(scale(c, image(i)) for i, c in enumerate(coeffs) if c != 0))
+    return combine((c, image(i)) for i, c in enumerate(coeffs) if c != 0)
 
 
 def in_span(v: TermDist, b: Ortho) -> bool:

@@ -39,9 +39,9 @@ from .core import (
     PureTerm,
     TermDist,
     Var,
-    add,
     basis_display_key,
     basis_eq,
+    combine,
     dist_display_key,
     dist_eq,
     first_overlap,
@@ -54,7 +54,6 @@ from .core import (
     mk_pair,
     sc_eq,
     sc_is_zero,
-    scale,
     session,
     single,
     term_eq,
@@ -259,7 +258,7 @@ def _factor_scrutinee(
     for t, _ in d.entries:
         if not term_eq(replace(t, scrutinee=sample.scrutinee), sample):
             return None
-    return sample, add(*(scale(c, single(t.scrutinee)) for t, c in d.entries))
+    return sample, combine((c, single(t.scrutinee)) for t, c in d.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +497,9 @@ class _Checker:
             lams[0].var,
             frozenset(ctx) | free_vars(d),
         )
-        body = add(
-            *(
-                scale(c, subst_dist(t.body, t.var, single(Var(var))))
-                for t, c in d.entries
-            )
+        body = combine(
+            (c, subst_dist(t.body, t.var, single(Var(var))))
+            for t, c in d.entries
         )
         inner_ctx = dict(ctx)
         inner_ctx[var] = Binding(arrow.dom, annotation)

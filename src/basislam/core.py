@@ -13,7 +13,6 @@ not a superposition of functions.
 
 from __future__ import annotations
 
-import bisect
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -315,8 +314,10 @@ class TermDist:
 # Node keys.  Nodes are immutable, and what a node knows about itself is
 # stored in its own dict.  Two facts are fixed when it is built: the
 # pure-value flag (`_value`, see Pure terms) and, on a distribution of
-# two or more entries that `_build` or `merge_into` makes, the eps it
-# was built under (`_eps`, see is_canonical).  What depends on a whole
+# two or more entries that `_build` or a reduction step makes, the eps it
+# was built under (`_eps`, see is_canonical).  A distribution that a
+# step returns also carries its summand index (`_pending`, `_shapes`,
+# see reduction.step), which the next step reads.  What depends on a whole
 # subterm is computed once, bottom-up on first use: the order key
 # (`_key`), the shape key (`_shape`), the basis names (`_names`), a
 # distribution's free variables (`_fv`), the redex that reduction finds
@@ -340,8 +341,10 @@ class TermDist:
 # the multiset of its entries' shapes, since _dist_eq matches entries
 # pairwise rather than by position; a basis keys its elements in order.
 # alpha_classes (behind group_pairs, rank-one factoring and product
-# membership) scans one bucket the same way.  _build and merge_into, the
-# hottest path, keep their buckets inline: a shared helper slowed them.
+# membership) scans one bucket the same way.  _build, the hottest path,
+# keeps its buckets inline: a shared helper slowed it.  A reduction step
+# merges what fired into the summands it keeps through their shape keys,
+# carried from step to step in the summand index, in place of buckets.
 
 
 def _basis_key(b: Basis):
@@ -687,7 +690,9 @@ def is_value_dist(d: TermDist) -> bool:
 # ---------------------------------------------------------------------------
 # Canonical construction.  _build records on a distribution of two or more
 # entries the eps it ran under, so that the entries of one known canonical
-# under the current eps can be kept without a rebuild (merge_into).
+# under the current eps can be kept without a rebuild: a reduction step
+# keeps the summands that do not fire, and combine keeps each piece's
+# order.
 
 
 def _entry_key(e: tuple[PureTerm, complex]):
@@ -735,48 +740,6 @@ def is_canonical(d: TermDist) -> bool:
     return d.__dict__.get("_eps") == _settings.eps
 
 
-def merge_into(
-    new: TermDist, rest: Sequence[tuple[PureTerm, complex]]
-) -> TermDist:
-    """add(new, TermDist(rest)), for a `new` built by the constructors
-    under the current settings and entries `rest` of a distribution (in
-    its order) canonical under the current eps.
-
-    Only new's entries are merged, through the shape buckets of the rest:
-    each entry of rest joins the first entry of new it is term_eq to, the
-    coefficients adding in add's order, and the entries of new that
-    survive pruning go into the sorted rest by bisection.  The rest is
-    kept as it is, so the cost follows new, not the whole distribution.
-    A coefficient that is not finite raises OverflowError, as in _build."""
-    if not rest:
-        return new
-    buckets: dict[int, list[int]] = {shape_key(t): [] for t, _ in new.entries}
-    for j, (t, _) in enumerate(rest):
-        bucket = buckets.get(shape_key(t))
-        if bucket is not None:
-            bucket.append(j)
-    joined: set[int] = set()
-    survivors = []
-    eps = _settings.eps
-    for t, c in new.entries:
-        for j in buckets[shape_key(t)]:
-            if j not in joined and term_eq(rest[j][0], t):
-                joined.add(j)
-                c = c + rest[j][1]
-        m = abs(c)
-        if m <= eps:
-            continue
-        if not m < math.inf:
-            raise OverflowError("coefficient is not finite")
-        survivors.append((t, c))
-    out = [e for j, e in enumerate(rest) if j not in joined]
-    for e in survivors:
-        bisect.insort(out, e, key=_entry_key)
-    merged = TermDist(tuple(out))
-    merged.__dict__["_eps"] = _settings.eps
-    return merged
-
-
 def zero() -> TermDist:
     return TermDist(())
 
@@ -800,6 +763,43 @@ def add(*dists: TermDist) -> TermDist:
 
 def sub(a: TermDist, b: TermDist) -> TermDist:
     return add(a, scale(-1, b))
+
+
+def combine(
+    pieces: Iterable[tuple[Optional[complex], TermDist]],
+) -> TermDist:
+    """add(*(scale(c, d) for c, d in pieces)), bit for bit, in one
+    construction.  A piece whose factor is None enters as it stands, as
+    add takes it.
+
+    Exact because scale does nothing to a canonical piece but multiply:
+    its terms are pairwise apart under the current eps, so scale's merge
+    joins none of them, and they are in key order, so its stable sort
+    leaves them in place.  What scale does besides is done here, entry by
+    entry: a zero factor drops the piece, a product within eps is
+    dropped, one that is not finite raises OverflowError, and the rest
+    are stored as the complex numbers scale stores.  A piece of two or
+    more entries that is not canonical under the current eps (built
+    under another eps, or by hand) goes through scale itself."""
+    eps = _settings.eps
+    pairs: list[tuple[PureTerm, complex]] = []
+    for c, d in pieces:
+        if c is None:
+            pairs.extend(d.entries)
+        elif abs(c) <= eps:  # sc_is_zero
+            continue
+        elif len(d.entries) > 1 and d.__dict__.get("_eps") != eps:
+            pairs.extend(scale(c, d).entries)
+        else:
+            for t, a in d.entries:
+                p = c * a
+                m = abs(p)
+                if m <= eps:
+                    continue
+                if not m < math.inf:  # nan or infinity
+                    raise OverflowError("coefficient is not finite")
+                pairs.append((t, complex(p)))
+    return _build(pairs)
 
 
 def mk_pair(left: TermDist, right: TermDist) -> TermDist:
@@ -898,10 +898,10 @@ def group_pairs(
     one construction of the pieces in entry order."""
     sides = [(t.left, t.right) if by_left else (t.right, t.left) for t, _ in v]
     keys, index = alpha_classes(key for key, _ in sides)
-    groups: list[list[TermDist]] = [[] for _ in keys]
+    groups: list[list[tuple[complex, TermDist]]] = [[] for _ in keys]
     for i, (_, rest), (_, c) in zip(index, sides, v.entries):
-        groups[i].append(scale(c, single(rest)))
-    return [(key, add(*pieces)) for key, pieces in zip(keys, groups)]
+        groups[i].append((c, single(rest)))
+    return [(key, combine(pieces)) for key, pieces in zip(keys, groups)]
 
 
 # ---------------------------------------------------------------------------

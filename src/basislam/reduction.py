@@ -18,6 +18,15 @@ root (refocusing, Danvy & Nielsen 2004), so a step costs the fire and a
 walk of the frames, not a fresh search and a canonical rebuild of the
 path.
 
+The distribution a step returns carries a summand index that the next
+step reads and updates: the positions of the summands that are not yet
+values, and, once a step has merged fired summands into kept ones, every
+summand's shape key.  The pick and the group scan visit the pending
+summands only, and a fired summand is compared only with the kept
+summands of its shape, so a step's work follows the pending summands and
+what fires.  The value and every other linear combination are built in
+one construction (`core.combine`).
+
 `evaluate` keeps a table of the contractions it fires for the length of
 the call, keyed on the identity of the redex's fields and on the value's
 terms and coefficient bits, so a gate fired on the same value in many
@@ -27,7 +36,9 @@ branches of a superposition is substituted once (see `step`).
 from __future__ import annotations
 
 import enum
+import math
 import struct
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -43,13 +54,16 @@ from .core import (
     TermDist,
     Var,
     _dist_key,
+    _entry_key,
+    _term_key,
     add,
+    combine,
     get_session,
     get_settings,
     is_canonical,
-    merge_into,
     sc_eq,
     scale,
+    shape_key,
     single,
     term_eq,
     validate_case_patterns,
@@ -322,15 +336,140 @@ def _fire_key(node: PureTerm, value: TermDist) -> tuple:
     )
 
 
+def _unit_fixed(c: complex) -> bool:
+    """Whether c * (1+0j) is c bit for bit: it can flip the sign of a
+    zero part, and changes nothing else."""
+    u = c * (1 + 0j)
+    return _coeff_bits(u.real, u.imag) == _coeff_bits(c.real, c.imag)
+
+
+def _pending_of(entries) -> tuple[int, ...]:
+    """The positions of the entries that are not pure values."""
+    return tuple(i for i, (t, _) in enumerate(entries) if not t._value)
+
+
+def _merge(
+    d: TermDist,
+    pending: tuple[int, ...],
+    group: list[int],
+    new: TermDist,
+) -> TermDist:
+    """add(new, the entries of d outside group, each as scale(c,
+    single(t)) leaves it), for d canonical under the current eps and new
+    built by the constructors: the step's merge, with the result's
+    summand index.
+
+    d's shape keys, aligned with its entries, and whether every
+    coefficient is unchanged by the factor 1+0j (`_shapes`) are computed
+    once, here, and carried on.  The kept entries are d's with group's
+    positions deleted, each times 1+0j unless the flag says that changes
+    no bit.  Each entry of new is compared only with the kept entries of
+    its shape, in ascending order, and joins every one term_eq to it
+    that no earlier entry of new has joined, the coefficients adding in
+    add's order; the entries of new that survive pruning go in after the
+    kept entries of equal order key, as add's stable sort puts them.
+    The pending positions and the shape keys shift with the entries.
+    A coefficient that is not finite raises OverflowError, as in
+    `_build`."""
+    entries = d.entries
+    index = d.__dict__.get("_shapes")
+    if index is None:
+        index = d.__dict__["_shapes"] = (
+            tuple(shape_key(t) for t, _ in entries),
+            all(_unit_fixed(c) for _, c in entries),
+        )
+    kept = list(entries)
+    shapes = list(index[0])
+    for i in reversed(group):
+        del kept[i], shapes[i]
+    if not index[1]:
+        kept = [(t, c * (1 + 0j)) for t, c in kept]
+    pend = []
+    gone = 0  # group is a subsequence of pending
+    for i in pending:
+        if gone < len(group) and group[gone] == i:
+            gone += 1
+        else:
+            pend.append(i - gone)
+
+    eps = get_settings().eps
+    joined: set[int] = set()
+    survivors = []
+    for t, c in new.entries:
+        s = shape_key(t)
+        j = -1
+        for _ in range(shapes.count(s)):
+            j = shapes.index(s, j + 1)
+            if j not in joined and term_eq(kept[j][0], t):
+                joined.add(j)
+                c = c + kept[j][1]
+        m = abs(c)
+        if m <= eps:
+            continue
+        if not m < math.inf:
+            raise OverflowError("coefficient is not finite")
+        survivors.append((t, c, s))
+    if joined:
+        dropped = sorted(joined)
+        for j in reversed(dropped):
+            del kept[j], shapes[j]
+        pend = [i - bisect_left(dropped, i) for i in pend if i not in joined]
+
+    # where the survivors land, ascending, and which of them are pending
+    at: list[int] = []
+    reducible: list[bool] = []
+    for t, c, s in survivors:
+        pos = bisect_right(kept, _term_key(t), key=_entry_key)
+        kept.insert(pos, (t, c))
+        shapes.insert(pos, s)
+        k = len(at)
+        while k and at[k - 1] >= pos:
+            at[k - 1] += 1
+            k -= 1
+        at.insert(k, pos)
+        reducible.insert(k, not t._value)
+    if at:  # each kept position moves past the survivors before it
+        moved = []
+        k = 0
+        for i in pend:
+            while k < len(at) and at[k] <= i + k:
+                if reducible[k]:
+                    moved.append(at[k])
+                k += 1
+            moved.append(i + k)
+        moved += [p for p, r in zip(at[k:], reducible[k:]) if r]
+        pend = moved
+
+    merged = TermDist(tuple(kept))
+    fields = merged.__dict__
+    fields["_eps"] = eps
+    fields["_pending"] = tuple(pend)
+    fields["_shapes"] = (  # the kept coefficients are fixed points now
+        tuple(shapes),
+        all(_unit_fixed(c) for _, c, _ in survivors),
+    )
+    return merged
+
+
 def step(d: TermDist, fires: Optional[dict] = None) -> StepResult:
     """One deterministic step: the canonically first reducible summand
     fires, together with every summand sharing its context and redex.
 
-    d is expected canonical.  When it was built under the current eps,
-    the entries that do not fire are reused, terms and order as they
-    are, and only the fired part is merged into them; otherwise they are
-    rebuilt, so that a tolerance changed since d was built prunes and
-    merges them too.
+    d is expected canonical.  A step reads and returns a small summand
+    index, stored on the distribution as its keys are: the ascending
+    positions of the summands that are not pure values (`_pending`),
+    and, once a step has merged into d, its entries' shape keys with a
+    flag (`_shapes`, see `_merge`).  The pick and the group scan visit
+    the pending positions only, since a value never becomes reducible
+    again; a distribution from elsewhere computes its pending positions
+    on its first step.  So a step's work follows the pending summands
+    and what fires, not every summand.
+
+    When d was built under the current eps, the entries that do not fire
+    are reused, terms and order as they are, and only the fired part is
+    merged into them (`_merge`); otherwise they are rebuilt, so that a
+    tolerance changed since d was built prunes and merges them too.
+    When every summand fires, the plugged distribution is the result.
 
     The fired part is plugged back in through the redex's frames only:
     each frame gets a new node and keeps its other children as they are,
@@ -359,23 +498,25 @@ def step(d: TermDist, fires: Optional[dict] = None) -> StepResult:
       the root (no frames) `_plug` returns the fired distribution
       itself, so root fires neither read nor write the table; below the
       root `_plug` wraps every fired summand in new nodes."""
-    finds = [_find(t) for t, _ in d.entries]
-    picked = next((f for f in finds if isinstance(f, _Redex)), None)
-    if picked is None:
-        for f in finds:
-            if isinstance(f, Stuck):
-                return f
-        return NormalForm(d)
+    entries = d.entries
+    pending = d.__dict__.get("_pending")
+    if pending is None:
+        pending = d.__dict__["_pending"] = _pending_of(entries)
+    for at, i in enumerate(pending):
+        picked = _find(entries[i][0])
+        if isinstance(picked, _Redex):
+            break
+    else:  # every pending summand is stuck, or none is pending
+        return _find(entries[pending[0]][0]) if pending else NormalForm(d)
 
-    group = [
-        i
-        for i, f in enumerate(finds)
-        # term_eq is reflexive: the picked redex joins without a walk
-        if f is picked or (isinstance(f, _Redex) and _same_redex(f, picked))
-    ]
-    value = add(
-        *(scale(d.entries[i][1], single(finds[i].slot)) for i in group)
-    )
+    group = [i]
+    pieces = [(entries[i][1], single(picked.slot))]
+    for j in pending[at + 1:]:
+        f = _find(entries[j][0])
+        if isinstance(f, _Redex) and _same_redex(f, picked):
+            group.append(j)
+            pieces.append((entries[j][1], single(f.slot)))
+    value = combine(pieces)
     if picked.frames:
         key = _fire_key(picked.redex_repr, value)
         if fires is None:
@@ -388,22 +529,19 @@ def step(d: TermDist, fires: Optional[dict] = None) -> StepResult:
     if isinstance(fired, Stuck):
         return fired
     plugged = _plug(picked, fired)
-    in_group = set(group)
-    # each kept coefficient as scale(c, single(t)) leaves it: times 1+0j,
-    # which can flip the sign of a zero part, and changes nothing twice
-    kept = [
-        (t, c * (1 + 0j))
-        for i, (t, c) in enumerate(d.entries)
-        if i not in in_group
-    ]
-    if not kept or is_canonical(d):
-        result = merge_into(plugged, kept)
+    if len(group) == len(entries):
+        result = plugged
+        result.__dict__["_pending"] = _pending_of(plugged.entries)
+    elif is_canonical(d):
+        result = _merge(d, pending, group, plugged)
     else:  # built under another eps: rebuilt, so the current eps prunes
+        in_group = set(group)
+        kept = [e for i, e in enumerate(entries) if i not in in_group]
         result = add(plugged, add(*(scale(c, single(t)) for t, c in kept)))
 
-    if len(group) < len(d.entries):
+    if len(group) < len(entries):
         tag = RuleTag.CTX_SUM
-    elif len(group) == 1 and not sc_eq(d.entries[group[0]][1], 1):
+    elif len(group) == 1 and not sc_eq(entries[group[0]][1], 1):
         tag = RuleTag.CTX_SCALAR
     else:
         tag = picked.rule

@@ -33,6 +33,7 @@ from .core import (
     TermDist,
     Var,
     add,
+    combine,
     free_vars,
     get_settings,
     group_pairs,
@@ -43,7 +44,6 @@ from .core import (
     mk_lam,
     mk_letpair,
     mk_pair,
-    scale,
     single,
 )
 
@@ -116,7 +116,7 @@ def subst_term(t: PureTerm, x: str, v: TermDist) -> TermDist:
 
 
 def subst_dist(d: TermDist, x: str, v: TermDist) -> TermDist:
-    return add(*(scale(c, subst_term(t, x, v)) for t, c in d.entries))
+    return combine((c, subst_term(t, x, v)) for t, c in d.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +161,8 @@ def subst_basis(body: TermDist, x: str, v: TermDist, basis: Basis) -> TermDist:
     if not is_value_dist(v):
         raise ValueError("substituted distribution must be a value")
     if isinstance(basis, AbsBasis):
-        return add(
-            *(scale(c, subst_dist(body, x, single(t))) for t, c in v.entries)
+        return combine(
+            (c, subst_dist(body, x, single(t))) for t, c in v.entries
         )
     out = expand(v, basis, lambda i: _instance(body, x, basis.elements[i]))
     if out is None:

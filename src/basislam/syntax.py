@@ -37,7 +37,7 @@ from .core import (
     PureTerm,
     TermDist,
     Var,
-    add,
+    combine,
     mk_app,
     mk_case,
     mk_lam,
@@ -46,7 +46,6 @@ from .core import (
     sc_eq,
     scale,
     single,
-    sub,
 )
 from .basis import (
     BasisError,
@@ -276,12 +275,14 @@ class _Parser:
         # finite scalars can still overflow in a product or a sum
         try:
             value = self.product()
-            if negate:
-                value = scale(-1.0, value)
+            pieces = [(-1.0 if negate else None, value)]
             while self.at_op("+") or self.at_op("-"):
                 op = self.next().text
-                rhs = self.product()
-                value = add(value, rhs) if op == "+" else sub(value, rhs)
+                pieces.append((None if op == "+" else -1, self.product()))
+            if len(pieces) > 1:  # one construction, not a running sum
+                value = combine(pieces)
+            elif negate:
+                value = scale(-1.0, value)
         except OverflowError:
             raise ParseError(
                 "coefficient is not finite", start.line, start.col, self.path

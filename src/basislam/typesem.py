@@ -27,10 +27,10 @@ from .core import (
     Pair,
     PureTerm,
     TermDist,
-    add,
     alpha_classes,
     basis_display_key,
     basis_eq,
+    combine,
     dist_eq,
     first_overlap,
     group_pairs,
@@ -232,8 +232,8 @@ def _prod_member(v: TermDist, t: Prod, phase: bool) -> bool:
         # any global phase moves into the residual factor
         groups = group_pairs(v, by_left)
         for m in members:
-            residual = add(
-                *(scale(inner_product(m, single(k)), g) for k, g in groups)
+            residual = combine(
+                (inner_product(m, single(k)), g) for k, g in groups
             )
             if residual.is_zero():
                 continue
@@ -272,9 +272,9 @@ def factor_rank1(
     u, s, vh = np.linalg.svd(m)
     if len(s) > 1 and not sc_is_zero(s[1]):
         return None
-    left = add(*(scale(u[i, 0], single(lt)) for i, lt in enumerate(lefts)))
-    right = add(
-        *(scale(s[0] * vh[0, j], single(rt)) for j, rt in enumerate(rights))
+    left = combine((u[i, 0], single(lt)) for i, lt in enumerate(lefts))
+    right = combine(
+        (s[0] * vh[0, j], single(rt)) for j, rt in enumerate(rights)
     )
     return left, right
 
@@ -386,8 +386,8 @@ def linear_images_member(
             if [q for q in range(len(a)) if a[q] != b[q]] != [pos]:
                 continue  # a and b do not differ at pos only
             for ph in (1, 1j):
-                combo = add(
-                    scale(half, images[a]), scale(half * ph, images[b])
+                combo = combine(
+                    ((half, images[a]), (half * ph, images[b]))
                 )
                 if not _member(combo, cod, True):
                     return "combination"

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gen
+from basislam import core
 from basislam.core import (
     ABS,
     Ket,
@@ -11,12 +13,12 @@ from basislam.core import (
     TermDist,
     Var,
     add,
+    combine,
     dist_eq,
     free_vars,
     inner_product,
     is_closed,
     local_settings,
-    merge_into,
     mk_app,
     mk_case,
     mk_lam,
@@ -31,6 +33,7 @@ from basislam.core import (
     zero,
 )
 from basislam.basis import STD
+from basislam.reduction import step
 
 K0 = single(Ket(0))
 K1 = single(Ket(1))
@@ -72,8 +75,9 @@ class TestCanonical:
             lambda: scale(float("inf"), K0),
             lambda: add(scale(1e308, K0), scale(1e308, K0)),
             lambda: mk_pair(scale(1e200, K0), scale(1e200, K1)),
-            lambda: merge_into(
-                scale(1e308, K0), add(scale(1e308, K0), K1).entries
+            # a step merges the fired 1e308*|0> into the kept 1e308*|0>
+            lambda: step(
+                add(scale(1e308, mk_app(ident(), K0)), scale(1e308, K0), K1)
             ),
         ],
         ids=["nan", "inf", "sum", "pair", "merge"],
@@ -112,6 +116,153 @@ class TestCanonical:
     @given(small_dists())
     def test_sub_is_additive_inverse(self, a):
         assert sub(a, a).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# combine against the combination it replaces: scale each piece, then add.
+
+
+def ref_combine(pieces):
+    return add(*(d if c is None else scale(c, d) for c, d in pieces))
+
+
+def outcome(build):
+    """The built distribution as (term object, coefficient bits) pairs,
+    or "overflow" when building raises OverflowError."""
+    try:
+        d = build()
+    except OverflowError as e:
+        assert str(e) == "coefficient is not finite"
+        return "overflow"
+    return [
+        (id(t), type(c).__name__, c.real.hex(), c.imag.hex())
+        for t, c in d.entries
+    ]
+
+
+def _factor(rng):
+    eps = core.get_settings().eps
+    phase = complex(np.exp(2j * np.pi * rng.random()))
+    kind = int(rng.integers(9))
+    if kind == 0:
+        return None
+    if kind == 1:  # zeros, signed ones too
+        return [0, 0.0, -0.0, 0j, complex(0, -0.0)][int(rng.integers(5))]
+    if kind == 2:  # within eps, at it and just above it
+        return phase * eps * [0.5, 1.0, 1.5, 2.0][int(rng.integers(4))]
+    if kind == 3:  # huge: some sums of these overflow
+        return phase * [1e300, 1e308, 1.7e308][int(rng.integers(3))]
+    if kind == 4:
+        return [-1, -1.0, 1, 2.0 ** -0.5][int(rng.integers(4))]
+    if kind == 5:  # a numpy scalar, as the rank-one factors are
+        return np.complex128(complex(*rng.normal(size=2)))
+    return complex(*rng.normal(size=2))
+
+
+def _pool(rng):
+    """Distributions of zero, one and many entries, many of them sharing
+    terms, so that the pieces merge."""
+    pool = [core.zero(), K0, K1, ident(), mk_pair(K0, K1)]
+    for n in (1, 2, 3):
+        pool += [gen.random_state(rng, n) for _ in range(3)]
+    pool += [gen.closed_term(rng)[0] for _ in range(12)]
+    pool.append(add(scale(1e300, K0), scale(1e-300 + 1.0, K1)))
+    return pool
+
+
+class TestCombine:
+    def test_matches_scale_then_add(self):
+        rng = np.random.default_rng(7)
+        pool = _pool(rng)
+        seen = set()
+        for _ in range(600):
+            pieces = [
+                (_factor(rng), pool[int(rng.integers(len(pool)))])
+                for _ in range(int(rng.integers(1, 6)))
+            ]
+            want = outcome(lambda: ref_combine(pieces))
+            assert outcome(lambda: combine(pieces)) == want
+            seen.add("overflow" if want == "overflow" else len(want) > 0)
+        assert seen == {"overflow", True, False}
+
+    def test_singletons_and_generated_distributions(self):
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            d = gen.closed_term(rng)[0]
+            pieces = [(complex(*rng.normal(size=2)), single(t)) for t, _ in d]
+            pieces += [(None, d), (-1, d), (0.5j, d)]
+            assert outcome(lambda: combine(pieces)) == outcome(
+                lambda: ref_combine(pieces)
+            )
+
+    def test_pieces_built_under_another_eps(self):
+        # a piece canonical under another eps is scaled and merged again,
+        # as scale would, under the current one
+        with local_settings(eps=1e-12):
+            small = add(K0, scale(1e-10, K1))  # kept under 1e-12 only
+        near = add(
+            scale(0.5, mk_lam("x", STD, single(Var("x")))),
+            scale(0.5, mk_lam("x", STD, scale(1 + 1e-5, single(Var("x"))))),
+        )
+        assert len(small) == 2 and len(near) == 2
+        for eps in (1e-9, 1e-3):
+            with local_settings(eps=eps):
+                for pieces in (
+                    [(2.0, small)],
+                    [(1j, near), (None, K0)],
+                    [(None, small), (-1, small), (1.0, near)],
+                ):
+                    got = outcome(lambda: combine(pieces))
+                    assert got == outcome(lambda: ref_combine(pieces))
+        with local_settings(eps=1e-3):  # the two lambdas merge
+            assert len(combine([(1.0, near)])) == 1
+            # within the piece first, as scale merges them: 0.1 + (0.2 +
+            # 0.3), not (0.1 + 0.2) + 0.3
+            x = single(Var("x"))
+            third = mk_lam("x", STD, scale(1 - 1e-5, x))
+            parts = [
+                scale(w, mk_lam("x", STD, scale(1 + off, x)))
+                for w, off in ((0.2, 0.0), (0.3, 1e-5))
+            ]
+            with local_settings(eps=1e-9):
+                near = add(*parts)
+            pieces = [(None, scale(0.1, third)), (1.0, near)]
+            [(_, c)] = combine(pieces).entries
+            assert c == 0.1 + (0.2 + 0.3) != (0.1 + 0.2) + 0.3
+            assert outcome(lambda: combine(pieces)) == outcome(
+                lambda: ref_combine(pieces)
+            )
+
+    @pytest.mark.parametrize(
+        "pieces",
+        [
+            [(complex("nan"), K0)],
+            [(float("inf"), K0)],
+            [(1e308, K0), (1e308, K0)],
+            [(1e200, scale(1e200, K0))],
+            [(None, scale(1e308, K0)), (1e308, K0)],
+        ],
+        ids=["nan", "inf", "sum", "product", "none"],
+    )
+    def test_overflow_raises_where_the_reference_raises(self, pieces):
+        assert outcome(lambda: ref_combine(pieces)) == "overflow"
+        assert outcome(lambda: combine(pieces)) == "overflow"
+
+    def test_one_construction(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        pieces = [(complex(*rng.normal(size=2)), gen.random_state(rng, 3))
+                  for _ in range(8)]
+        calls = 0
+        build = core._build
+
+        def counted(pairs):
+            nonlocal calls
+            calls += 1
+            return build(pairs)
+
+        monkeypatch.setattr(core, "_build", counted)
+        combine(pieces)
+        assert calls == 1
 
 
 class TestCongruence:

@@ -653,6 +653,120 @@ def test_stale_case_sibling_is_kept_as_built():
 
 
 # ---------------------------------------------------------------------------
+# The summand index a step carries (see `reduction.step` and `_merge`):
+# the pending positions, and the shape keys with the flag that says
+# whether every coefficient is unchanged by the factor 1+0j.  Each must
+# equal a computation from the entries alone.
+
+
+def fresh_pending(d):
+    return tuple(
+        i for i, (t, _) in enumerate(d.entries) if not ref_is_pure_value(t)
+    )
+
+
+def fresh_shapes(d):
+    def fixed(c):
+        u = c * (1 + 0j)
+        return struct(u, {}) == struct(c, {})
+
+    return (
+        tuple(core.shape_key(t) for t, _ in d.entries),
+        all(fixed(c) for _, c in d.entries),
+    )
+
+
+@pytest.fixture
+def carried(monkeypatch):
+    """Counts of the step results that carry each part of the index,
+    every one checked against the entries."""
+    counts = {"steps": 0, "pending": 0, "shapes": 0}
+    original = reduction.step
+
+    def checked(d, fires=None):
+        res = original(d, fires)
+        for dist in (d, res.dist) if isinstance(res, Reduced) else (d,):
+            pending = dist.__dict__.get("_pending")
+            if pending is not None:
+                assert pending == fresh_pending(dist)
+            shapes = dist.__dict__.get("_shapes")
+            if shapes is not None:
+                assert shapes == fresh_shapes(dist)
+        if isinstance(res, Reduced):
+            counts["steps"] += 1
+            counts["pending"] += "_pending" in res.dist.__dict__
+            counts["shapes"] += "_shapes" in res.dist.__dict__
+        return res
+
+    monkeypatch.setattr(reduction, "step", checked)
+    return counts
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_index_carried_through_wide(carried, seed):
+    for term in wide_terms(seed):
+        assert isinstance(evaluate(term).final, NormalForm)
+    # every step carries its pending positions, and steps that merge
+    # into kept summands carry their shapes
+    assert carried["pending"] == carried["steps"] > 1000
+    assert carried["shapes"] > 500
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_index_carried_through_deep(carried, seed):
+    for term in deep_terms(seed):
+        assert isinstance(evaluate(term).final, NormalForm)
+    assert carried["pending"] == carried["steps"] > 1000
+    # every step fires the whole distribution, so no shape is computed
+    assert carried["shapes"] == 0
+
+
+def test_index_carried_through_generated_and_corpus_terms(carried):
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        d, _, _ = gen.closed_term(rng)
+        evaluate(d)
+        evaluate(gen.shuffled(rng, d))
+    for pname, src, _, _ in EVAL_CASES:
+        evaluate(parse_term(src, defs=PROGRAMS[pname].defs))
+    for src in RESUMED:
+        evaluate(parse_term(src, defs=GATES))
+    assert carried["steps"] > 200 and carried["shapes"] > 0
+
+
+def test_index_carried_through_the_harness(carried):
+    from basislam.corpus import _harness_rows
+
+    assert all(row.ok for row in _harness_rows(PROGRAMS))
+    assert carried["steps"] > 100
+
+
+def test_kept_negative_zero_is_multiplied_through():
+    # a kept coefficient as scale(c, single(t)) leaves it is c * (1+0j),
+    # which turns the -0.0 imaginary part of a positive real into +0.0;
+    # the flag of the index says when that multiplication changes nothing
+    c = complex(0.5, -0.0)
+    assert fresh_shapes(TermDist(((Ket(0), c),)))[1] is False
+    fire = mk_app(GATES["NOT"], K0).entries[0][0]
+    for kept in (Ket(0), Ket(1)):  # beside the fired summand, then joined
+        d = core._build([(kept, c), (fire, 1 + 0j)])
+        assert d.entries[0][1].imag.hex() == "-0x0.0p+0"
+        trace = check(d)
+        first = trace.steps[0][0]
+        assert first.entries[0][1].imag.hex() == "0x0.0p+0"
+        assert first.__dict__["_shapes"] == fresh_shapes(first)
+
+
+def test_merge_keeps_the_kept_entries_when_the_flag_holds():
+    # a flag that holds leaves the kept entries' tuples as they are
+    d = parse_term("NOT |0> + Z |1> + (1/2)*|0>", defs=GATES)
+    res = step(d)
+    assert "_shapes" in d.__dict__ and d.__dict__["_shapes"][1]
+    kept = [e for e in d.entries if ref_is_pure_value(e[0])]
+    assert all(any(e is f for f in res.dist.entries) for e in kept)
+
+
+# ---------------------------------------------------------------------------
 # term_eq stops at a shared node only under the same binders.
 
 

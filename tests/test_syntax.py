@@ -1,14 +1,17 @@
 """Concrete syntax: exact printer output, parse/print round trips,
 positioned errors, and program files."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import gen
 import oracles
-from basislam import syntax
+from basislam import core, syntax
 from basislam.basis import KET_MINUS, KET_PLUS
-from basislam.core import Ket, dist_eq, is_closed, scale, single
+from basislam.core import Ket, add, dist_eq, is_closed, scale, single, sub
+from basislam.corpus import corpus_program
 from basislam.reduction import evaluate
 from basislam.syntax import (
     ParseError,
@@ -274,3 +277,132 @@ goal F : #[Y] -> #[Y]
     def test_comments_ignored(self):
         prog = parse_program("-- nothing here\ndef A = |0> -- tail\n")
         assert dist_eq(prog.defs["A"], single(Ket(0)))
+
+
+# ---------------------------------------------------------------------------
+# A sum is parsed into one construction of its operands.  The reference is
+# the earlier loop, a running sum: one add (or sub) per operand.
+
+
+class RunningSumParser(syntax._Parser):
+    def term(self):
+        start = self.peek()
+        negate = False
+        if self.at_op("-"):
+            self.next()
+            negate = True
+        # finite scalars can still overflow in a product or a sum
+        try:
+            value = self.product()
+            if negate:
+                value = scale(-1.0, value)
+            while self.at_op("+") or self.at_op("-"):
+                op = self.next().text
+                rhs = self.product()
+                value = add(value, rhs) if op == "+" else sub(value, rhs)
+        except OverflowError:
+            raise ParseError(
+                "coefficient is not finite", start.line, start.col, self.path
+            ) from None
+        return value
+
+
+def ref_parse_term(text, defs=None):
+    p = RunningSumParser(
+        syntax.tokenize(text), syntax._default_bases(), defs or {}
+    )
+    out = p.term()
+    assert p.peek().kind == "eof"
+    return out
+
+
+def bits(x):
+    """Every field of a term, with each coefficient as the hex of its two
+    floats."""
+    if isinstance(x, complex):
+        return (x.real.hex(), x.imag.hex())
+    if isinstance(x, tuple):
+        return tuple(bits(y) for y in x)
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,) + tuple(
+            bits(getattr(x, f.name)) for f in dataclasses.fields(x)
+        )
+    return x
+
+
+GATES = corpus_program("gates").defs
+# pairwise distinct pure terms, so a partial sum is per atom
+ATOMS = [
+    "|0>", "|1>", "|01>", "(|1>, (|0>, |1>))", "NOT |0>", "Hd |1>",
+    "(\\x:B. x)", "(\\x:B. 0.6*x - 0.8*|1>)", "(NOT |0>, |1>)", "x",
+    "(x, |0>)",
+]
+
+
+def random_sum(rng):
+    """A sum of scaled atoms, atoms repeated, in which no partial sum of
+    one atom comes near zero."""
+    partial = [0.0] * len(ATOMS)
+    parts = []
+    for k in range(int(rng.integers(2, 12))):
+        while True:
+            atom = int(rng.integers(len(ATOMS)))
+            a = round(float(rng.uniform(0.05, 2.0)), int(rng.integers(1, 7)))
+            sign = -1 if rng.random() < 0.4 else 1
+            if abs(partial[atom] + sign * a) > 1e-6:
+                break
+        partial[atom] += sign * a
+        op = "- " if sign < 0 else ("+ " if k else "")
+        scalar = [f"{a}*", f"{a}*e^(i*0.25)*", f"{a}*(1/sqrt2)*"][
+            int(rng.integers(3))
+        ]
+        parts.append(f"{op}{scalar}{ATOMS[atom]}")
+    return " ".join(parts)
+
+
+class TestSums:
+    def test_generated_sums_match_the_running_sum(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            src = random_sum(rng)
+            want = bits(ref_parse_term(src, GATES).entries)
+            assert bits(parse_term(src, defs=GATES).entries) == want, src
+
+    def test_printed_terms_match_the_running_sum(self):
+        rng = np.random.default_rng(22)
+        for _ in range(40):
+            for d in (gen.closed_term(rng)[0], gen.random_state(rng, 2)):
+                src = print_term(d)
+                assert bits(parse_term(src).entries) == bits(
+                    ref_parse_term(src).entries
+                ), src
+
+    def test_a_pruned_partial_sum_is_kept(self):
+        # the one difference: the running sum prunes 0.5 - 0.4999999999995,
+        # within eps of zero, before 0.3 is added; one construction adds
+        # all three
+        src = "0.5*|0> - 0.4999999999995*|0> + 0.3*|0>"
+        assert ref_parse_term(src).entries[0][1] == 0.3
+        [(_, c)] = parse_term(src).entries
+        assert c == (0.5 + 0j) + -1 * (0.4999999999995 + 0j) + (0.3 + 0j)
+        assert c != 0.3
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_work_is_linear_in_the_summands(self, monkeypatch, n):
+        src = " + ".join(
+            f"0.01*|{format(i, f'0{n}b')}>" for i in range(2 ** n)
+        )
+        entries = 0
+        build = core._build
+
+        def counted(pairs):
+            nonlocal entries
+            pairs = list(pairs)
+            entries += len(pairs)
+            return build(pairs)
+
+        monkeypatch.setattr(core, "_build", counted)
+        assert len(parse_term(src)) == 2 ** n
+        # per summand: n - 1 pairs, its scale, and one entry of the sum;
+        # the running sum fed about n_summands ** 2 / 2
+        assert entries <= (n + 2) * 2 ** n
