@@ -4,13 +4,14 @@ An n-qubit value is a distribution whose support consists of
 right-associated length-n ket tuples and whose norm is 1.  A basis is a
 family of same-arity qubits that is pairwise orthogonal and unit norm; it
 may span only part of the 2**n dimensional space.
+
+numpy is imported inside to_vector, the one function here that builds an
+array, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .core import (
     Ket,
@@ -30,6 +31,8 @@ from .core import (
     single,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
 _SQ2 = 2 ** -0.5
 
 
@@ -79,6 +82,7 @@ def qubit_arity(d: TermDist) -> Optional[int]:
 def to_vector(d: TermDist, n: int) -> np.ndarray:
     """Coordinates of a ket-supported distribution in the computational
     basis, leftmost ket bit most significant."""
+    import numpy as np
     vec = np.zeros(2 ** n, dtype=complex)
     for t, c in d.entries:
         bits = ket_bits(t)

@@ -22,7 +22,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     ABS,
@@ -71,26 +71,31 @@ class ParseError(Exception):
         super().__init__(f"{where}{line}:{col}: {message}")
 
 
-class _NotFinite(ParseError):
-    """A scalar that parses but has no finite value."""
+class _NoScalar(Exception):
+    """The tokens do not form a scalar.  Raised fresh each time: a reused
+    instance keeps every frame it passed through alive in its traceback."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ket, num, ident, op, eof
     text: str
     line: int
     col: int
 
 
+# One match per token: blanks and comments are a prefix of the token,
+# the end of input is the eof token, and any other character is bad.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>--[^\n]*)
-  | (?P<ket>\|(?:[01]+|\+|-)\>)
-  | (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<op>->|<=|[\\:.(),{}|=*+\-/#\[\]@^])
+    (?:[ \t\r\n]+|--[^\n]*)*
+    (?:
+        (?P<ket>\|(?:[01]+|\+|-)\>)
+      | (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<op>->|<=|[\\:.(),{}|=*+\-/#\[\]@^])
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
@@ -98,28 +103,25 @@ _TOKEN_RE = re.compile(
 
 def tokenize(text: str, path: str = "") -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col, path)
-        lexeme = m.group(0)
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
+        start = m.start(kind)
+        newlines = text.count("\n", m.start(), start)
+        if newlines:  # only the prefix can hold a line break
             line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+            line_start = text.rindex("\n", 0, start) + 1
+        col = start - line_start + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", line, col, path)
+        tokens.append(Token(kind, m[kind], line, col))
+        if kind == "eof":
+            break
     return tokens
 
 
 _SQRT2 = math.sqrt(2.0)
+_SCALAR_STARTS = frozenset({"-", "(", "i", "sqrt2", "e"})
 
 
 class _Parser:
@@ -180,14 +182,17 @@ class _Parser:
         mark = self.pos
         try:
             return parse()
-        except _NotFinite:
-            raise
-        except ParseError:
+        except _NoScalar:
             self.pos = mark
             return None
 
+    def scalar_op(self, text: str) -> None:
+        if not self.at_op(text):
+            raise _NoScalar
+        self.pos += 1
+
     def unusable(self, message: str, tok: Token):
-        raise _NotFinite(message, tok.line, tok.col, self.path)
+        raise ParseError(message, tok.line, tok.col, self.path)
 
     def require_finite(self, value: complex, tok: Token) -> complex:
         if not cmath.isfinite(value):
@@ -195,7 +200,10 @@ class _Parser:
         return value
 
     def try_scalar(self) -> Optional[complex]:
-        return self.attempt(self.scalar_sum)
+        tok = self.peek()
+        if tok.kind == "num" or tok.text in _SCALAR_STARTS:
+            return self.attempt(self.scalar_sum)
+        return None
 
     def scalar_sum(self) -> complex:
         value = self.scalar_prod()
@@ -239,7 +247,7 @@ class _Parser:
         if tok.kind == "op" and tok.text == "(":
             self.next()
             value = self.scalar_sum()
-            self.expect_op(")")
+            self.scalar_op(")")
             return value
         if tok.kind == "ident":
             if tok.text == "i":
@@ -253,16 +261,15 @@ class _Parser:
                 self.next()
                 if self.at_op("^"):
                     self.next()
-                    self.expect_op("(")
+                    self.scalar_op("(")
                     value = self.scalar_sum()
-                    self.expect_op(")")
+                    self.scalar_op(")")
                     try:
                         return cmath.exp(value)
                     except OverflowError:
                         self.unusable("scalar is not finite", tok)
                 self.pos = mark
-        self.err("expected a scalar")
-        raise AssertionError
+        raise _NoScalar
 
     # -- terms -----------------------------------------------------------
 

@@ -10,6 +10,9 @@ the structure allows it and raises Undecidable where it does not.
 One linearity law, linear_images_member, decides whether the images of
 a span's generators close under unit combinations, for arrow membership
 and for the checker's Sem rule alike.
+
+numpy is imported inside factor_rank1, the one matrix computation here,
+so a check that never factors a rank-one product does not load it.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
-
-import numpy as np
 
 from .basis import in_span
 from .core import (
@@ -264,6 +265,7 @@ def factor_rank1(
     """Write the sum of c (left x right) as (sum of lefts) x (sum of
     rights) when its coefficient matrix, indexed by the alpha-classes of
     the lefts and of the rights, has rank one; None otherwise."""
+    import numpy as np
     lefts, li = alpha_classes(lt for lt, _, _ in entries)
     rights, ri = alpha_classes(rt for _, rt, _ in entries)
     m = np.zeros((len(lefts), len(rights)), dtype=complex)

@@ -7,14 +7,15 @@ exactly when that matrix is square with gram matrix the identity; a
 non-square matrix with identity gram is an isometry.  Verdicts carry
 the worst gram entry as a witness so failures point at the offending
 pair of columns.
+
+numpy is imported inside extract_matrix, check_unitary and matrix_apply,
+so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .core import (
     Lam,
@@ -33,6 +34,8 @@ from .reduction import NormalForm, Stuck, evaluate
 from .subst import fresh_name
 from .syntax import print_basis
 
+if TYPE_CHECKING:
+    import numpy as np
 GRAM_TOL = 1e-6
 
 
@@ -81,6 +84,7 @@ def extract_matrix(
 ) -> tuple[np.ndarray, Ortho]:
     """Images of the elements of the abstraction's annotation basis as
     matrix columns, in computational coordinates."""
+    import numpy as np
     dom = _annotation(f)
     columns = []
     arity: Optional[int] = None
@@ -119,6 +123,7 @@ def check_unitary(f: TermDist) -> UnitaryReport:
     """Gram-matrix unitarity verdict with the worst entry as witness.
     Finite images whose gram matrix overflows are an extraction error:
     no verdict could be read from it."""
+    import numpy as np
     matrix, basis = extract_matrix(f, validate_norms=False)
     with np.errstate(over="ignore", invalid="ignore"):
         gram = matrix.conj().T @ matrix
@@ -189,6 +194,7 @@ def uncurried(f: TermDist) -> tuple[TermDist, Optional[str]]:
 def matrix_apply(matrix: np.ndarray, dom: Ortho, v: TermDist) -> np.ndarray:
     """Coordinates of the linear action of the matrix on a value given in
     the domain basis."""
+    import numpy as np
     coeffs = decompose(v, dom)
     if coeffs is None:
         raise UnitaryError("value is not in the domain basis span")

@@ -2,6 +2,14 @@
 positioned errors, and program files."""
 
 import dataclasses
+import gc
+import hashlib
+import json
+import pathlib
+import random
+import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +19,12 @@ import oracles
 from basislam import core, syntax
 from basislam.basis import KET_MINUS, KET_PLUS
 from basislam.core import Ket, add, dist_eq, is_closed, scale, single, sub
-from basislam.corpus import corpus_program
+from basislam.corpus import (
+    CORPUS_NAMES,
+    corpus_program,
+    corpus_text,
+    load_corpus,
+)
 from basislam.reduction import evaluate
 from basislam.syntax import (
     ParseError,
@@ -406,3 +419,168 @@ class TestSums:
         # per summand: n - 1 pairs, its scale, and one entry of the sum;
         # the running sum fed about n_summands ** 2 / 2
         assert entries <= (n + 2) * 2 ** n
+
+
+# ---------------------------------------------------------------------------
+# The tokenizer makes one match per token.  The reference is the earlier
+# loop: one match per blank run, comment or token, with the position
+# advanced lexeme by lexeme.
+
+_REF_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>[ \t\r\n]+)
+  | (?P<comment>--[^\n]*)
+  | (?P<ket>\|(?:[01]+|\+|-)\>)
+  | (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+  | (?P<op>->|<=|[\\:.(),{}|=*+\-/#\[\]@^])
+    """,
+    re.VERBOSE,
+)
+
+
+def ref_tokenize(text, path=""):
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(
+                f"unexpected character {text[pos]!r}", line, col, path
+            )
+        lexeme = m.group(0)
+        kind = m.lastgroup
+        if kind not in ("ws", "comment"):
+            tokens.append((kind, lexeme, line, col))
+        newlines = lexeme.count("\n")
+        if newlines:
+            line += newlines
+            col = len(lexeme) - lexeme.rfind("\n")
+        else:
+            col += len(lexeme)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def lexed(tokenize, text):
+    """(kind, text, line, col) of every token, or the error message."""
+    try:
+        return [tuple(t) for t in tokenize(text, "f.lb")]
+    except ParseError as e:
+        return str(e)
+
+
+TESTS = pathlib.Path(__file__).resolve().parent
+LEXEMES = [
+    " ", "   ", "\t", "\n", "\r\n", "\r", "-- note", "--", "--|0> x",
+    "-", "->", "<=", "<", ">", "|", "|0>", "|01>", "|+>", "|->", "|2>",
+    "|0", "0", "12", "0.5", "3.", ".5", "1e-05", "2.5E+12", "7e3", "1e",
+    "e^(", "i", "sqrt2", "x", "x'", "_y", "let", "\\", ":", ".", "(",
+    ")", ",", "{", "}", "=", "*", "+", "/", "#", "[", "]", "@", "^", "é",
+    "λ", "∘", "$", "\x0b", "\u00a0", "\u0663",
+]
+
+
+def random_source(rng):
+    return "".join(rng.choice(LEXEMES) for _ in range(rng.randrange(16)))
+
+
+class TestTokenizer:
+    def test_corpus_and_golden_inputs_match_the_reference(self):
+        golden = json.loads((TESTS / "golden_cli.json").read_text("utf-8"))
+        texts = [corpus_text(name) for name in CORPUS_NAMES]
+        texts += [arg for g in golden for arg in g["argv"]]
+        for text in texts:
+            assert lexed(syntax.tokenize, text) == lexed(ref_tokenize, text)
+
+    def test_generated_sources_match_the_reference(self):
+        rng = random.Random(21)
+        outcomes = {str: 0, list: 0}
+        for _ in range(20_000):
+            text = random_source(rng)
+            want = lexed(ref_tokenize, text)
+            assert lexed(syntax.tokenize, text) == want, repr(text)
+            outcomes[type(want)] += 1
+        # both token lists and positioned errors are compared
+        assert min(outcomes.values()) > 5_000
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            " " * 2**20,
+            " " * 2**20 + "$",
+            "--" + "x" * 2**20,
+            "--" + "-" * 2**20 + "\n$",
+            "-- c\n" * (2**20 // 5) + "$",
+            "\r\n\t" * (2**20 // 3) + "a",
+        ],
+        ids=["blanks", "blanks-bad", "comment", "dashes-bad", "lines", "crlf"],
+    )
+    def test_megabyte_of_blanks_or_comment_is_linear(self, text):
+        start = time.perf_counter()
+        out = lexed(syntax.tokenize, text)
+        # about 10 ms here; a backtracking prefix would take hours
+        assert time.perf_counter() - start < 2.0
+        assert out == lexed(ref_tokenize, text)
+
+
+# ---------------------------------------------------------------------------
+# Loading a program builds no exception that it does not raise: a scalar
+# attempt that fails backtracks on a private exception.
+
+GATES_LB = str(pathlib.Path(syntax.__file__).parent / "corpus" / "gates.lb")
+
+
+class TestLoader:
+    def test_loading_builds_no_parse_error(self, monkeypatch):
+        built = 0
+        init = ParseError.__init__
+
+        def counted(self, *args):
+            nonlocal built
+            built += 1
+            init(self, *args)
+
+        monkeypatch.setattr(ParseError, "__init__", counted)
+        load_program(GATES_LB)
+        load_corpus()
+        assert built == 0
+        with pytest.raises(ParseError):
+            parse_term("0.5 * ")
+        assert built == 1
+
+    def test_memory_is_flat_over_loads(self):
+        # a reused exception instance would keep the frames of every
+        # raise alive in its traceback
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                load_program(GATES_LB)
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(500):
+                load_program(GATES_LB)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert grown < 64 * 1024
+
+    def test_printed_corpus_programs_are_unchanged(self):
+        lines = []
+        for name in CORPUS_NAMES:
+            prog = corpus_program(name)
+            lines += [
+                f"basis {k} = {{{', '.join(map(print_term, b.elements))}}}"
+                for k, b in prog.bases.items()
+            ]
+            lines += [f"def {k} = {print_term(d)}" for k, d in prog.defs.items()]
+            lines += [f"goal {g.name} : {print_type(g.type)}" for g in prog.goals]
+        text = "\n".join(lines)
+        # the printed forms before scalars backtracked on a private exception
+        assert (len(lines), len(text)) == (53, 7591)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c752d17a799104e2f156b3b06a45c18b4d232fcc2484faee543b1d81afbcffe2"
+        )
