@@ -171,19 +171,15 @@ def product_basis(b1: Ortho, b2: Ortho) -> Ortho:
     return Ortho(elems, name)
 
 
-def _k(bits: str) -> TermDist:
-    return multi_ket(bits)
+KET_PLUS = add(scale(_SQ2, multi_ket("0")), scale(_SQ2, multi_ket("1")))
+KET_MINUS = add(scale(_SQ2, multi_ket("0")), scale(-_SQ2, multi_ket("1")))
 
+PHI_PLUS = add(scale(_SQ2, multi_ket("00")), scale(_SQ2, multi_ket("11")))
+PHI_MINUS = add(scale(_SQ2, multi_ket("00")), scale(-_SQ2, multi_ket("11")))
+PSI_PLUS = add(scale(_SQ2, multi_ket("01")), scale(_SQ2, multi_ket("10")))
+PSI_MINUS = add(scale(_SQ2, multi_ket("01")), scale(-_SQ2, multi_ket("10")))
 
-KET_PLUS = add(scale(_SQ2, _k("0")), scale(_SQ2, _k("1")))
-KET_MINUS = add(scale(_SQ2, _k("0")), scale(-_SQ2, _k("1")))
-
-PHI_PLUS = add(scale(_SQ2, _k("00")), scale(_SQ2, _k("11")))
-PHI_MINUS = add(scale(_SQ2, _k("00")), scale(-_SQ2, _k("11")))
-PSI_PLUS = add(scale(_SQ2, _k("01")), scale(_SQ2, _k("10")))
-PSI_MINUS = add(scale(_SQ2, _k("01")), scale(-_SQ2, _k("10")))
-
-STD = Ortho((_k("0"), _k("1")), "B")
+STD = Ortho((multi_ket("0"), multi_ket("1")), "B")
 HAD = Ortho((KET_PLUS, KET_MINUS), "X")
 BELL = Ortho((PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS), "Bell")
 

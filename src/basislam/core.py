@@ -316,15 +316,19 @@ class TermDist:
 # pure-value flag (`_value`, see Pure terms) and, on a distribution of
 # two or more entries that `_build` or a reduction step makes, the eps it
 # was built under (`_eps`, see is_canonical).  A distribution that a
-# step returns also carries its summand index (`_pending`, `_shapes`,
-# see reduction.step), which the next step reads.  What depends on a whole
+# step has merged into also carries its entries' shape keys (`_shapes`,
+# see reduction._merge), which the next step's merge reads; a step finds
+# its pending summands afresh from `_value`.  What depends on a whole
 # subterm is computed once, bottom-up on first use: the order key
 # (`_key`), the shape key (`_shape`), the basis names (`_names`), a
 # distribution's free variables (`_fv`), the redex that reduction finds
-# (`_found`) and a body's instances (`_instances`, see subst).  Most
-# nodes that reduction asks about are fresh, so each of these caches is
-# read with `__dict__.get`: a miss costs a dict lookup, where a raised
-# and caught AttributeError costs ten times more.
+# (`_found`) and a body's instances (`_instances`, see subst).  Shape
+# keys and free variables stay lazy: reduction builds step frames and
+# plugged summands that are never asked for them, so computing those
+# facts when a node is built slowed `deep`.  Most nodes that reduction
+# asks about are fresh, so each of these caches is read with
+# `__dict__.get`: a miss costs a dict lookup, where a raised and caught
+# AttributeError costs ten times more.
 #
 # The order key (_term_key, _dist_key) is a total order on pure terms:
 # nested tuples, ranks separate constructors, payloads only ever compare
@@ -344,7 +348,7 @@ class TermDist:
 # membership) scans one bucket the same way.  _build, the hottest path,
 # keeps its buckets inline: a shared helper slowed it.  A reduction step
 # merges what fired into the summands it keeps through their shape keys,
-# carried from step to step in the summand index, in place of buckets.
+# carried from step to step in `_shapes`, in place of buckets.
 
 
 def _basis_key(b: Basis):

@@ -18,14 +18,14 @@ root (refocusing, Danvy & Nielsen 2004), so a step costs the fire and a
 walk of the frames, not a fresh search and a canonical rebuild of the
 path.
 
-The distribution a step returns carries a summand index that the next
-step reads and updates: the positions of the summands that are not yet
-values, and, once a step has merged fired summands into kept ones, every
-summand's shape key.  The pick and the group scan visit the pending
-summands only, and a fired summand is compared only with the kept
-summands of its shape, so a step's work follows the pending summands and
-what fires.  The value and every other linear combination are built in
-one construction (`core.combine`).
+A step finds its pending summands, those not yet values, afresh from
+the pure-value flag each node fixes when it is built; the pick and the
+group scan visit those only.  The distribution a step returns carries
+one fact for the next step: once a step has merged fired summands into
+kept ones, every summand's shape key (`_shapes`), so a fired summand is
+compared only with the kept summands of its shape.  The value and every
+other linear combination are built in one construction
+(`core.combine`).
 
 `evaluate` keeps a table of the contractions it fires for the length of
 the call, keyed on the identity of the redex's fields and on the value's
@@ -38,7 +38,7 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -62,7 +62,6 @@ from .core import (
     get_settings,
     is_canonical,
     sc_eq,
-    scale,
     shape_key,
     single,
     term_eq,
@@ -343,34 +342,22 @@ def _unit_fixed(c: complex) -> bool:
     return _coeff_bits(u.real, u.imag) == _coeff_bits(c.real, c.imag)
 
 
-def _pending_of(entries) -> tuple[int, ...]:
-    """The positions of the entries that are not pure values."""
-    return tuple(i for i, (t, _) in enumerate(entries) if not t._value)
-
-
-def _merge(
-    d: TermDist,
-    pending: tuple[int, ...],
-    group: list[int],
-    new: TermDist,
-) -> TermDist:
+def _merge(d: TermDist, group: list[int], new: TermDist) -> TermDist:
     """add(new, the entries of d outside group, each as scale(c,
     single(t)) leaves it), for d canonical under the current eps and new
-    built by the constructors: the step's merge, with the result's
-    summand index.
+    built by the constructors: the step's merge.
 
     d's shape keys, aligned with its entries, and whether every
     coefficient is unchanged by the factor 1+0j (`_shapes`) are computed
-    once, here, and carried on.  The kept entries are d's with group's
-    positions deleted, each times 1+0j unless the flag says that changes
-    no bit.  Each entry of new is compared only with the kept entries of
-    its shape, in ascending order, and joins every one term_eq to it
-    that no earlier entry of new has joined, the coefficients adding in
-    add's order; the entries of new that survive pruning go in after the
-    kept entries of equal order key, as add's stable sort puts them.
-    The pending positions and the shape keys shift with the entries.
-    A coefficient that is not finite raises OverflowError, as in
-    `_build`."""
+    once, here, and carried on to the result, which the next step merges
+    into.  The kept entries are d's with group's positions deleted, each
+    times 1+0j unless the flag says that changes no bit.  Each entry of
+    new is compared only with the kept entries of its shape, in
+    ascending order, and joins every one term_eq to it that no earlier
+    entry of new has joined, the coefficients adding in add's order; the
+    entries of new that survive pruning go in after the kept entries of
+    equal order key, as add's stable sort puts them.  A coefficient that
+    is not finite raises OverflowError, as in `_build`."""
     entries = d.entries
     index = d.__dict__.get("_shapes")
     if index is None:
@@ -384,13 +371,6 @@ def _merge(
         del kept[i], shapes[i]
     if not index[1]:
         kept = [(t, c * (1 + 0j)) for t, c in kept]
-    pend = []
-    gone = 0  # group is a subsequence of pending
-    for i in pending:
-        if gone < len(group) and group[gone] == i:
-            gone += 1
-        else:
-            pend.append(i - gone)
 
     eps = get_settings().eps
     joined: set[int] = set()
@@ -409,41 +389,16 @@ def _merge(
         if not m < math.inf:
             raise OverflowError("coefficient is not finite")
         survivors.append((t, c, s))
-    if joined:
-        dropped = sorted(joined)
-        for j in reversed(dropped):
-            del kept[j], shapes[j]
-        pend = [i - bisect_left(dropped, i) for i in pend if i not in joined]
-
-    # where the survivors land, ascending, and which of them are pending
-    at: list[int] = []
-    reducible: list[bool] = []
+    for j in sorted(joined, reverse=True):
+        del kept[j], shapes[j]
     for t, c, s in survivors:
         pos = bisect_right(kept, _term_key(t), key=_entry_key)
         kept.insert(pos, (t, c))
         shapes.insert(pos, s)
-        k = len(at)
-        while k and at[k - 1] >= pos:
-            at[k - 1] += 1
-            k -= 1
-        at.insert(k, pos)
-        reducible.insert(k, not t._value)
-    if at:  # each kept position moves past the survivors before it
-        moved = []
-        k = 0
-        for i in pend:
-            while k < len(at) and at[k] <= i + k:
-                if reducible[k]:
-                    moved.append(at[k])
-                k += 1
-            moved.append(i + k)
-        moved += [p for p, r in zip(at[k:], reducible[k:]) if r]
-        pend = moved
 
     merged = TermDist(tuple(kept))
     fields = merged.__dict__
     fields["_eps"] = eps
-    fields["_pending"] = tuple(pend)
     fields["_shapes"] = (  # the kept coefficients are fixed points now
         tuple(shapes),
         all(_unit_fixed(c) for _, c, _ in survivors),
@@ -455,15 +410,12 @@ def step(d: TermDist, fires: Optional[dict] = None) -> StepResult:
     """One deterministic step: the canonically first reducible summand
     fires, together with every summand sharing its context and redex.
 
-    d is expected canonical.  A step reads and returns a small summand
-    index, stored on the distribution as its keys are: the ascending
-    positions of the summands that are not pure values (`_pending`),
-    and, once a step has merged into d, its entries' shape keys with a
-    flag (`_shapes`, see `_merge`).  The pick and the group scan visit
-    the pending positions only, since a value never becomes reducible
-    again; a distribution from elsewhere computes its pending positions
-    on its first step.  So a step's work follows the pending summands
-    and what fires, not every summand.
+    d is expected canonical.  A step finds the summands that are not
+    pure values afresh, in one pass over d's pure-value flags, and the
+    pick and the group scan visit those only.  The one fact a step
+    carries to the next is a merged result's shape keys with a flag
+    (`_shapes`, see `_merge`), stored on the distribution as its keys
+    are.
 
     When d was built under the current eps, the entries that do not fire
     are reused, terms and order as they are, and only the fired part is
@@ -499,9 +451,7 @@ def step(d: TermDist, fires: Optional[dict] = None) -> StepResult:
       itself, so root fires neither read nor write the table; below the
       root `_plug` wraps every fired summand in new nodes."""
     entries = d.entries
-    pending = d.__dict__.get("_pending")
-    if pending is None:
-        pending = d.__dict__["_pending"] = _pending_of(entries)
+    pending = [i for i, (t, _) in enumerate(entries) if not t._value]
     for at, i in enumerate(pending):
         picked = _find(entries[i][0])
         if isinstance(picked, _Redex):
@@ -531,13 +481,12 @@ def step(d: TermDist, fires: Optional[dict] = None) -> StepResult:
     plugged = _plug(picked, fired)
     if len(group) == len(entries):
         result = plugged
-        result.__dict__["_pending"] = _pending_of(plugged.entries)
     elif is_canonical(d):
-        result = _merge(d, pending, group, plugged)
+        result = _merge(d, group, plugged)
     else:  # built under another eps: rebuilt, so the current eps prunes
         in_group = set(group)
         kept = [e for i, e in enumerate(entries) if i not in in_group]
-        result = add(plugged, add(*(scale(c, single(t)) for t, c in kept)))
+        result = add(plugged, combine((c, single(t)) for t, c in kept))
 
     if len(group) < len(entries):
         tag = RuleTag.CTX_SUM

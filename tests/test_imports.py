@@ -2,10 +2,12 @@
 re-exporting ``__init__``), the scripts and the tests.  Every private
 module-level name of the package is read somewhere in the package, and
 every parameter of the package and the scripts is read by its
-function."""
+function.  Every fact the package stores on a node is named in core's
+"Node keys" comment, and that comment names no other."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -292,3 +294,78 @@ def test_every_pure_term_sets_the_value_flag():
     owners = value_flag_owners(core.read_text(encoding="utf-8"))
     assert len(owners) == 7
     assert [name for name, owned in owners.items() if not owned] == []
+
+
+def node_facts_written(source: str) -> set[str]:
+    """The private names a module writes into a node's dict: an item
+    stored into `<x>.__dict__` or into a local named `fields`, or the
+    name that `object.__setattr__` sets."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            into = node.value
+            if not (
+                isinstance(into, ast.Attribute) and into.attr == "__dict__"
+                or isinstance(into, ast.Name) and into.id == "fields"
+            ):
+                continue
+            key = node.slice
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object"
+            and len(node.args) > 1
+        ):
+            key = node.args[1]
+        else:
+            continue
+        if isinstance(key, ast.Constant) and str(key.value).startswith("_"):
+            found.add(key.value)
+    return found
+
+
+def node_facts_listed(source: str) -> set[str]:
+    """The facts core's "Node keys" comment names: each is introduced
+    as a backquoted private name in parentheses, "(`_key`"."""
+    lines = source.splitlines()
+    start = next(i for i, s in enumerate(lines) if s.startswith("# Node keys."))
+    block = []
+    for line in lines[start:]:
+        if not line.startswith("#"):
+            break
+        block.append(line[1:])
+    return set(re.findall(r"\(`(_\w+)`", " ".join(block)))
+
+
+def test_node_fact_detectors():
+    src = (
+        "def f(t, d, out):\n"
+        "    t.__dict__['_a'] = 1\n"
+        "    fields = out.__dict__\n    fields['_b'] = fields['name'] = 2\n"
+        "    object.__setattr__(t, '_c', 3)\n"
+        "    d['_d'] = t._e = 4\n"
+        "    return t.__dict__.get('_f')\n"
+    )
+    assert node_facts_written(src) == {"_a", "_b", "_c"}
+    comment = (
+        "x = 1\n"
+        "# Node keys.  Nodes are immutable, and what a node knows about "
+        "itself is\n# stored: the key (`_key`), a flag (`_value`, see\n#\n"
+        "# it), made by `_build`.\n"
+        "\n# after the block (`_other`)\n"
+    )
+    assert node_facts_listed(comment) == {"_key", "_value"}
+
+
+def test_node_keys_comment_names_every_node_fact():
+    package = sorted((ROOT / "src" / "basislam").glob("*.py"))
+    written = set().union(
+        *(node_facts_written(p.read_text(encoding="utf-8")) for p in package)
+    )
+    core = ROOT / "src" / "basislam" / "core.py"
+    listed = node_facts_listed(core.read_text(encoding="utf-8"))
+    assert "_value" in listed and "_shapes" in listed
+    assert sorted(written - listed) == []  # written, not documented
+    assert sorted(listed - written) == []  # documented, never written

@@ -653,16 +653,10 @@ def test_stale_case_sibling_is_kept_as_built():
 
 
 # ---------------------------------------------------------------------------
-# The summand index a step carries (see `reduction.step` and `_merge`):
-# the pending positions, and the shape keys with the flag that says
-# whether every coefficient is unchanged by the factor 1+0j.  Each must
-# equal a computation from the entries alone.
-
-
-def fresh_pending(d):
-    return tuple(
-        i for i, (t, _) in enumerate(d.entries) if not ref_is_pure_value(t)
-    )
+# The shape keys a step carries (see `reduction._merge`), with the flag
+# that says whether every coefficient is unchanged by the factor 1+0j,
+# must equal a computation from the entries alone.  A step finds its
+# pending summands afresh, so no step result carries their positions.
 
 
 def fresh_shapes(d):
@@ -678,23 +672,20 @@ def fresh_shapes(d):
 
 @pytest.fixture
 def carried(monkeypatch):
-    """Counts of the step results that carry each part of the index,
-    every one checked against the entries."""
-    counts = {"steps": 0, "pending": 0, "shapes": 0}
+    """Counts of the step results and of those that carry shape keys,
+    every shape index checked against the entries."""
+    counts = {"steps": 0, "shapes": 0}
     original = reduction.step
 
     def checked(d, fires=None):
         res = original(d, fires)
         for dist in (d, res.dist) if isinstance(res, Reduced) else (d,):
-            pending = dist.__dict__.get("_pending")
-            if pending is not None:
-                assert pending == fresh_pending(dist)
             shapes = dist.__dict__.get("_shapes")
             if shapes is not None:
                 assert shapes == fresh_shapes(dist)
         if isinstance(res, Reduced):
+            assert "_pending" not in res.dist.__dict__
             counts["steps"] += 1
-            counts["pending"] += "_pending" in res.dist.__dict__
             counts["shapes"] += "_shapes" in res.dist.__dict__
         return res
 
@@ -706,9 +697,8 @@ def carried(monkeypatch):
 def test_index_carried_through_wide(carried, seed):
     for term in wide_terms(seed):
         assert isinstance(evaluate(term).final, NormalForm)
-    # every step carries its pending positions, and steps that merge
-    # into kept summands carry their shapes
-    assert carried["pending"] == carried["steps"] > 1000
+    # steps that merge into kept summands carry their shapes
+    assert carried["steps"] > 1000
     assert carried["shapes"] > 500
 
 
@@ -716,7 +706,7 @@ def test_index_carried_through_wide(carried, seed):
 def test_index_carried_through_deep(carried, seed):
     for term in deep_terms(seed):
         assert isinstance(evaluate(term).final, NormalForm)
-    assert carried["pending"] == carried["steps"] > 1000
+    assert carried["steps"] > 1000
     # every step fires the whole distribution, so no shape is computed
     assert carried["shapes"] == 0
 
