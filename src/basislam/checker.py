@@ -4,15 +4,18 @@ Judgements hold contexts that bind each variable to a type and the basis
 its binder was annotated with.  The checker follows the typing rules
 where they apply: variables, sums of equally annotated abstractions,
 applications, pairs, the two let rules, the two case rules, sums of
-orthogonal realizers, and phase.  Distributions are kept canonical, so
-before dispatching the checker refactors a flattened sum back into a
-single application, pair, let, or case whenever the congruence allows
-it.  Closed subterms can always fall back to direct evaluation against
-the goal, and a let or case over an enumerable context can fall back to
-a semantic check (Sem) that evaluates the images generator by generator
-and closes them by typesem.linear_images_member, the law that arrow
-membership uses too.  Both fallbacks are recorded in the derivation,
-never hidden.
+orthogonal realizers, and phase.  Each rule is a module function, and
+the memoizing recursion ``_check`` derives every judgement at most once
+per session.  Distributions are kept canonical, so before dispatching
+the checker refactors a flattened sum back into a single application,
+pair, let, or case whenever the congruence allows it: ``_STRUCTURAL``
+picks, by the summands' constructor, the refactoring and the rule
+function that checks the single node.  Closed subterms can always fall
+back to direct evaluation against the goal, and a let or case over an
+enumerable context can fall back to a semantic check (Sem) that
+evaluates the images generator by generator and closes them by
+typesem.linear_images_member, the law that arrow membership uses too.
+Both fallbacks are recorded in the derivation, never hidden.
 
 Where several rules could apply, the checker backtracks: each
 alternative runs under one ``_Tried`` record, in a fixed order, and the
@@ -355,471 +358,445 @@ _SEM_NOTES = {
 }
 
 
-class _Checker:
-    # -- main entry ---------------------------------------------------
+# ---------------------------------------------------------------------------
+# The rules: _derive picks those that may apply and backtracks among them.
 
-    def check(self, ctx: Context, d: TermDist, goal: Type) -> Derivation:
-        ctx = _usable(ctx, d)
-        current = get_session()
-        if current is None:
-            return self._derive(ctx, d, goal)
-        out = current.judgements.memo(
-            _judgement_key(ctx, d, goal),
-            lambda: self._outcome(ctx, d, goal),
-        )
-        if isinstance(out, Derivation):
-            return out
-        kind, message, note = out
-        raise CheckError(message, note, kind)
 
-    def _outcome(self, ctx: Context, d: TermDist, goal: Type):
-        """The derivation, or the error as (kind, message, note), so that
-        a table hit raises an error of its own."""
-        try:
-            return self._derive(ctx, d, goal)
-        except CheckError as e:
-            return e.kind, e.message, e.note
+def _check(ctx: Context, d: TermDist, goal: Type) -> Derivation:
+    ctx = _usable(ctx, d)
+    current = get_session()
+    if current is None:
+        return _derive(ctx, d, goal)
+    out = current.judgements.memo(
+        _judgement_key(ctx, d, goal), lambda: _outcome(ctx, d, goal)
+    )
+    if isinstance(out, Derivation):
+        return out
+    kind, message, note = out
+    raise CheckError(message, note, kind)
 
-    def _derive(self, ctx: Context, d: TermDist, goal: Type) -> Derivation:
-        if d.is_zero():
-            raise CheckError("rule not applicable", "empty distribution")
-        if len(d.entries) == 1:
-            t, c = d.entries[0]
-            if not sc_eq(c, 1.0) and sc_eq(abs(c), 1.0):
-                inner = self.check(ctx, single(t), goal)
-                return _node(
-                    "Phase", ctx, d, goal, (inner,), note="global phase"
-                )
-        tried = _Tried()
-        kinds = {type(t) for t, _ in d.entries}
-        kind = kinds.pop() if len(kinds) == 1 else None
-        if kind is Lam:
-            with tried:
-                return self._check_lams(ctx, d, goal)
-        elif kind is Var and len(d.entries) == 1:
-            with tried:
-                return self._check_var(ctx, d, goal)
-        elif kind in self._STRUCTURAL:
-            factor, rule = self._STRUCTURAL[kind]
-            fact = factor(d)
-            if fact is not None:
-                with tried:
-                    return rule(self, ctx, d, fact[0], fact[1], goal)
 
-        if isinstance(goal, Sharp) and len(d.entries) >= 2:
-            with tried:
-                return self._check_sum(ctx, d, goal)
-        # The evaluation fallback must not mask a linearity violation
-        # that the structural rules diagnosed.
-        if is_closed(d) and not any(
-            e.kind is ErrorKind.LINEAR for e in tried.errors
-        ):
-            with tried:
-                return self._check_lit(ctx, d, goal)
-        raise tried.best()
+def _outcome(ctx: Context, d: TermDist, goal: Type):
+    """The derivation, or the error as (kind, message, note), so that
+    a table hit raises an error of its own."""
+    try:
+        return _derive(ctx, d, goal)
+    except CheckError as e:
+        return e.kind, e.message, e.note
 
-    # -- leaves -------------------------------------------------------
 
-    def _check_var(self, ctx: Context, d: TermDist, goal: Type) -> Derivation:
+def _derive(ctx: Context, d: TermDist, goal: Type) -> Derivation:
+    if d.is_zero():
+        raise CheckError("rule not applicable", "empty distribution")
+    if len(d.entries) == 1:
         t, c = d.entries[0]
-        assert isinstance(t, Var)
-        if not sc_eq(c, 1.0):
-            raise CheckError("rule not applicable", "scaled variable")
-        binding = ctx[t.name]
-        if isinstance(binding.basis, Ortho):
-            # the annotation's elements are in the type, and the type lies
-            # in the annotation's span
-            span = BasisType(binding.basis)
-            if (
-                subtype(span, binding.type) is not True
-                or subtype(binding.type, Sharp(span)) is not True
-            ):
-                raise CheckError(
-                    "rule not applicable",
-                    f"annotation basis of {t.name} does not generate its type",
-                )
-        axiom = _node("Axiom", ctx, d, binding.type, note=t.name)
-        return self._coerce(ctx, d, axiom, binding.type, goal)
+        if not sc_eq(c, 1.0) and sc_eq(abs(c), 1.0):
+            inner = _check(ctx, single(t), goal)
+            return _node("Phase", ctx, d, goal, (inner,), note="global phase")
+    tried = _Tried()
+    kinds = {type(t) for t, _ in d.entries}
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is Lam:
+        with tried:
+            return _check_lams(ctx, d, goal)
+    elif kind is Var and len(d.entries) == 1:
+        with tried:
+            return _check_var(ctx, d, goal)
+    elif kind in _STRUCTURAL:
+        factor, rule = _STRUCTURAL[kind]
+        fact = factor(d)
+        if fact is not None:
+            with tried:
+                return rule(ctx, d, fact[0], fact[1], goal)
 
-    def _coerce(
-        self,
-        ctx: Context,
-        d: TermDist,
-        inner: Derivation,
-        have: Type,
-        goal: Type,
-    ) -> Derivation:
-        if type_eq(have, goal):
-            return inner
-        verdict = subtype(have, goal)
-        if verdict is True:
-            return _node("Sub", ctx, d, goal, (inner,))
-        note = "" if verdict is False else "subtyping not decided for this pair"
+    if isinstance(goal, Sharp) and len(d.entries) >= 2:
+        with tried:
+            return _check_sum(ctx, d, goal)
+    # The evaluation fallback must not mask a linearity violation
+    # that the structural rules diagnosed.
+    if is_closed(d) and not any(
+        e.kind is ErrorKind.LINEAR for e in tried.errors
+    ):
+        with tried:
+            return _check_lit(ctx, d, goal)
+    raise tried.best()
+
+
+# -- leaves -----------------------------------------------------------------
+
+
+def _check_var(ctx: Context, d: TermDist, goal: Type) -> Derivation:
+    t, c = d.entries[0]
+    assert isinstance(t, Var)
+    if not sc_eq(c, 1.0):
+        raise CheckError("rule not applicable", "scaled variable")
+    binding = ctx[t.name]
+    if isinstance(binding.basis, Ortho):
+        # the annotation's elements are in the type, and the type lies
+        # in the annotation's span
+        span = BasisType(binding.basis)
+        if (
+            subtype(span, binding.type) is not True
+            or subtype(binding.type, Sharp(span)) is not True
+        ):
+            raise CheckError(
+                "rule not applicable",
+                f"annotation basis of {t.name} does not generate its type",
+            )
+    axiom = _node("Axiom", ctx, d, binding.type, note=t.name)
+    return _coerce(ctx, d, axiom, binding.type, goal)
+
+
+def _coerce(
+    ctx: Context, d: TermDist, inner: Derivation, have: Type, goal: Type
+) -> Derivation:
+    if type_eq(have, goal):
+        return inner
+    verdict = subtype(have, goal)
+    if verdict is True:
+        return _node("Sub", ctx, d, goal, (inner,))
+    note = "" if verdict is False else "subtyping not decided for this pair"
+    raise CheckError(
+        f"subtype check failed {print_type(have)} ≤ {print_type(goal)}",
+        note,
+        ErrorKind.SUBTYPE,
+    )
+
+
+def _check_lit(ctx: Context, d: TermDist, goal: Type) -> Derivation:
+    try:
+        ok = realizes(d, goal)
+    except Undecidable as e:
+        raise CheckError("rule not applicable", str(e))
+    if not ok:
         raise CheckError(
-            f"subtype check failed {print_type(have)} ≤ {print_type(goal)}",
-            note,
-            ErrorKind.SUBTYPE,
+            "rule not applicable",
+            f"does not evaluate to a member of {print_type(goal)}",
         )
+    return _node(
+        "Lit", ctx, d, goal, note="closed term evaluated against the goal"
+    )
 
-    def _check_lit(self, ctx: Context, d: TermDist, goal: Type) -> Derivation:
-        try:
-            ok = realizes(d, goal)
-        except Undecidable as e:
-            raise CheckError("rule not applicable", str(e))
-        if not ok:
-            raise CheckError(
-                "rule not applicable",
-                f"does not evaluate to a member of {print_type(goal)}",
-            )
-        return _node(
-            "Lit", ctx, d, goal, note="closed term evaluated against the goal"
+
+# -- abstractions -----------------------------------------------------------
+
+
+def _check_lams(ctx: Context, d: TermDist, goal: Type) -> Derivation:
+    lams = [t for t, _ in d.entries]
+    annotation = lams[0].basis
+    if not all(basis_eq(l.basis, annotation) for l in lams[1:]):
+        raise CheckError(
+            "rule not applicable", "abstraction bases do not match"
         )
-
-    # -- abstractions ---------------------------------------------------
-
-    def _check_lams(self, ctx: Context, d: TermDist, goal: Type) -> Derivation:
-        lams = [t for t, _ in d.entries]
-        annotation = lams[0].basis
-        if not all(basis_eq(l.basis, annotation) for l in lams[1:]):
-            raise CheckError(
-                "rule not applicable", "abstraction bases do not match"
-            )
-        arrow = goal
-        sub_needed = False
-        if isinstance(goal, Sharp) and isinstance(goal.inner, Arrow):
-            arrow = goal.inner
-            sub_needed = True
-        if not isinstance(arrow, Arrow):
-            raise CheckError(
-                "rule not applicable", "abstraction against a non-arrow goal"
-            )
-        var = fresh_name(
-            lams[0].var,
-            frozenset(ctx) | free_vars(d),
+    arrow = goal
+    sub_needed = False
+    if isinstance(goal, Sharp) and isinstance(goal.inner, Arrow):
+        arrow = goal.inner
+        sub_needed = True
+    if not isinstance(arrow, Arrow):
+        raise CheckError(
+            "rule not applicable", "abstraction against a non-arrow goal"
         )
-        body = combine(
-            (c, subst_dist(t.body, t.var, single(Var(var))))
-            for t, c in d.entries
-        )
-        inner_ctx = dict(ctx)
-        inner_ctx[var] = Binding(arrow.dom, annotation)
-        premise = self.check(inner_ctx, body, arrow.cod)
-        node = _node("UnitLam", ctx, d, arrow, (premise,))
-        if sub_needed:
-            return self._coerce(ctx, d, node, arrow, goal)
-        return node
+    var = fresh_name(lams[0].var, frozenset(ctx) | free_vars(d))
+    body = combine(
+        (c, subst_dist(t.body, t.var, single(Var(var))))
+        for t, c in d.entries
+    )
+    inner_ctx = dict(ctx)
+    inner_ctx[var] = Binding(arrow.dom, annotation)
+    premise = _check(inner_ctx, body, arrow.cod)
+    node = _node("UnitLam", ctx, d, arrow, (premise,))
+    if sub_needed:
+        return _coerce(ctx, d, node, arrow, goal)
+    return node
 
-    # -- applications ---------------------------------------------------
 
-    def _check_app(
-        self,
-        ctx: Context,
-        d: TermDist,
-        fun: TermDist,
-        arg: TermDist,
-        goal: Type,
-    ) -> Derivation:
-        ctx_f, ctx_a = _split(ctx, [free_vars(fun), free_vars(arg)])
-        tried = _Tried()
-        fun_type = self.synth(ctx_f, fun)
-        if isinstance(fun_type, Arrow):
-            with tried:
-                fun_deriv = self.check(ctx_f, fun, fun_type)
-                arg_deriv = self.check(ctx_a, arg, fun_type.dom)
-                node = _node(
-                    "App", ctx, d, fun_type.cod, (fun_deriv, arg_deriv)
-                )
-                return self._coerce(ctx, d, node, fun_type.cod, goal)
-        # the argument's type, or else the domains the function proposes
-        arg_type = self.synth(ctx_a, arg)
-        if arg_type is not None:
-            doms = [arg_type]
-        else:
-            doms = _proposed_arg_doms(fun) if fun_type is None else []
-        for dom in doms:
-            with tried:
-                fun_deriv = self.check(ctx_f, fun, Arrow(dom, goal))
-                arg_deriv = self.check(ctx_a, arg, dom)
-                return _node("App", ctx, d, goal, (fun_deriv, arg_deriv))
-        raise tried.best(
-            "cannot determine the type of either side of an application"
-        )
+# -- applications -----------------------------------------------------------
 
-    def synth(self, ctx: Context, d: TermDist) -> Optional[Type]:
-        """A type for the distribution when one is apparent: a variable's
-        recorded type, an application of a synthesizable function, a
-        closed qubit value, or a factorable pair."""
-        if len(d.entries) == 1 and isinstance(d.entries[0][0], Var):
-            name = d.entries[0][0].name
-            if name in ctx and sc_eq(d.entries[0][1], 1.0):
-                return ctx[name].type
-        value_type = _synth_value(d)
-        if value_type is not None:
-            return value_type
-        kinds = {type(t) for t, _ in d.entries}
-        fact = _factor_bilinear(d) if kinds in ({App}, {Pair}) else None
-        if fact is None:
+
+def _check_app(
+    ctx: Context, d: TermDist, fun: TermDist, arg: TermDist, goal: Type
+) -> Derivation:
+    ctx_f, ctx_a = _split(ctx, [free_vars(fun), free_vars(arg)])
+    tried = _Tried()
+    fun_type = _synth(ctx_f, fun)
+    if isinstance(fun_type, Arrow):
+        with tried:
+            fun_deriv = _check(ctx_f, fun, fun_type)
+            arg_deriv = _check(ctx_a, arg, fun_type.dom)
+            node = _node("App", ctx, d, fun_type.cod, (fun_deriv, arg_deriv))
+            return _coerce(ctx, d, node, fun_type.cod, goal)
+    # the argument's type, or else the domains the function proposes
+    arg_type = _synth(ctx_a, arg)
+    if arg_type is not None:
+        doms = [arg_type]
+    else:
+        doms = _proposed_arg_doms(fun) if fun_type is None else []
+    for dom in doms:
+        with tried:
+            fun_deriv = _check(ctx_f, fun, Arrow(dom, goal))
+            arg_deriv = _check(ctx_a, arg, dom)
+            return _node("App", ctx, d, goal, (fun_deriv, arg_deriv))
+    raise tried.best(
+        "cannot determine the type of either side of an application"
+    )
+
+
+def _synth(ctx: Context, d: TermDist) -> Optional[Type]:
+    """A type for the distribution when one is apparent: a variable's
+    recorded type, an application of a synthesizable function, a
+    closed qubit value, or a factorable pair."""
+    if len(d.entries) == 1 and isinstance(d.entries[0][0], Var):
+        name = d.entries[0][0].name
+        if name in ctx and sc_eq(d.entries[0][1], 1.0):
+            return ctx[name].type
+    value_type = _synth_value(d)
+    if value_type is not None:
+        return value_type
+    kinds = {type(t) for t, _ in d.entries}
+    fact = _factor_bilinear(d) if kinds in ({App}, {Pair}) else None
+    if fact is None:
+        return None
+    left = _synth(_restrict(ctx, fact[0]), fact[0])
+    if kinds == {Pair}:
+        right = _synth(_restrict(ctx, fact[1]), fact[1])
+        if left is None or right is None:
             return None
-        left = self.synth(_restrict(ctx, fact[0]), fact[0])
-        if kinds == {Pair}:
-            right = self.synth(_restrict(ctx, fact[1]), fact[1])
-            if left is None or right is None:
-                return None
-            return Prod(left, right)
-        if not isinstance(left, Arrow):
-            return None
-        try:
-            self.check(_restrict(ctx, fact[1]), fact[1], left.dom)
-        except CheckError:
-            return None
-        return left.cod
+        return Prod(left, right)
+    if not isinstance(left, Arrow):
+        return None
+    try:
+        _check(_restrict(ctx, fact[1]), fact[1], left.dom)
+    except CheckError:
+        return None
+    return left.cod
 
-    # -- pairs ----------------------------------------------------------
 
-    def _check_pair(
-        self,
-        ctx: Context,
-        d: TermDist,
-        left: TermDist,
-        right: TermDist,
-        goal: Type,
-    ) -> Derivation:
-        ctx_l, ctx_r = _split(ctx, [free_vars(left), free_vars(right)])
-        tried = _Tried()
-        candidates: list[tuple[Prod, bool]] = []
-        if isinstance(goal, Prod):
-            candidates.append((goal, False))
-        elif isinstance(goal, Sharp) and isinstance(goal.inner, Prod):
-            inner = goal.inner
-            candidates.append(
-                (Prod(Sharp(inner.left), Sharp(inner.right)), True)
-            )
-            candidates.append((inner, True))
-        for prod, needs_sub in candidates:
+# -- pairs ------------------------------------------------------------------
+
+
+def _check_pair(
+    ctx: Context, d: TermDist, left: TermDist, right: TermDist, goal: Type
+) -> Derivation:
+    ctx_l, ctx_r = _split(ctx, [free_vars(left), free_vars(right)])
+    tried = _Tried()
+    candidates: list[tuple[Prod, bool]] = []
+    if isinstance(goal, Prod):
+        candidates.append((goal, False))
+    elif isinstance(goal, Sharp) and isinstance(goal.inner, Prod):
+        inner = goal.inner
+        candidates.append((Prod(Sharp(inner.left), Sharp(inner.right)), True))
+        candidates.append((inner, True))
+    for prod, needs_sub in candidates:
+        with tried:
+            left_d = _check(ctx_l, left, prod.left)
+            right_d = _check(ctx_r, right, prod.right)
+            node = _node("Pair", ctx, d, prod, (left_d, right_d))
+            if needs_sub:
+                return _coerce(ctx, d, node, prod, goal)
+            return node
+    raise tried.best("pair against a non-product goal")
+
+
+# -- let --------------------------------------------------------------------
+
+
+def _check_let(
+    ctx: Context, d: TermDist, node: LetPair, scrutinee: TermDist, goal: Type
+) -> Derivation:
+    body = node.body
+    ctx_s, ctx_b = _split(
+        ctx,
+        [free_vars(scrutinee), free_vars(body) - {node.var1, node.var2}],
+    )
+    # a binder that would shadow a context variable is renamed
+    var1, body = rename_away(node.var1, body, frozenset(ctx))
+    var2, body = rename_away(node.var2, body, frozenset(ctx))
+    tried = _Tried()
+    ortho = isinstance(node.basis1, Ortho) and isinstance(node.basis2, Ortho)
+
+    # plain let over a product
+    product = _synth(ctx_s, scrutinee)
+    if not isinstance(product, Prod) and ortho:
+        product = Prod(BasisType(node.basis1), BasisType(node.basis2))
+    if isinstance(product, Prod):
+        with tried:
+            scr_d = _check(ctx_s, scrutinee, product)
+            inner_ctx = dict(ctx_b)
+            inner_ctx[var1] = Binding(product.left, node.basis1)
+            inner_ctx[var2] = Binding(product.right, node.basis2)
+            body_d = _check(inner_ctx, body, goal)
+            return _node("LetPair", ctx, d, goal, (scr_d, body_d))
+
+    # tensor let: sharp scrutinee, sharp binders, sharp conclusion
+    if isinstance(goal, Sharp) and ortho:
+        scr_goal = Sharp(Prod(BasisType(node.basis1), BasisType(node.basis2)))
+        for body_goal in (goal.inner, goal):
             with tried:
-                left_d = self.check(ctx_l, left, prod.left)
-                right_d = self.check(ctx_r, right, prod.right)
-                node = _node("Pair", ctx, d, prod, (left_d, right_d))
-                if needs_sub:
-                    return self._coerce(ctx, d, node, prod, goal)
-                return node
-        raise tried.best("pair against a non-product goal")
-
-    # -- let ------------------------------------------------------------
-
-    def _check_let(
-        self,
-        ctx: Context,
-        d: TermDist,
-        node: LetPair,
-        scrutinee: TermDist,
-        goal: Type,
-    ) -> Derivation:
-        body = node.body
-        ctx_s, ctx_b = _split(
-            ctx,
-            [free_vars(scrutinee), free_vars(body) - {node.var1, node.var2}],
-        )
-        # a binder that would shadow a context variable is renamed
-        var1, body = rename_away(node.var1, body, frozenset(ctx))
-        var2, body = rename_away(node.var2, body, frozenset(ctx))
-        tried = _Tried()
-        ortho = isinstance(node.basis1, Ortho) and isinstance(node.basis2, Ortho)
-
-        # plain let over a product
-        product = self.synth(ctx_s, scrutinee)
-        if not isinstance(product, Prod) and ortho:
-            product = Prod(BasisType(node.basis1), BasisType(node.basis2))
-        if isinstance(product, Prod):
-            with tried:
-                scr_d = self.check(ctx_s, scrutinee, product)
+                scr_d = _check(ctx_s, scrutinee, scr_goal)
                 inner_ctx = dict(ctx_b)
-                inner_ctx[var1] = Binding(product.left, node.basis1)
-                inner_ctx[var2] = Binding(product.right, node.basis2)
-                body_d = self.check(inner_ctx, body, goal)
-                return _node("LetPair", ctx, d, goal, (scr_d, body_d))
-
-        # tensor let: sharp scrutinee, sharp binders, sharp conclusion
-        if isinstance(goal, Sharp) and ortho:
-            scr_goal = Sharp(
-                Prod(BasisType(node.basis1), BasisType(node.basis2))
-            )
-            for body_goal in (goal.inner, goal):
-                with tried:
-                    scr_d = self.check(ctx_s, scrutinee, scr_goal)
-                    inner_ctx = dict(ctx_b)
-                    inner_ctx[var1] = Binding(
-                        Sharp(BasisType(node.basis1)), node.basis1
-                    )
-                    inner_ctx[var2] = Binding(
-                        Sharp(BasisType(node.basis2)), node.basis2
-                    )
-                    body_d = self.check(inner_ctx, body, body_goal)
-                    return _node(
-                        "LetTensor", ctx, d, goal, (scr_d, body_d)
-                    )
-        else:
-            tried.errors.append(
-                CheckError(
-                    "rule not applicable",
-                    "tensor let needs a sharp goal and basis annotations",
+                inner_ctx[var1] = Binding(
+                    Sharp(BasisType(node.basis1)), node.basis1
                 )
-            )
-
-        with tried:
-            return self._sem_judge(ctx, d, goal)
-        raise tried.best()
-
-    # -- case -------------------------------------------------------------
-
-    def _check_case(
-        self,
-        ctx: Context,
-        d: TermDist,
-        node: Case,
-        scrutinee: TermDist,
-        goal: Type,
-    ) -> Derivation:
-        fv_branches = frozenset().union(
-            *(free_vars(b) for b in node.branches)
-        )
-        ctx_s, ctx_b = _split(ctx, [free_vars(scrutinee), fv_branches])
-        pattern_type = BasisType(Ortho(node.patterns))
-        tried = _Tried()
-
-        # finite case: scrutinee inhabits the pattern basis itself
-        with tried:
-            scr_d = self.check(ctx_s, scrutinee, pattern_type)
-            branch_ds = tuple(
-                self.check(ctx_b, b, goal) for b in node.branches
-            )
-            return _node("Case", ctx, d, goal, (scr_d,) + branch_ds)
-
-        # unitary case: sharp scrutinee, orthogonal branches, sharp goal
-        if isinstance(goal, Sharp):
-            for branch_goal in (goal.inner, goal):
-                with tried:
-                    scr_d = self.check(ctx_s, scrutinee, Sharp(pattern_type))
-                    branch_ds = tuple(
-                        self.check(ctx_b, b, branch_goal)
-                        for b in node.branches
-                    )
-                    self._require_orthogonal(ctx_b, node.branches)
-                    return _node(
-                        "UnitCase", ctx, d, goal, (scr_d,) + branch_ds
-                    )
-        with tried:
-            return self._sem_judge(ctx, d, goal)
-        raise tried.best()
-
-    # -- sums -------------------------------------------------------------
-
-    def _check_sum(self, ctx: Context, d: TermDist, goal: Sharp) -> Derivation:
-        weight = sum(abs(c) ** 2 for _, c in d.entries)
-        if not sc_eq(weight, 1.0):
-            raise CheckError(
+                inner_ctx[var2] = Binding(
+                    Sharp(BasisType(node.basis2)), node.basis2
+                )
+                body_d = _check(inner_ctx, body, body_goal)
+                return _node("LetTensor", ctx, d, goal, (scr_d, body_d))
+    else:
+        tried.errors.append(
+            CheckError(
                 "rule not applicable",
-                f"squared coefficients sum to {weight:.6g}, not 1",
+                "tensor let needs a sharp goal and basis annotations",
             )
-        tried = _Tried()
-        for part_goal in (goal.inner, goal):
+        )
+
+    with tried:
+        return _sem_judge(ctx, d, goal)
+    raise tried.best()
+
+
+# -- case -------------------------------------------------------------------
+
+
+def _check_case(
+    ctx: Context, d: TermDist, node: Case, scrutinee: TermDist, goal: Type
+) -> Derivation:
+    fv_branches = frozenset().union(*(free_vars(b) for b in node.branches))
+    ctx_s, ctx_b = _split(ctx, [free_vars(scrutinee), fv_branches])
+    pattern_type = BasisType(Ortho(node.patterns))
+    tried = _Tried()
+
+    # finite case: scrutinee inhabits the pattern basis itself
+    with tried:
+        scr_d = _check(ctx_s, scrutinee, pattern_type)
+        branch_ds = tuple(_check(ctx_b, b, goal) for b in node.branches)
+        return _node("Case", ctx, d, goal, (scr_d,) + branch_ds)
+
+    # unitary case: sharp scrutinee, orthogonal branches, sharp goal
+    if isinstance(goal, Sharp):
+        for branch_goal in (goal.inner, goal):
             with tried:
-                premises = tuple(
-                    self.check(ctx, single(t), part_goal)
-                    for t, _ in d.entries
+                scr_d = _check(ctx_s, scrutinee, Sharp(pattern_type))
+                branch_ds = tuple(
+                    _check(ctx_b, b, branch_goal) for b in node.branches
                 )
-                self._require_orthogonal(
-                    ctx, [single(t) for t, _ in d.entries]
-                )
-                return _node("Sum", ctx, d, goal, premises)
-        raise tried.best()
+                _require_orthogonal(ctx_b, node.branches)
+                return _node("UnitCase", ctx, d, goal, (scr_d,) + branch_ds)
+    with tried:
+        return _sem_judge(ctx, d, goal)
+    raise tried.best()
 
-    def _require_orthogonal(self, ctx: Context, parts: list[TermDist]) -> None:
-        """The orthogonality premise of the Sum and UnitCase rules, for
-        every pair of parts."""
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                if not check_orthogonality(ctx, {}, parts[i], {}, parts[j]):
-                    raise CheckError(
-                        f"orthogonality premise failed (branches {i},{j})",
-                        kind=ErrorKind.ORTHOGONALITY,
-                    )
 
-    # -- semantic fallback -------------------------------------------------
+# -- sums -------------------------------------------------------------------
 
-    def _sem_judge(self, ctx: Context, d: TermDist, goal: Type) -> Derivation:
-        basis_pools: list[tuple[str, list[TermDist], Basis]] = []
-        sharp_var: Optional[tuple[str, list[TermDist], Basis]] = None
-        for x, span, values, basis in _context_pools(ctx):
-            if not span:
-                basis_pools.append((x, values, basis))
-            elif sharp_var is None:
-                sharp_var = (x, values, basis)
-            else:
-                # linearity pins down the images of one span variable
+
+def _check_sum(ctx: Context, d: TermDist, goal: Sharp) -> Derivation:
+    weight = sum(abs(c) ** 2 for _, c in d.entries)
+    if not sc_eq(weight, 1.0):
+        raise CheckError(
+            "rule not applicable",
+            f"squared coefficients sum to {weight:.6g}, not 1",
+        )
+    tried = _Tried()
+    for part_goal in (goal.inner, goal):
+        with tried:
+            premises = tuple(
+                _check(ctx, single(t), part_goal) for t, _ in d.entries
+            )
+            _require_orthogonal(ctx, [single(t) for t, _ in d.entries])
+            return _node("Sum", ctx, d, goal, premises)
+    raise tried.best()
+
+
+def _require_orthogonal(ctx: Context, parts: list[TermDist]) -> None:
+    """The orthogonality premise of the Sum and UnitCase rules, for
+    every pair of parts."""
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            if not check_orthogonality(ctx, {}, parts[i], {}, parts[j]):
                 raise CheckError(
-                    "context not basis-enumerable",
-                    f"variable {x}",
-                    ErrorKind.CONTEXT,
+                    f"orthogonality premise failed (branches {i},{j})",
+                    kind=ErrorKind.ORTHOGONALITY,
                 )
 
-        pools = (values for _, values, _ in basis_pools)
-        for combo in itertools.product(*pools):
-            sigma = {
-                x: (value, basis)
-                for (x, _, basis), value in zip(basis_pools, combo)
-            }
-            if sharp_var is None:
-                if not realizes(_sem_instance(d, sigma), goal):
-                    raise CheckError(
-                        "rule not applicable",
-                        "semantic check failed on an enumerated substitution",
-                    )
-                continue
-            name, gens, basis = sharp_var
-            images: list[TermDist] = []
-            for g in gens:
-                w = evaluate_value(
-                    _sem_instance(d, {**sigma, name: (g, basis)})
-                )
-                if w is None:
-                    raise CheckError(
-                        "rule not applicable",
-                        "semantic check: an instance does not reach a value",
-                    )
-                images.append(w)
-            self._sem_linear_images(images, goal)
-        note = "semantic judgement over the enumerated context"
-        return _node("Sem", ctx, d, goal, note=note)
 
-    def _sem_linear_images(self, images: list[TermDist], goal: Type) -> None:
-        """The images of an orthonormal generating family decide the goal
-        for every unit combination by typesem.linear_images_member.  One
-        image need only be a member up to a phase, as its phase multiples
-        are all the instances; two or more must be members exactly."""
-        member = is_member_phase if len(images) == 1 else is_member
-        try:
-            if not all(member(w, goal) for w in images):
-                failed = "image"
-            elif first_overlap(images) is not None:
-                failed = "overlap"
-            else:
-                failed = linear_images_member(
-                    {(i,): w for i, w in enumerate(images)}, goal
-                )
-        except Undecidable as e:
-            raise CheckError("rule not applicable", str(e))
-        if failed is not None:
-            raise CheckError("rule not applicable", _SEM_NOTES[failed])
+# -- semantic fallback ------------------------------------------------------
 
-    # Summands of one constructor: how to refactor the sum into a single
-    # node, and the rule that checks that node.
-    _STRUCTURAL = {
-        App: (_factor_bilinear, _check_app),
-        Pair: (_factor_bilinear, _check_pair),
-        LetPair: (_factor_scrutinee, _check_let),
-        Case: (_factor_scrutinee, _check_case),
-    }
+
+def _sem_judge(ctx: Context, d: TermDist, goal: Type) -> Derivation:
+    basis_pools: list[tuple[str, list[TermDist], Basis]] = []
+    sharp_var: Optional[tuple[str, list[TermDist], Basis]] = None
+    for x, span, values, basis in _context_pools(ctx):
+        if not span:
+            basis_pools.append((x, values, basis))
+        elif sharp_var is None:
+            sharp_var = (x, values, basis)
+        else:
+            # linearity pins down the images of one span variable
+            raise CheckError(
+                "context not basis-enumerable",
+                f"variable {x}",
+                ErrorKind.CONTEXT,
+            )
+
+    pools = (values for _, values, _ in basis_pools)
+    for combo in itertools.product(*pools):
+        sigma = {
+            x: (value, basis)
+            for (x, _, basis), value in zip(basis_pools, combo)
+        }
+        if sharp_var is None:
+            if not realizes(_sem_instance(d, sigma), goal):
+                raise CheckError(
+                    "rule not applicable",
+                    "semantic check failed on an enumerated substitution",
+                )
+            continue
+        name, gens, basis = sharp_var
+        images: list[TermDist] = []
+        for g in gens:
+            w = evaluate_value(_sem_instance(d, {**sigma, name: (g, basis)}))
+            if w is None:
+                raise CheckError(
+                    "rule not applicable",
+                    "semantic check: an instance does not reach a value",
+                )
+            images.append(w)
+        _sem_linear_images(images, goal)
+    note = "semantic judgement over the enumerated context"
+    return _node("Sem", ctx, d, goal, note=note)
+
+
+def _sem_linear_images(images: list[TermDist], goal: Type) -> None:
+    """The images of an orthonormal generating family decide the goal
+    for every unit combination by typesem.linear_images_member.  One
+    image need only be a member up to a phase, as its phase multiples
+    are all the instances; two or more must be members exactly."""
+    member = is_member_phase if len(images) == 1 else is_member
+    try:
+        if not all(member(w, goal) for w in images):
+            failed = "image"
+        elif first_overlap(images) is not None:
+            failed = "overlap"
+        else:
+            failed = linear_images_member(
+                {(i,): w for i, w in enumerate(images)}, goal
+            )
+    except Undecidable as e:
+        raise CheckError("rule not applicable", str(e))
+    if failed is not None:
+        raise CheckError("rule not applicable", _SEM_NOTES[failed])
+
+
+# Summands of one constructor: how to refactor the sum into a single
+# node, and the rule that checks that node.
+_STRUCTURAL = {
+    App: (_factor_bilinear, _check_app),
+    Pair: (_factor_bilinear, _check_pair),
+    LetPair: (_factor_scrutinee, _check_let),
+    Case: (_factor_scrutinee, _check_case),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +804,7 @@ class _Checker:
 
 
 def check(ctx: Context, term: TermDist, goal: Type) -> Derivation:
-    return _Checker().check(ctx, term, goal)
+    return _check(ctx, term, goal)
 
 
 def _context_pools(

@@ -36,9 +36,12 @@ class Settings:
     max_steps: int = 100000
 
     def __post_init__(self) -> None:
+        # a bool is an int, but neither a tolerance nor a step bound
+        if type(self.eps) is bool or not isinstance(self.eps, (int, float)):
+            raise TypeError("eps must be a real number")
         if not 0 < self.eps < math.inf:  # also false for nan
             raise ValueError("eps must be positive and finite")
-        if not isinstance(self.max_steps, int):
+        if type(self.max_steps) is bool or not isinstance(self.max_steps, int):
             raise TypeError("max steps must be an integer")
         if self.max_steps < 0:
             raise ValueError("max steps must be non-negative")

@@ -168,8 +168,12 @@ class _Parser:
         return self.next()
 
     def err(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col, self.path)
+        self.unusable(message, self.peek())
+
+    def unusable(self, message: str, tok: Token):
+        """Raise the parse error at tok; the exception being handled, if
+        any, is not chained, since the message says all there is."""
+        raise ParseError(message, tok.line, tok.col, self.path) from None
 
     # -- scalars ----------------------------------------------------------
     # Scalar syntax overlaps term syntax, so a scalar is tried and the
@@ -190,9 +194,6 @@ class _Parser:
         if not self.at_op(text):
             raise _NoScalar
         self.pos += 1
-
-    def unusable(self, message: str, tok: Token):
-        raise ParseError(message, tok.line, tok.col, self.path)
 
     def require_finite(self, value: complex, tok: Token) -> complex:
         if not cmath.isfinite(value):
@@ -291,9 +292,7 @@ class _Parser:
             elif negate:
                 value = scale(-1.0, value)
         except OverflowError:
-            raise ParseError(
-                "coefficient is not finite", start.line, start.col, self.path
-            ) from None
+            self.unusable("coefficient is not finite", start)
         return value
 
     def product(self) -> TermDist:
@@ -384,9 +383,7 @@ class _Parser:
         self.next()
         body = self.term()
         if n1.text == n2.text:
-            raise ParseError(
-                "let pair binders must be distinct", n2.line, n2.col, self.path
-            )
+            self.unusable("let pair binders must be distinct", n2)
         return mk_letpair(n1.text, b1, n2.text, b2, scrutinee, body)
 
     def case(self) -> TermDist:
@@ -411,7 +408,7 @@ class _Parser:
         try:
             return mk_case(scrutinee, patterns, branches)
         except ValueError as e:
-            raise ParseError(str(e), brace.line, brace.col, self.path)
+            self.unusable(str(e), brace)
 
     # -- bases and types ---------------------------------------------------
 
@@ -423,12 +420,7 @@ class _Parser:
             self.next()
             word = self.expect_ident()
             if word.text != "fun":
-                raise ParseError(
-                    "the only abstract annotation is @fun",
-                    word.line,
-                    word.col,
-                    self.path,
-                )
+                self.unusable("the only abstract annotation is @fun", word)
             return ABS
         if tok.kind == "op" and tok.text == "{":
             return self.basis_literal()
@@ -436,9 +428,7 @@ class _Parser:
             self.next()
             if tok.text in self.bases:
                 return self.bases[tok.text]
-            raise ParseError(
-                f"unknown basis {tok.text!r}", tok.line, tok.col, self.path
-            )
+            self.unusable(f"unknown basis {tok.text!r}", tok)
         self.err("expected a basis")
         raise AssertionError
 
@@ -455,7 +445,7 @@ class _Parser:
             basis = Ortho(tuple(elements), name)
             validate_basis(basis)
         except (BasisError, ValueError) as e:
-            raise ParseError(str(e), brace.line, brace.col, self.path)
+            self.unusable(str(e), brace)
         return basis
 
     def type_(self) -> Type:
@@ -567,12 +557,7 @@ def parse_program(text: str, path: str = "") -> Program:
             p.next()
             name = p.expect_ident()
             if name.text in merged_bases:
-                raise ParseError(
-                    f"basis {name.text!r} is already defined",
-                    name.line,
-                    name.col,
-                    path,
-                )
+                p.unusable(f"basis {name.text!r} is already defined", name)
             p.expect_op("=")
             basis = p.basis_literal(name.text)
             merged_bases[name.text] = basis
@@ -581,24 +566,14 @@ def parse_program(text: str, path: str = "") -> Program:
             p.next()
             name = p.expect_ident()
             if name.text in program.defs:
-                raise ParseError(
-                    f"def {name.text!r} is already defined",
-                    name.line,
-                    name.col,
-                    path,
-                )
+                p.unusable(f"def {name.text!r} is already defined", name)
             p.expect_op("=")
             program.defs[name.text] = p.term()
         elif tok.text == "goal":
             p.next()
             name = p.expect_ident()
             if name.text not in program.defs:
-                raise ParseError(
-                    f"goal names an unknown def {name.text!r}",
-                    name.line,
-                    name.col,
-                    path,
-                )
+                p.unusable(f"goal names an unknown def {name.text!r}", name)
             p.expect_op(":")
             program.goals.append(Goal(name.text, p.type_(), name.line))
         else:

@@ -8,7 +8,8 @@ from basislam.checker import (
     Binding,
     CheckError,
     Derivation,
-    _Checker,
+    _check,
+    _sem_judge,
     check,
     check_orthogonality,
     subject_reduction_harness,
@@ -100,6 +101,11 @@ class TestRuleSelection:
         assert rules[0] == "App"
         assert len(rules) >= 3
 
+    def test_public_check_is_not_the_recursion(self):
+        # a profiler that wraps the public name counts top-level
+        # judgements only as long as the recursion does not call it
+        assert check is not _check
+
 
 class TestProgramGoals:
     def test_gate_goals(self, gates_prog):
@@ -189,7 +195,7 @@ class TestDiagnostics:
         ctx = {"x": Binding(BasisType(STD), Ortho((single(Ket(0)),)))}
         term = parse_term("case x of {|0> -> |0> | |1> -> |1>}")
         with pytest.raises(CheckError) as e:
-            _Checker()._sem_judge(ctx, term, parse_type("[B]"))
+            _sem_judge(ctx, term, parse_type("[B]"))
         assert e.value.message == "rule not applicable"
         assert e.value.note == (
             "semantic check: a context value is outside its annotation span"

@@ -371,6 +371,9 @@ class TestMisc:
                     pass
             with pytest.raises(ValueError):
                 Settings(eps=bad)
+        for bad in (True, 1j, "1e-3"):
+            with pytest.raises(TypeError, match="eps"):
+                Settings(eps=bad)
         with local_settings(eps=1e-3):
             assert dist_eq(K0, scale(1.0 + 1e-5, K0))
         assert not dist_eq(K0, scale(1.0 + 1e-5, K0))
@@ -378,8 +381,9 @@ class TestMisc:
     def test_fuel_is_guarded(self):
         with pytest.raises(ValueError):
             Settings(max_steps=-1)
-        with pytest.raises(TypeError):
-            Settings(max_steps=2.5)
+        for bad in (2.5, True, False):
+            with pytest.raises(TypeError, match="max steps"):
+                Settings(max_steps=bad)
 
     def test_settings_are_a_table_key(self):
         table = {Settings(): "default"}

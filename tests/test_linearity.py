@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from basislam.basis import HAD, NAMED_BASES, STD, product_basis
-from basislam.checker import CheckError, _Checker
+from basislam.checker import CheckError, _sem_linear_images
 from basislam.core import (
     Ket,
     Lam,
@@ -305,7 +305,7 @@ SEM_CASES = [
 
 def sem_note(images, goal):
     try:
-        _Checker()._sem_linear_images(images, goal)
+        _sem_linear_images(images, goal)
     except CheckError as e:
         assert e.message == "rule not applicable"
         return e.note

@@ -219,6 +219,59 @@ class TestErrors:
             parse_type("[B] ->")
         assert str(e.value) == "1:7: expected a type"
 
+    # One input for each error that points at a token other than the
+    # next one: path, line, column and message exactly.
+    @pytest.mark.parametrize(
+        "parse, src, want",
+        [
+            (
+                parse_term,
+                "(|0>, 1e200 * (1e200 * |0>))",
+                "demo.lb:1:7: coefficient is not finite",
+            ),
+            (
+                parse_term,
+                "\\f:B. let (x:B, x:B) = (|0>, |1>) in x",
+                "demo.lb:1:17: let pair binders must be distinct",
+            ),
+            (
+                parse_term,
+                "(|1>, case |0> of {|0> -> |0> | |0> -> |1>})",
+                "demo.lb:1:19: case patterns 0 and 1 are not orthogonal",
+            ),
+            (
+                parse_term,
+                "\\x:@foo. x",
+                "demo.lb:1:5: the only abstract annotation is @fun",
+            ),
+            (parse_term, "\\x:B. \\y:Q. x", "demo.lb:1:10: unknown basis 'Q'"),
+            (
+                parse_term,
+                "\\x:{|0>, |0>}. x",
+                "demo.lb:1:4: basis elements 0 and 1 not orthogonal",
+            ),
+            (
+                parse_program,
+                "def A = |0>\n  basis B = {|0>, |1>}",
+                "demo.lb:2:9: basis 'B' is already defined",
+            ),
+            (
+                parse_program,
+                "def F = |0>\n def F = |1>",
+                "demo.lb:2:6: def 'F' is already defined",
+            ),
+            (
+                parse_program,
+                "def F = |0>\ngoal  G : [B]",
+                "demo.lb:2:7: goal names an unknown def 'G'",
+            ),
+        ],
+    )
+    def test_error_at_a_token(self, parse, src, want):
+        with pytest.raises(ParseError) as e:
+            parse(src, path="demo.lb")
+        assert str(e.value) == want
+
     def test_error_carries_position_fields(self):
         with pytest.raises(ParseError) as e:
             parse_term("case |0> of { }")
