@@ -6,11 +6,16 @@ for matrix extraction, ``repl`` for interactive use, and ``corpus`` for
 the bundled example table.  Exit status is 0 on success, 1 when the
 analysis itself reports a failure (stuck term, ill-typed program, unit-map
 violation, failing corpus row), and 2 for unusable input.
+
+``main`` may be called any number of times in one process.  It builds
+its argument parser on the first call and reuses it after; it keeps no
+other state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -316,7 +321,11 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on first use: parse_args gives
+    a fresh namespace each call and copies the --def list before it
+    appends, so one parser serves any number of calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--max-steps",

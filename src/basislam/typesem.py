@@ -159,6 +159,17 @@ def span_generators(t: Type) -> Optional[list[TermDist]]:
     return None
 
 
+def _has_span(t: Type) -> bool:
+    """Whether span_generators(t) is not None, without building them."""
+    if isinstance(t, BasisType):
+        return True
+    if isinstance(t, Sharp):
+        return _has_span(t.inner)
+    if isinstance(t, Prod):
+        return _has_span(t.left) and _has_span(t.right)
+    return False
+
+
 def linear_pool(t: Type) -> Optional[tuple[bool, list[TermDist]]]:
     """The values that pin down a linear map on t: the members of a
     finite type, else the span generators of a sharp type (flagged
@@ -200,12 +211,14 @@ def _member(v: TermDist, t: Type, phase: bool) -> bool:
         return False
     if isinstance(t, BasisType):
         for e in t.basis.elements:
+            # an exact member is a member up to phase, also where |<e|v>|
+            # misses 1 by more than a tiny eps
+            if dist_eq(v, e):
+                return True
             if phase:
                 o = inner_product(e, v)
                 if sc_eq(abs(o), 1.0) and dist_eq(v, scale(o, e)):
                     return True
-            elif dist_eq(v, e):
-                return True
         return False
     if isinstance(t, Sharp):
         gens = span_generators(t)
@@ -249,7 +262,7 @@ def _rank1_member(v: TermDist, t: Prod) -> bool:
     """Both factor types are spans: factor the coefficient matrix and
     test the two factors, which works because spans absorb the phase
     split between them."""
-    if span_generators(t.left) is None or span_generators(t.right) is None:
+    if not (_has_span(t.left) and _has_span(t.right)):
         raise Undecidable()
     factors = factor_rank1([(u.left, u.right, c) for u, c in v.entries])
     if factors is None:
@@ -300,7 +313,7 @@ def _arrow_member(v: TermDist, t: Arrow) -> bool:
     gens = span_generators(dom)
     if gens is None:
         raise Undecidable()
-    span_cod = isinstance(cod, Sharp) and span_generators(cod) is not None
+    span_cod = isinstance(cod, Sharp) and _has_span(cod)
     if isinstance(cod, Arrow) or (span_cod and isinstance(dom, Sharp)):
         return _curried_member(v, t)
     if not span_cod:
@@ -335,7 +348,7 @@ def _curried_member(v: TermDist, t: Arrow) -> bool:
             raise Undecidable()
         layers.append(pool)
         cur = cur.cod
-    span_cod = isinstance(cur, Sharp) and span_generators(cur) is not None
+    span_cod = isinstance(cur, Sharp) and _has_span(cur)
     if not span_cod and not isinstance(cur, Prod):
         raise Undecidable()
     finite_axes = [k for k, (sp, _) in enumerate(layers) if not sp]

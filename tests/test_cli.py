@@ -5,16 +5,18 @@ import importlib.resources
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import basislam
-from basislam.cli import main
+from basislam.cli import _build_parser, main
 from basislam.core import get_settings, local_settings
 from basislam.syntax import parse_type
 from basislam.typesem import type_eq
+import test_golden_cli as golden
 
 
 Z = "1" + "0" * 300
@@ -438,6 +440,25 @@ class TestUsage:
         assert main(["eval", "--eps", "0.05", "|00> + 0.01*|01>"]) == 0
         assert "normal form: |00>\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (
+                ["check", "--eps", "1e-16", "|+>", "[X]"],
+                "well-typed: [X]\nrule: Lit\n",
+            ),
+            (
+                ["ortho", "--eps", "1e-300", "|+>", "|->", "[X]"],
+                "orthogonal\n",
+            ),
+        ],
+    )
+    def test_tiny_tolerance_keeps_exact_members(self, capsys, argv, out):
+        # |<+|+>| rounds to 1.0000000000000002, which only an eps of
+        # 1e-15 or more accepts as 1; the ket is a basis element itself
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+
     def test_fuel_bounds_membership(self, capsys, gates_path):
         # membership of the arrow type evaluates Hd on each basis ket,
         # two steps each, under the same fuel as eval
@@ -531,3 +552,69 @@ class TestRepl:
         code, out = self._run(monkeypatch, capsys, ":h\n")
         assert code == 0
         assert "commands:" in out
+
+
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports the package
+    from the tree under test."""
+    src = os.path.dirname(os.path.dirname(basislam.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+class TestSharedParser:
+    """main builds its parser once per process and keeps no other state
+    between calls, so a call prints what it prints in a fresh process."""
+
+    def test_built_once_and_not_at_import(self):
+        assert _build_parser() is _build_parser()
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import basislam.cli as c; "
+             "print(c._build_parser.cache_info().currsize)"],
+            capture_output=True, text=True, env=_fresh_env(), timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+    def test_calls_do_not_carry_over(self, capsys, gates_path):
+        g = ["--def", gates_path]
+        runs = [
+            ["eval", "--json", *g, "NOT |0>"],
+            ["eval", "--json", "NOT |0>"],
+            ["eval", "--eps", "1e-3", "|0> + 0.0005*|1>"],
+            ["eval", "|0> + 0.0005*|1>"],
+            ["eval", "--max-steps", "2", *g, "Hd (Hd |0>)"],
+            ["eval"],
+            ["eval", *g, "Hd (Hd |0>)"],
+            ["eval", "--trace", *g, "NOT |1>"],
+            ["eval", *g, "NOT |1>"],
+            ["eval", "--trace", "--json", "--max-steps", "2", *g, "Hd |0>"],
+            ["eval", "--json", "Hd |0>"],
+            ["eval", *g, "--def", gates_path, "NOT (NOT |0>)"],
+            ["eval", "NOT (NOT |0>)"],
+        ]
+        env = _fresh_env()
+        for argv in runs:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "basislam.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse rejects the command line
+                code = e.code
+            got = (code, capsys.readouterr().out)
+            assert got == (fresh.returncode, fresh.stdout), argv
+
+    def test_golden_commands_in_shuffled_order(self):
+        want = json.loads(golden.GOLDEN.read_text(encoding="utf-8"))
+        random.Random(0).shuffle(want)
+        for w in want:
+            got = golden.run(w["program"], w["argv"])
+            assert got == {"code": w["code"], "stdout": w["stdout"]}, (
+                w["program"],
+                w["argv"],
+            )

@@ -1,8 +1,10 @@
 import copy
 import dataclasses
+import itertools
 import pickle
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,13 +15,14 @@ from basislam.basis import (
     PHI_PLUS,
     STD,
 )
-from basislam.core import Ket, mk_pair, scale, single
+from basislam.core import Ket, local_settings, mk_pair, scale, single
 from basislam.syntax import parse_term, parse_type, print_type
 from basislam.typesem import (
     Arrow,
     BasisType,
     Prod,
     Sharp,
+    _has_span,
     finite_members,
     is_member,
     is_member_phase,
@@ -132,6 +135,48 @@ class TestMembers:
         v = mk_pair(random_state(rng, 1), random_state(rng, 1))
         assert is_member(v, Prod(Sharp(B), Sharp(B)))
         assert is_member(v, Sharp(Prod(B, B)))
+
+
+def _types_to_depth(depth: int) -> list:
+    """Every type over [B], [X], [Bell], #, * and -> whose longest path
+    from the root to a basis type has at most depth nodes."""
+    types = [B, X, BasisType(BELL)]
+    for _ in range(depth - 1):
+        types = (
+            types
+            + [Sharp(t) for t in types if not isinstance(t, Sharp)]
+            + [Prod(a, b) for a, b in itertools.product(types, repeat=2)]
+            + [Arrow(a, b) for a, b in itertools.product(types, repeat=2)]
+        )
+    return types
+
+
+class TestStructure:
+    def test_has_span_agrees_with_span_generators(self):
+        types = _types_to_depth(3)
+        assert len(types) > 1000
+        for t in types:
+            assert _has_span(t) == (span_generators(t) is not None), (
+                print_type(t)
+            )
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-15, 1e-16, 1e-300])
+    def test_exact_membership_implies_membership_up_to_phase(self, eps):
+        # |<e|e>| can round off 1 by more than a tiny eps; an element of
+        # the basis is still a member up to phase
+        atoms = [B, X, BasisType(BELL)]
+        types = atoms + [
+            Prod(a, b) for a, b in itertools.product(atoms, repeat=2)
+        ]
+        values = [v for t in types for v in finite_members(t)]
+        with local_settings(eps=eps):
+            for t in atoms:
+                for v in finite_members(t):
+                    assert is_member(v, t) and is_member_phase(v, t)
+            for t in types:
+                for v in values:
+                    if is_member(v, t):
+                        assert is_member_phase(v, t), (print_type(t), v)
 
 
 class TestArrowMembership:
