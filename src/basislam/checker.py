@@ -133,6 +133,10 @@ class _Tried:
 
     def __exit__(self, kind, error, tb) -> bool:
         if isinstance(error, CheckError):
+            # the traceback holds the frame that holds this record, and
+            # the context can hold that frame too: drop both, or every
+            # failed alternative would leave a reference cycle
+            error.__traceback__ = error.__context__ = None
             self.errors.append(error)
             return True
         return False
@@ -382,6 +386,7 @@ def _outcome(ctx: Context, d: TermDist, goal: Type):
     try:
         return _derive(ctx, d, goal)
     except CheckError as e:
+        e.__traceback__ = e.__context__ = None  # as `_Tried` drops them
         return e.kind, e.message, e.note
 
 

@@ -69,6 +69,9 @@ def local_settings(
         _settings = saved
 
 
+_MISSING = object()  # no stored value is this object
+
+
 class Table:
     """An exact-keyed memo table that counts its hits and misses."""
 
@@ -80,27 +83,33 @@ class Table:
         self.misses = 0
 
     def memo(self, key, compute: Callable[[], object]):
-        """The value stored under key, or compute()'s, stored."""
-        try:
-            value = self.entries[key]
-        except KeyError:
+        """The value stored under key, or compute()'s, stored.  A miss
+        runs compute() outside any except block, so an error it raises
+        chains no lookup error as its context."""
+        value = self.entries.get(key, _MISSING)
+        if value is _MISSING:
             self.misses += 1
             value = self.entries[key] = compute()
-            return value
-        self.hits += 1
+        else:
+            self.hits += 1
         return value
 
 
 class Session:
     """The tables of one command: the normal form of each evaluated
-    input and the outcome of each derived judgement.  Keys are exact
-    (variable names and scalars as stored, the settings included), so a
-    hit returns what a fresh computation would.  Only a judgement's key
-    holds the basis names too: a normal form is read for a verdict."""
+    input, the membership verdict of each normal form in each goal, the
+    outcome of each derived judgement, and the contractions that
+    reduction fires below a summand's root.  Keys are exact (variable
+    names and scalars as stored, the settings or their eps included),
+    so a hit returns what a fresh computation would.  Only a judgement's
+    key holds the basis names too: a normal form and a verdict are read
+    for a verdict.  See "Memo tables" below."""
 
     def __init__(self) -> None:
         self.evaluations = Table()
+        self.memberships = Table()
         self.judgements = Table()
+        self.contractions: dict = {}  # reduction.step's `fires`
 
 
 _session: ContextVar[Optional[Session]] = ContextVar("session", default=None)
@@ -325,13 +334,14 @@ class TermDist:
 # subterm is computed once, bottom-up on first use: the order key
 # (`_key`), the shape key (`_shape`), the basis names (`_names`), a
 # distribution's free variables (`_fv`), the redex that reduction finds
-# (`_found`) and a body's instances (`_instances`, see subst).  Shape
-# keys and free variables stay lazy: reduction builds step frames and
-# plugged summands that are never asked for them, so computing those
-# facts when a node is built slowed `deep`.  Most nodes that reduction
-# asks about are fresh, so each of these caches is read with
-# `__dict__.get`: a miss costs a dict lookup, where a raised and caught
-# AttributeError costs ten times more.
+# (`_found`) and a body's instances (`_instances`, see subst).  An
+# `Ortho` annotation stores its order key, shape key and names the same
+# way (`_key`, `_shape`, `_names`).  Shape keys and free variables stay
+# lazy: reduction builds step frames and plugged summands that are never
+# asked for them, so computing those facts when a node is built slowed
+# `deep`.  Most nodes that reduction asks about are fresh, so each of
+# these caches is read with `__dict__.get`: a miss costs a dict lookup,
+# where a raised and caught AttributeError costs ten times more.
 #
 # The order key (_term_key, _dist_key) is a total order on pure terms:
 # nested tuples, ranks separate constructors, payloads only ever compare
@@ -352,12 +362,43 @@ class TermDist:
 # keeps its buckets inline: a shared helper slowed it.  A reduction step
 # merges what fired into the summands it keeps through their shape keys,
 # carried from step to step in `_shapes`, in place of buckets.
+#
+# Memo tables, all of them, each with its key, lifetime and bound.  Every
+# one is exact: a hit is what a fresh computation gives, and the tests
+# compare the two (tests/test_nodes.py, test_session.py, test_step.py).
+#
+# - Node facts (`_key`, `_shape`, `_names`, `_fv`, `_found`, `_shapes`):
+#   keyed by the node, stored in its dict, freed with it; one per fact.
+# - Basis facts (`_key`, `_shape`, `_names` on an `Ortho`): the same;
+#   `AbsBasis` has constant ones.
+# - Instances (`_instances`, see subst._instance): on a body, keyed by
+#   the binder name, the basis element object and eps; freed with the
+#   body; per name and eps, one entry per element of the bases the body
+#   is substituted through.
+# - The session tables (see `Session`), each living for the outermost
+#   `session()` block, unbounded within it:
+#   - `evaluations`: the input's order key and the settings, to its
+#     normal form or None, also stored under every step of a miss's
+#     trace (reduction.table_trace);
+#   - `memberships`: the normal form's order key, the goal's `type_key`
+#     and the settings, to the verdict; an Undecidable stores nothing
+#     (typesem.realizes);
+#   - `judgements`: the usable context, the term's display key, the
+#     goal's `type_key` and the settings, to the derivation or the
+#     error's fields (checker._judgement_key);
+#   - `contractions`: the identity of the redex's fields, the value's
+#     term objects and coefficient bits and eps, to what fired, below a
+#     summand's root only (reduction.step).  With no session open, each
+#     `evaluate` keeps one for the length of its call.
 
 
 def _basis_key(b: Basis):
     if isinstance(b, AbsBasis):
         return (0, ())
-    return (1, tuple(_dist_key(e) for e in b.elements))
+    k = b.__dict__.get("_key")
+    if k is None:
+        k = b.__dict__["_key"] = (1, tuple(_dist_key(e) for e in b.elements))
+    return k
 
 
 def _term_key(t: PureTerm):
@@ -406,7 +447,12 @@ def _dist_key(d: TermDist):
 def _basis_shape(b: Basis) -> int:
     if isinstance(b, AbsBasis):
         return 0
-    return hash(tuple(_dist_shape(e) for e in b.elements))
+    k = b.__dict__.get("_shape")
+    if k is None:
+        k = b.__dict__["_shape"] = hash(
+            tuple(_dist_shape(e) for e in b.elements)
+        )
+    return k
 
 
 def shape_key(t: PureTerm) -> int:
@@ -500,7 +546,12 @@ def _names(t: Union[PureTerm, TermDist]) -> tuple:
 def _basis_names(b: Basis) -> tuple:
     if isinstance(b, AbsBasis):
         return ()
-    return (b.name,) + tuple(n for e in b.elements for n in _names(e))
+    k = b.__dict__.get("_names")
+    if k is None:
+        k = b.__dict__["_names"] = (b.name,) + tuple(
+            n for e in b.elements for n in _names(e)
+        )
+    return k
 
 
 def dist_display_key(d: TermDist):
@@ -648,7 +699,10 @@ def dist_eq(a: TermDist, b: TermDist) -> bool:
 # Free variables and closedness.  A distribution caches its free
 # variables like its keys: the bodies substitution and the checker ask
 # about are distributions, and a cache on every pure term as well costs
-# more memory than it saves time.
+# more memory than it saves time.  Measured again with the session's
+# membership and contraction tables in place (2-vCPU VM, perfbench
+# `corpus`, 5 alternated pairs): `pass_s` 0.370 -> 0.368 s, lower in 3
+# of 5, within noise, and `peak_rss_mb` 36.03 -> 36.58 MB.
 
 
 def free_vars(t: Union[PureTerm, TermDist]) -> frozenset[str]:

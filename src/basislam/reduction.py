@@ -27,10 +27,13 @@ compared only with the kept summands of its shape.  The value and every
 other linear combination are built in one construction
 (`core.combine`).
 
-`evaluate` keeps a table of the contractions it fires for the length of
-the call, keyed on the identity of the redex's fields and on the value's
-terms and coefficient bits, so a gate fired on the same value in many
-branches of a superposition is substituted once (see `step`).
+`evaluate` tables the contractions it fires below a summand's root,
+keyed on the identity of the redex's fields, on the value's terms and
+coefficient bits and on eps, so a gate fired on the same value in many
+branches of a superposition is substituted once (see `step`).  The
+table is the open session's, so it lives as long as the command and
+serves every evaluation in it; with no session open, each call keeps
+one of its own.
 """
 
 from __future__ import annotations
@@ -323,15 +326,18 @@ _coeff_bits = struct.Struct("dd").pack
 
 def _fire_key(node: PureTerm, value: TermDist) -> tuple:
     """The table key of a contraction: the identity of the redex's fields
-    (the hole left out) and the value's terms and coefficient bits."""
+    (the hole left out), the value's terms and coefficient bits, and the
+    current eps."""
     if isinstance(node, App):
         redex = node.fun
     elif isinstance(node, Case):
         redex = (node.patterns, node.branches)
     else:
         redex = (node.var1, node.basis1, node.var2, node.basis2, node.body)
-    return redex, tuple(
-        (t, _coeff_bits(c.real, c.imag)) for t, c in value.entries
+    return (
+        redex,
+        tuple((t, _coeff_bits(c.real, c.imag)) for t, c in value.entries),
+        get_settings().eps,
     )
 
 
@@ -430,8 +436,9 @@ def step(d: TermDist, fires: Optional[dict] = None) -> StepResult:
     summands come with their redexes found, the search resumed where the
     fired part ends rather than started again at the root (see `_plug`).
 
-    fires tables contractions: a (redex, value) key to `_fire`'s result.
-    `evaluate` passes one table for all its steps; a bare `step(d)` uses
+    fires tables contractions: a (redex, value, eps) key to `_fire`'s
+    result.  `evaluate` passes the open session's table, or one of its
+    own for all its steps when no session is open; a bare `step(d)` uses
     a throwaway one.  A hit gives what a fresh `_fire` would give, bit
     for bit, by these rules:
 
@@ -446,6 +453,9 @@ def step(d: TermDist, fires: Optional[dict] = None) -> StepResult:
       multiplies the sign of a zero part through.
     - The key holds these objects, so no id is reused while the table
       lives.
+    - The key holds the current eps: a fire prunes, merges and validates
+      case patterns under it, and `local_settings` can change it while
+      one session's table lives.
     - A hit never hands back a summand that a previous step holds.  At
       the root (no frames) `_plug` returns the fired distribution
       itself, so root fires neither read nor write the table; below the
@@ -504,14 +514,17 @@ def evaluate(d: TermDist) -> Trace:
 
     One table of contractions serves all the steps (see `step`), so a
     gate fired on the same value in many branches is substituted once.
-    It lives for this call only, and tables only its own fires.  What
-    outlives the call is stored on the terms themselves: their keys, and
-    the instances of each body over an orthonormal annotation that
-    `subst_basis` substitutes once (see `subst._instance`)."""
+    Inside a session it is the session's, so an evaluation also reuses
+    the fires of every earlier one in the same command; outside one it
+    lives for this call only.  What outlives the call otherwise is
+    stored on the terms themselves: their keys, and the instances of
+    each body over an orthonormal annotation that `subst_basis`
+    substitutes once (see `subst._instance`)."""
     max_steps = get_settings().max_steps
     trace = Trace()
     current = d
-    fires: dict = {}
+    opened = get_session()
+    fires = {} if opened is None else opened.contractions
     while True:
         try:
             res = step(current, fires)

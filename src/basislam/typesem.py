@@ -28,12 +28,15 @@ from .core import (
     Pair,
     PureTerm,
     TermDist,
+    _dist_key,
     alpha_classes,
     basis_display_key,
     basis_eq,
     combine,
     dist_eq,
     first_overlap,
+    get_session,
+    get_settings,
     group_pairs,
     inner_product,
     is_value_dist,
@@ -411,9 +414,19 @@ def linear_images_member(
 
 def realizes(t: TermDist, goal: Type) -> bool:
     """A distribution realizes a type when it reduces to a value that is
-    a member up to a global phase."""
+    a member up to a global phase.  Inside a session the verdict is
+    tabled under the normal form's order key, the goal's key and the
+    settings; an Undecidable propagates and stores nothing."""
     w = evaluate_value(t)
-    return w is not None and is_member_phase(w, goal)
+    if w is None:
+        return False
+    current = get_session()
+    if current is None:
+        return is_member_phase(w, goal)
+    return current.memberships.memo(
+        (_dist_key(w), type_key(goal), get_settings()),
+        lambda: is_member_phase(w, goal),
+    )
 
 
 # ---------------------------------------------------------------------------

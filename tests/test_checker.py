@@ -1,6 +1,9 @@
 """Typing judgements: rule selection, exact diagnostics, the orthogonality
 judgement, and the step-by-step re-checking harness."""
 
+import gc
+import types
+
 import pytest
 
 from basislam.basis import STD
@@ -10,12 +13,14 @@ from basislam.checker import (
     Derivation,
     _check,
     _sem_judge,
+    _Tried,
     check,
     check_orthogonality,
     subject_reduction_harness,
     uses_sharp_binding,
 )
 from basislam.core import App, Ket, Ortho, Var, mk_app, scale, single, zero
+from basislam.corpus import run_corpus
 from basislam.reduction import evaluate_value
 from basislam.syntax import parse_term, parse_type, print_term, print_type
 from basislam.typesem import (
@@ -209,6 +214,26 @@ class TestDiagnostics:
         with pytest.raises(CheckError) as e:
             check({}, term, parse_type("#[B] -> #([B] * [B])"))
         assert "linear variable duplicated" in e.value.message
+
+    def test_failed_alternatives_leave_no_reference_cycles(self):
+        # a recorded error's traceback reaches the frame that holds the
+        # record, and its context can too: the collector, not reference
+        # counting, would have to free every failed alternative
+        enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        gc.disable()
+        try:
+            assert all(r.ok for r in run_corpus())
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            start = len(gc.garbage)
+            gc.collect()
+            cyclic = {type(o) for o in gc.garbage[start:]}
+            del gc.garbage[start:]
+        finally:
+            gc.set_debug(flags)
+            if enabled:
+                gc.enable()
+        assert not cyclic & {types.FrameType, _Tried, CheckError}
 
 
 class TestOrthogonalityJudgement:

@@ -1,6 +1,6 @@
 """The node layer: frozen fields, the pure-value flag fixed at
-construction, copies and pickles, and cached keys that agree with fresh
-ones."""
+construction, copies and pickles, and cached keys, of nodes and of
+basis annotations, that agree with fresh ones."""
 
 import copy
 import dataclasses
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gen
-from basislam.basis import STD
+from basislam.basis import STD, product_basis
 from basislam.core import (
     App,
     Case,
@@ -21,6 +21,9 @@ from basislam.core import (
     Pair,
     TermDist,
     Var,
+    _basis_key,
+    _basis_names,
+    _basis_shape,
     _dist_key,
     _dist_shape,
     _term_key,
@@ -176,3 +179,25 @@ def test_cached_keys_match_fresh_ones():
         assert not {"_key", "_shape", "_found"} & other.__dict__.keys()
         assert (_term_key(other), shape_key(other)) == (key, shape)
         assert free_vars(other) == free_vars(t)
+
+
+def test_cached_basis_facts_match_fresh_ones():
+    annotations = {}  # by identity
+    for t in TERMS:
+        if isinstance(t, Lam):
+            annotations[id(t.basis)] = t.basis
+        elif isinstance(t, LetPair):
+            annotations[id(t.basis1)] = t.basis1
+            annotations[id(t.basis2)] = t.basis2
+    bases = [b for b in annotations.values() if isinstance(b, Ortho)]
+    assert len(bases) >= 2
+    bases += [product_basis(bases[0], bases[-1]), Ortho((single(K0),))]
+    for b in bases:
+        facts = _basis_key(b), _basis_shape(b), _basis_names(b)
+        stored = tuple(b.__dict__[k] for k in ("_key", "_shape", "_names"))
+        assert stored == facts and stored[0] is facts[0]
+        other = fresh(b)
+        assert not {"_key", "_shape", "_names"} & other.__dict__.keys()
+        assert (
+            _basis_key(other), _basis_shape(other), _basis_names(other)
+        ) == facts

@@ -1,11 +1,12 @@
 """Sessions: each input evaluated once, each judgement derived once.
 
-A session tables `evaluate_value` and the checker's judgements for the
-length of one command; an evaluation's answer is also tabled under every
-distribution of its trace.  Its keys are exact, so every output must be
-what the untabled code gives: these tests run the same work with and
-without the tables and compare.  The untabled runs replace `session`
-with a block that opens none, so nothing is tabled at all.
+A session tables `evaluate_value`, membership verdicts, the checker's
+judgements and reduction's contractions for the length of one command;
+an evaluation's answer is also tabled under every distribution of its
+trace.  Its keys are exact, so every output must be what the untabled
+code gives: these tests run the same work with and without the tables
+and compare.  The untabled runs replace `session` with a block that
+opens none, so nothing is tabled at all.
 """
 
 import contextlib
@@ -14,7 +15,7 @@ import json
 
 import pytest
 
-from basislam import checker, cli, corpus
+from basislam import checker, cli, corpus, reduction, typesem, unitary
 from basislam.basis import KET_PLUS
 from basislam.checker import (
     CheckError,
@@ -22,11 +23,20 @@ from basislam.checker import (
     derivation_bindings,
     subject_reduction_harness,
 )
-from basislam.core import dist_eq, get_session, local_settings, session
+from basislam.core import (
+    Table,
+    dist_eq,
+    get_session,
+    get_settings,
+    local_settings,
+    session,
+)
 from basislam.corpus import EVAL_CASES, load_corpus, run_corpus
 from basislam.reduction import evaluate, evaluate_value
 from basislam.syntax import parse_term, parse_type
+from basislam.typesem import Undecidable, is_member_phase, realizes
 from test_golden_derivations import GOLDEN, golden_rows
+from test_step import assert_same_trace
 
 
 def _corpus_run(capsys, monkeypatch) -> tuple[int, str, list]:
@@ -113,6 +123,9 @@ def test_settings_are_part_of_each_key(gates_prog):
     # squared weights sum to 1.00016: a unit sum only within eps 1e-3
     near = parse_term("0.6*|0> + 0.8001*|1>")
     goal = parse_type("#[B]")
+    # fired below the root, the body loses its 1e-4 summand under eps
+    # 1e-3 only
+    pruned = parse_term(r"(|1>, (\x:B. |0> + 0.0001*|1>) |0>)")
     with session() as s:
         for _ in range(2):
             with local_settings(max_steps=1):
@@ -120,9 +133,15 @@ def test_settings_are_part_of_each_key(gates_prog):
             assert dist_eq(evaluate_value(term), KET_PLUS)
             with local_settings(eps=1e-3):
                 assert check({}, near, goal).rule == "Sum"
+                assert realizes(near, goal)
+                assert len(evaluate(pruned).final.dist) == 1
             with pytest.raises(CheckError):
                 check({}, near, goal)
+            assert not realizes(near, goal)
+            assert len(evaluate(pruned).final.dist) == 2
     assert s.evaluations.hits > 0 and s.judgements.hits > 0
+    assert s.memberships.hits > 0
+    assert {eps for _, _, eps in s.contractions} == {1e-3, get_settings().eps}
 
 
 def test_sessions_nest_and_close():
@@ -142,7 +161,15 @@ def test_corpus_runs_in_one_session_that_tables(monkeypatch):
         seen.append(get_session())
         return original(*args)
 
+    fires = []  # whether each fire is at its summand's root
+    fire = reduction._fire
+
+    def counted(r, value):
+        fires.append(not r.frames)
+        return fire(r, value)
+
     monkeypatch.setattr(corpus, "check", recording)
+    monkeypatch.setattr(reduction, "_fire", counted)
     rows = run_corpus()
     assert all(r.ok for r in rows)
     assert get_session() is None
@@ -155,6 +182,86 @@ def test_corpus_runs_in_one_session_that_tables(monkeypatch):
     # finds its evaluation tabled: 162 of the 459 inputs are evaluated.
     assert seen[0].evaluations.misses == 162
     assert seen[0].judgements.misses == 1149
+    # Untabled, `realizes` asks for 445 verdicts on 142 distinct (normal
+    # form, goal) pairs.  28 of the pairs are Undecidable, which stores
+    # nothing, so each of their 32 requests misses: 114 + 32 misses.
+    assert (seen[0].memberships.misses, seen[0].memberships.hits) == (146, 295)
+    # with a table per evaluation, 1,713 fires; the session's table fires
+    # each contraction below a summand's root once per run, and the 646
+    # root fires are never tabled
+    assert (len(fires), sum(fires)) == (970, 646)
+
+
+def test_corpus_evaluations_match_sessionless_traces(monkeypatch):
+    # every trace a corpus run makes with the session's contractions,
+    # bit for bit the trace of the same input with no session open
+    runs = []
+
+    def recording(d):
+        runs.append((d, evaluate(d), get_settings()))
+        return runs[-1][1]
+
+    for module in (reduction, checker, corpus, unitary):
+        monkeypatch.setattr(module, "evaluate", recording)
+    assert all(r.ok for r in run_corpus())
+    monkeypatch.undo()
+    assert len(runs) > 100
+    for d, trace, settings in runs:
+        with local_settings(settings):
+            assert_same_trace(trace, evaluate(d), d)
+
+
+def test_corpus_membership_verdicts_match_fresh_ones(monkeypatch):
+    calls = []  # each verdict, or None where it was Undecidable
+
+    def recording(t, goal):
+        at = len(calls)  # a verdict can ask for others first
+        calls.append((t, goal, get_settings(), None))
+        verdict = realizes(t, goal)
+        calls[at] = (t, goal, get_settings(), verdict)
+        return verdict
+
+    for module in (checker, typesem):
+        monkeypatch.setattr(module, "realizes", recording)
+    with session() as s:
+        assert all(r.ok for r in run_corpus())
+    monkeypatch.undo()
+    assert s.memberships.hits > 0
+    undecided = 0
+    for t, goal, settings, verdict in calls:
+        with local_settings(settings):
+            w = evaluate_value(t)
+            if verdict is None:
+                with pytest.raises(Undecidable):
+                    is_member_phase(w, goal)
+                undecided += 1
+            else:
+                assert verdict == (w is not None and is_member_phase(w, goal))
+    assert undecided > 0
+
+
+def test_undecidable_membership_is_not_tabled():
+    # an arrow domain has neither finite members nor a span
+    lam = parse_term(r"\f:@fun. f")
+    goal = parse_type("([B] -> [B]) -> ([B] -> [B])")
+    with session() as s:
+        for _ in range(2):
+            with pytest.raises(Undecidable):
+                realizes(lam, goal)
+    assert (s.memberships.misses, s.memberships.hits) == (2, 0)
+    assert not s.memberships.entries
+
+
+def test_a_miss_that_raises_stores_nothing_and_chains_nothing():
+    table = Table()
+
+    def compute():
+        raise ValueError("no value")
+
+    with pytest.raises(ValueError) as e:
+        table.memo("key", compute)
+    assert e.value.__context__ is None
+    assert (table.misses, table.hits, table.entries) == (1, 0, {})
 
 
 def _same_answer(a, b) -> bool:

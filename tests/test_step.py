@@ -14,9 +14,10 @@ entries in the same order, the same representative objects,
 bitwise-equal coefficients (signed zeros included, nested ones too),
 the same rule tags and the same stuck reason and offending term.
 
-`evaluate` also tables its contractions for the length of the call, so
-the traces compared here are tabled ones; the tests after the deep
-chains pin the plug and the table's own rules.
+`evaluate` also tables its contractions, for the length of the call or,
+inside a session, of the session, so the traces compared here are
+tabled ones; the tests after the deep chains pin the plug and the
+table's own rules.
 """
 
 import dataclasses
@@ -48,6 +49,7 @@ from basislam.core import (
     mk_pair,
     sc_eq,
     scale,
+    session,
     single,
     term_eq,
 )
@@ -453,7 +455,8 @@ def test_plug_gives_what_build_and_a_fresh_search_give(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The table of contractions that `evaluate` keeps (see `reduction.step`).
+# The table of contractions that `evaluate` keeps, its own or the open
+# session's (see `reduction.step`).
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -500,6 +503,46 @@ def test_table_keys_coefficients_bit_for_bit():
         bits.append(struct(got.dist.entries, memo))
         assert bits[-1] == struct(fresh.dist.entries, memo)
     assert bits[0] != bits[1]
+
+
+def test_session_table_keys_the_eps():
+    # fired below the root, the body loses its 1e-4 summand under eps
+    # 1e-3 only: a key without eps would hand the unpruned result to the
+    # second evaluation of one session
+    d = parse_term(r"(|1>, (\x:B. |0> + 0.0001*|1>) |0>)")
+    epss = (get_settings().eps, 1e-3)
+    fresh = []
+    for eps in epss:
+        with local_settings(eps=eps):
+            fresh.append(ref_evaluate(d))
+    with session() as s:
+        for eps, ref in zip(epss, fresh):
+            with local_settings(eps=eps):
+                assert_same_trace(evaluate(d), ref, d)
+    assert [len(ref.final.dist) for ref in fresh] == [2, 1]
+    assert sorted(eps for _, _, eps in s.contractions) == sorted(epss)
+
+
+def test_session_table_serves_later_evaluations(monkeypatch):
+    # a session's evaluations share one table: a second evaluation of a
+    # product circuit, whose fires are all below its root, fires nothing
+    # and makes the same trace
+    roots = []
+
+    def counted(r, value):
+        roots.append(not r.frames)
+        return _fire(r, value)
+
+    monkeypatch.setattr(reduction, "_fire", counted)
+    term = wide_terms(0)[0]
+    ref = ref_evaluate(term)
+    fired = []
+    with session():
+        for _ in range(2):
+            roots.clear()
+            assert_same_trace(evaluate(term), ref, term)
+            fired.append(len(roots))
+    assert fired[0] > 0 and fired[1] == 0
 
 
 def test_root_fire_never_hands_back_a_previous_summand():
