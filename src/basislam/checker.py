@@ -50,7 +50,6 @@ from .core import (
     first_overlap,
     free_vars,
     get_session,
-    get_settings,
     inner_product,
     is_closed,
     mk_app,
@@ -324,8 +323,7 @@ def _synth_value(d: TermDist) -> Optional[Type]:
 
 def _judgement_key(ctx: Context, d: TermDist, goal: Type):
     """Exact key of a judgement: the usable context, the term and the
-    goal with every basis name (derivations carry them), and the
-    settings."""
+    goal with every basis name (derivations carry them)."""
     return (
         tuple(
             sorted(
@@ -335,7 +333,6 @@ def _judgement_key(ctx: Context, d: TermDist, goal: Type):
         ),
         dist_display_key(d),
         type_key(goal),
-        get_settings(),
     )
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -45,28 +44,6 @@ class Settings:
             raise TypeError("max steps must be an integer")
         if self.max_steps < 0:
             raise ValueError("max steps must be non-negative")
-
-
-_settings = Settings()
-
-
-def get_settings() -> Settings:
-    return _settings
-
-
-@contextmanager
-def local_settings(
-    new: Optional[Settings] = None, **changes
-) -> Iterator[Settings]:
-    """Run the block under `new` (default: the current settings) with
-    `changes` applied, and restore the previous settings on exit."""
-    global _settings
-    saved = _settings
-    _settings = replace(new or saved, **changes)
-    try:
-        yield _settings
-    finally:
-        _settings = saved
 
 
 _MISSING = object()  # no stored value is this object
@@ -99,41 +76,73 @@ class Session:
     """The tables of one command: the normal form of each evaluated
     input, the membership verdict of each normal form in each goal, the
     outcome of each derived judgement, and the contractions that
-    reduction fires below a summand's root.  Keys are exact (variable
-    names and scalars as stored, the settings or their eps included),
-    so a hit returns what a fresh computation would.  Only a judgement's
-    key holds the basis names too: a normal form and a verdict are read
-    for a verdict.  See "Memo tables" below."""
+    reduction fires below a summand's root.  A session is bound to the
+    settings it was opened under: a `local_settings` block with other
+    settings runs in a fresh session, so no key holds the settings.
+    Keys are exact (variable names and scalars as stored), so a hit
+    returns what a fresh computation would.  Only a judgement's key
+    holds the basis names too: a normal form and a verdict are read for
+    a verdict.  See "Memo tables" below."""
 
     def __init__(self) -> None:
         self.evaluations = Table()
         self.memberships = Table()
         self.judgements = Table()
-        self.contractions: dict = {}  # reduction.step's `fires`
+        self.contractions = Table()
 
 
-_session: ContextVar[Optional[Session]] = ContextVar("session", default=None)
+# The ambient pair: the settings, and the session open under them, if any.
+_settings = Settings()
+_session: Optional[Session] = None
+
+
+@contextmanager
+def _ambient(settings: Settings, current: Optional[Session]) -> Iterator[None]:
+    """Run the block with settings and current as the ambient pair, and
+    restore the previous pair on exit: the pair's only writer."""
+    global _settings, _session
+    saved = _settings, _session
+    _settings, _session = settings, current
+    try:
+        yield
+    finally:
+        _settings, _session = saved
+
+
+def get_settings() -> Settings:
+    return _settings
 
 
 def get_session() -> Optional[Session]:
     """The open session, or None: outside a session nothing is tabled."""
-    return _session.get()
+    return _session
+
+
+@contextmanager
+def local_settings(
+    new: Optional[Settings] = None, **changes
+) -> Iterator[Settings]:
+    """Run the block under `new` (default: the current settings) with
+    `changes` applied, and restore the previous settings on exit.
+    Inside a session, other settings open a fresh one for the block."""
+    settings = replace(new or _settings, **changes)
+    current = _session
+    if current is not None and settings != _settings:
+        current = Session()
+    with _ambient(settings, current):
+        yield settings
 
 
 @contextmanager
 def session() -> Iterator[Session]:
     """Run the block inside a session, the open one if there is one, so
     that its tables live as long as the outermost block."""
-    current = _session.get()
-    if current is not None:
-        yield current
+    if _session is not None:
+        yield _session
         return
     opened = Session()
-    token = _session.set(opened)
-    try:
+    with _ambient(_settings, opened):
         yield opened
-    finally:
-        _session.reset(token)
 
 
 def sc_eq(a: complex, b: complex) -> bool:
@@ -376,20 +385,23 @@ class TermDist:
 #   body; per name and eps, one entry per element of the bases the body
 #   is substituted through.
 # - The session tables (see `Session`), each living for the outermost
-#   `session()` block, unbounded within it:
-#   - `evaluations`: the input's order key and the settings, to its
-#     normal form or None, also stored under every step of a miss's
-#     trace (reduction.table_trace);
-#   - `memberships`: the normal form's order key, the goal's `type_key`
-#     and the settings, to the verdict; an Undecidable stores nothing
+#   `session()` block, unbounded within it.  A session is bound to the
+#   settings it was opened under: a `local_settings` block with other
+#   settings runs in a fresh session that closes with the block, and
+#   one with equal settings keeps the open one, so no key holds them.
+#   - `evaluations`: the input's order key, to its normal form or None,
+#     also stored under every step of a miss's trace
+#     (reduction.table_trace);
+#   - `memberships`: the normal form's order key and the goal's
+#     `type_key`, to the verdict; an Undecidable stores nothing
 #     (typesem.realizes);
-#   - `judgements`: the usable context, the term's display key, the
-#     goal's `type_key` and the settings, to the derivation or the
-#     error's fields (checker._judgement_key);
-#   - `contractions`: the identity of the redex's fields, the value's
-#     term objects and coefficient bits and eps, to what fired, below a
-#     summand's root only (reduction.step).  With no session open, each
-#     `evaluate` keeps one for the length of its call.
+#   - `judgements`: the usable context, the term's display key and the
+#     goal's `type_key`, to the derivation or the error's fields
+#     (checker._judgement_key);
+#   - `contractions`: the identity of the redex's fields and the value's
+#     term objects and coefficient bits, to what fired, below a
+#     summand's root only (reduction.step).  `evaluate` opens a session
+#     for the length of its call when none is open.
 
 
 def _basis_key(b: Basis):

@@ -28,11 +28,11 @@ other linear combination are built in one construction
 (`core.combine`).
 
 `evaluate` tables the contractions it fires below a summand's root,
-keyed on the identity of the redex's fields, on the value's terms and
-coefficient bits and on eps, so a gate fired on the same value in many
+keyed on the identity of the redex's fields and on the value's terms
+and coefficient bits, so a gate fired on the same value in many
 branches of a superposition is substituted once (see `step`).  The
 table is the open session's, so it lives as long as the command and
-serves every evaluation in it; with no session open, each call keeps
+serves every evaluation in it; with no session open, each call opens
 one of its own.
 """
 
@@ -65,6 +65,7 @@ from .core import (
     get_settings,
     is_canonical,
     sc_eq,
+    session,
     shape_key,
     single,
     term_eq,
@@ -326,18 +327,15 @@ _coeff_bits = struct.Struct("dd").pack
 
 def _fire_key(node: PureTerm, value: TermDist) -> tuple:
     """The table key of a contraction: the identity of the redex's fields
-    (the hole left out), the value's terms and coefficient bits, and the
-    current eps."""
+    (the hole left out), and the value's terms and coefficient bits."""
     if isinstance(node, App):
         redex = node.fun
     elif isinstance(node, Case):
         redex = (node.patterns, node.branches)
     else:
         redex = (node.var1, node.basis1, node.var2, node.basis2, node.body)
-    return (
-        redex,
-        tuple((t, _coeff_bits(c.real, c.imag)) for t, c in value.entries),
-        get_settings().eps,
+    return redex, tuple(
+        (t, _coeff_bits(c.real, c.imag)) for t, c in value.entries
     )
 
 
@@ -412,7 +410,7 @@ def _merge(d: TermDist, group: list[int], new: TermDist) -> TermDist:
     return merged
 
 
-def step(d: TermDist, fires: Optional[dict] = None) -> StepResult:
+def step(d: TermDist) -> StepResult:
     """One deterministic step: the canonically first reducible summand
     fires, together with every summand sharing its context and redex.
 
@@ -436,11 +434,10 @@ def step(d: TermDist, fires: Optional[dict] = None) -> StepResult:
     summands come with their redexes found, the search resumed where the
     fired part ends rather than started again at the root (see `_plug`).
 
-    fires tables contractions: a (redex, value, eps) key to `_fire`'s
-    result.  `evaluate` passes the open session's table, or one of its
-    own for all its steps when no session is open; a bare `step(d)` uses
-    a throwaway one.  A hit gives what a fresh `_fire` would give, bit
-    for bit, by these rules:
+    Inside a session a step tables its contractions in the session's
+    `contractions`, a (redex, value) key to `_fire`'s result; with none
+    open it tables nothing.  A hit gives what a fresh `_fire` would
+    give, bit for bit, by these rules:
 
     - The redex is keyed on the identity of its fields, not on their
       structure, and the hole is left out: the `Lam` of an `App`; the
@@ -453,9 +450,6 @@ def step(d: TermDist, fires: Optional[dict] = None) -> StepResult:
       multiplies the sign of a zero part through.
     - The key holds these objects, so no id is reused while the table
       lives.
-    - The key holds the current eps: a fire prunes, merges and validates
-      case patterns under it, and `local_settings` can change it while
-      one session's table lives.
     - A hit never hands back a summand that a previous step holds.  At
       the root (no frames) `_plug` returns the fired distribution
       itself, so root fires neither read nor write the table; below the
@@ -477,13 +471,11 @@ def step(d: TermDist, fires: Optional[dict] = None) -> StepResult:
             group.append(j)
             pieces.append((entries[j][1], single(f.slot)))
     value = combine(pieces)
-    if picked.frames:
-        key = _fire_key(picked.redex_repr, value)
-        if fires is None:
-            fires = {}
-        fired = fires.get(key)
-        if fired is None:
-            fired = fires[key] = _fire(picked, value)
+    current = get_session()
+    if picked.frames and current is not None:
+        fired = current.contractions.memo(
+            _fire_key(picked.redex_repr, value), lambda: _fire(picked, value)
+        )
     else:  # a root fire is not tabled: see the last rule above
         fired = _fire(picked, value)
     if isinstance(fired, Stuck):
@@ -512,30 +504,29 @@ def evaluate(d: TermDist) -> Trace:
     result, at a coefficient that is not finite, or after the fuel of
     the current settings runs out.  The fuel used is the step count.
 
-    One table of contractions serves all the steps (see `step`), so a
-    gate fired on the same value in many branches is substituted once.
-    Inside a session it is the session's, so an evaluation also reuses
-    the fires of every earlier one in the same command; outside one it
-    lives for this call only.  What outlives the call otherwise is
-    stored on the terms themselves: their keys, and the instances of
+    The steps run in a session, the open one or one of this call's own,
+    whose table of contractions serves all of them (see `step`): a gate
+    fired on the same value in many branches is substituted once, and
+    inside an open session an evaluation also reuses the fires of every
+    earlier one in the same command.  What outlives the call otherwise
+    is stored on the terms themselves: their keys, and the instances of
     each body over an orthonormal annotation that `subst_basis`
     substitutes once (see `subst._instance`)."""
     max_steps = get_settings().max_steps
     trace = Trace()
     current = d
-    opened = get_session()
-    fires = {} if opened is None else opened.contractions
-    while True:
-        try:
-            res = step(current, fires)
-        except OverflowError:
-            res = Stuck("coefficient is not finite", None)
-        if isinstance(res, Reduced) and len(trace.steps) == max_steps:
-            res = Stuck(f"fuel exhausted after {max_steps} steps", None)
-        if not isinstance(res, Reduced):
-            break
-        trace.steps.append((res.dist, res.rule))
-        current = res.dist
+    with session():
+        while True:
+            try:
+                res = step(current)
+            except OverflowError:
+                res = Stuck("coefficient is not finite", None)
+            if isinstance(res, Reduced) and len(trace.steps) == max_steps:
+                res = Stuck(f"fuel exhausted after {max_steps} steps", None)
+            if not isinstance(res, Reduced):
+                break
+            trace.steps.append((res.dist, res.rule))
+            current = res.dist
     trace.final = res
     trace.fuel_used = len(trace.steps)
     return trace
@@ -552,7 +543,7 @@ def evaluate_value(d: TermDist) -> Optional[TermDist]:
     if current is None:  # then table_trace tables nothing
         return table_trace(d, evaluate(d))
     return current.evaluations.memo(
-        (_dist_key(d), get_settings()), lambda: table_trace(d, evaluate(d))
+        _dist_key(d), lambda: table_trace(d, evaluate(d))
     )
 
 
@@ -577,13 +568,12 @@ def table_trace(d: TermDist, trace: Trace) -> Optional[TermDist]:
     current = get_session()
     if current is None:
         return answer
-    settings = get_settings()
     dists = [d]
-    if trace.fuel_used < settings.max_steps:
+    if trace.fuel_used < get_settings().max_steps:
         dists += [dist for dist, _ in trace.steps]
     entries = current.evaluations.entries
     for dist in dists:
-        entries.setdefault((_dist_key(dist), settings), answer)
+        entries.setdefault(_dist_key(dist), answer)
     return answer
 
 

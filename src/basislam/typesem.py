@@ -36,7 +36,6 @@ from .core import (
     dist_eq,
     first_overlap,
     get_session,
-    get_settings,
     group_pairs,
     inner_product,
     is_value_dist,
@@ -415,8 +414,8 @@ def linear_images_member(
 def realizes(t: TermDist, goal: Type) -> bool:
     """A distribution realizes a type when it reduces to a value that is
     a member up to a global phase.  Inside a session the verdict is
-    tabled under the normal form's order key, the goal's key and the
-    settings; an Undecidable propagates and stores nothing."""
+    tabled under the normal form's order key and the goal's key; an
+    Undecidable propagates and stores nothing."""
     w = evaluate_value(t)
     if w is None:
         return False
@@ -424,8 +423,7 @@ def realizes(t: TermDist, goal: Type) -> bool:
     if current is None:
         return is_member_phase(w, goal)
     return current.memberships.memo(
-        (_dist_key(w), type_key(goal), get_settings()),
-        lambda: is_member_phase(w, goal),
+        (_dist_key(w), type_key(goal)), lambda: is_member_phase(w, goal)
     )
 
 

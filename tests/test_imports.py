@@ -163,11 +163,21 @@ def test_no_unused_parameters(path):
 
 
 def test_settings_have_one_writer():
-    """The only `global` statement of the package sits in the settings
-    context manager, so no other code rebinds a module-level value."""
+    """The only `global` statement of the package sits in the context
+    manager that writes the ambient settings and session, so no other
+    code rebinds a module-level value, and no module keeps ambient state
+    in a context variable."""
     found = []
     for path in sorted((ROOT / "src" / "basislam").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [
+            alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.Import) for alias in node.names
+        ] + [
+            node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+        ]
+        assert "contextvars" not in imported, path.name
         # innermost enclosing function of every node: walk() is
         # breadth-first, so an inner function overwrites its outer one
         scope = {
@@ -181,7 +191,7 @@ def test_settings_have_one_writer():
             for node in ast.walk(tree)
             if isinstance(node, ast.Global)
         ]
-    assert found == [("core.py", "local_settings", ["_settings"])]
+    assert found == [("core.py", "_ambient", ["_settings", "_session"])]
 
 
 def cache_reads_by_exception(source: str) -> list[str]:

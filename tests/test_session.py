@@ -3,10 +3,12 @@
 A session tables `evaluate_value`, membership verdicts, the checker's
 judgements and reduction's contractions for the length of one command;
 an evaluation's answer is also tabled under every distribution of its
-trace.  Its keys are exact, so every output must be what the untabled
-code gives: these tests run the same work with and without the tables
-and compare.  The untabled runs replace `session` with a block that
-opens none, so nothing is tabled at all.
+trace.  A session is bound to the settings it was opened under: a block
+under other settings runs in a fresh one.  Its keys are exact, so every
+output must be what the untabled code gives: these tests run the same
+work with and without the tables and compare.  The untabled runs
+replace `session` with a block that opens none, so only each
+`evaluate`, in a session of its own, tables its contractions.
 """
 
 import contextlib
@@ -118,7 +120,7 @@ def test_basis_names_key_separate_entries():
     assert names == [{"B"}, {None}]
 
 
-def test_settings_are_part_of_each_key(gates_prog):
+def test_work_under_other_settings_is_tabled_apart(gates_prog):
     term = parse_term("Hd |0>", gates_prog.all_bases(), gates_prog.defs)
     # squared weights sum to 1.00016: a unit sum only within eps 1e-3
     near = parse_term("0.6*|0> + 0.8001*|1>")
@@ -126,12 +128,14 @@ def test_settings_are_part_of_each_key(gates_prog):
     # fired below the root, the body loses its 1e-4 summand under eps
     # 1e-3 only
     pruned = parse_term(r"(|1>, (\x:B. |0> + 0.0001*|1>) |0>)")
+    loose = []  # the session of each eps-1e-3 block
     with session() as s:
         for _ in range(2):
             with local_settings(max_steps=1):
                 assert evaluate_value(term) is None
             assert dist_eq(evaluate_value(term), KET_PLUS)
             with local_settings(eps=1e-3):
+                loose.append(get_session())
                 assert check({}, near, goal).rule == "Sum"
                 assert realizes(near, goal)
                 assert len(evaluate(pruned).final.dist) == 1
@@ -141,7 +145,19 @@ def test_settings_are_part_of_each_key(gates_prog):
             assert len(evaluate(pruned).final.dist) == 2
     assert s.evaluations.hits > 0 and s.judgements.hits > 0
     assert s.memberships.hits > 0
-    assert {eps for _, _, eps in s.contractions} == {1e-3, get_settings().eps}
+    # the eps-1e-3 work was tabled in a session of its own each time,
+    # and none of it in s: s holds near's failed judgement (the error's
+    # fields), its one verdict, False, and the one fire of pruned, which
+    # keeps its 1e-4 summand
+    assert len({id(t) for t in [s, *loose]}) == 3
+    for t in loose:
+        rules = [v.rule for v in t.judgements.entries.values()]
+        assert rules == ["Lit", "Lit", "Sum"]
+        assert list(t.memberships.entries.values()) == [True] * 3
+        assert [len(v) for v in t.contractions.entries.values()] == [1]
+    assert [type(v) for v in s.judgements.entries.values()] == [tuple]
+    assert list(s.memberships.entries.values()) == [False]
+    assert [len(v) for v in s.contractions.entries.values()] == [2]
 
 
 def test_sessions_nest_and_close():
@@ -151,6 +167,71 @@ def test_sessions_nest_and_close():
             assert inner is outer
         assert get_session() is outer
     assert get_session() is None
+
+
+def _tabled(s) -> list[int]:
+    return [
+        len(t.entries)
+        for t in (s.evaluations, s.memberships, s.judgements, s.contractions)
+    ]
+
+
+def test_other_settings_run_in_a_fresh_session(gates_prog):
+    bases = gates_prog.all_bases()
+    term = parse_term("(|1>, Hd |0>)", bases, gates_prog.defs)
+    goal = parse_type("[B] * [X]", bases)
+    with session() as outer:
+        with local_settings(eps=1e-6) as settings:
+            inner = get_session()
+            assert inner is not None and inner is not outer
+            assert get_settings() is settings
+            assert check({}, term, goal).rule
+            assert evaluate_value(term) is not None  # fires below the root
+            assert min(_tabled(inner)) > 0
+        assert _tabled(outer) == [0, 0, 0, 0]
+        assert get_session() is outer
+        with local_settings(max_steps=5):
+            assert get_session() not in (None, outer, inner)
+        assert get_session() is outer
+    assert get_session() is None
+
+
+def test_equal_settings_keep_the_open_session():
+    with session() as outer:
+        with local_settings(), local_settings(get_settings()):
+            assert get_session() is outer
+        with local_settings(eps=get_settings().eps):
+            assert get_session() is outer
+    with local_settings(eps=1e-6):  # no session open: none is opened
+        assert get_session() is None
+
+
+@pytest.mark.parametrize("settings_first", [False, True])
+def test_an_error_in_nested_blocks_restores_both(settings_first):
+    settings = get_settings()
+    with session() as outer:
+        with pytest.raises(ZeroDivisionError):
+            if settings_first:
+                with local_settings(eps=1e-6), session():
+                    1 / 0
+            else:
+                with session(), local_settings(eps=1e-6):
+                    1 / 0
+        assert get_session() is outer and get_settings() is settings
+    with pytest.raises(ZeroDivisionError):
+        with local_settings(eps=1e-6), session():
+            1 / 0
+    assert get_session() is None and get_settings() is settings
+
+
+def test_invalid_settings_leave_the_ambient_pair_as_it_was():
+    settings = get_settings()
+    with session() as outer:
+        with pytest.raises(ValueError):
+            with local_settings(eps=-1):
+                pass
+        assert get_session() is outer and get_settings() is settings
+    assert get_session() is None and get_settings() is settings
 
 
 def test_corpus_runs_in_one_session_that_tables(monkeypatch):
@@ -180,16 +261,18 @@ def test_corpus_runs_in_one_session_that_tables(monkeypatch):
     # tables its answer under every step of its trace too, and each
     # harness seeds the table with its own trace, so a step's re-check
     # finds its evaluation tabled: 162 of the 459 inputs are evaluated.
-    assert seen[0].evaluations.misses == 162
-    assert seen[0].judgements.misses == 1149
+    s = seen[0]
+    assert (s.evaluations.misses, s.evaluations.hits) == (162, 1292)
+    assert (s.judgements.misses, s.judgements.hits) == (1149, 1541)
     # Untabled, `realizes` asks for 445 verdicts on 142 distinct (normal
     # form, goal) pairs.  28 of the pairs are Undecidable, which stores
     # nothing, so each of their 32 requests misses: 114 + 32 misses.
-    assert (seen[0].memberships.misses, seen[0].memberships.hits) == (146, 295)
+    assert (s.memberships.misses, s.memberships.hits) == (146, 295)
     # with a table per evaluation, 1,713 fires; the session's table fires
-    # each contraction below a summand's root once per run, and the 646
-    # root fires are never tabled
+    # each contraction below a summand's root once per run, 324 of them,
+    # and the 646 root fires are never tabled
     assert (len(fires), sum(fires)) == (970, 646)
+    assert (s.contractions.misses, s.contractions.hits) == (324, 909)
 
 
 def test_corpus_evaluations_match_sessionless_traces(monkeypatch):

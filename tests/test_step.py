@@ -42,6 +42,7 @@ from basislam.core import (
     TermDist,
     Var,
     add,
+    get_session,
     get_settings,
     local_settings,
     mk_app,
@@ -493,34 +494,40 @@ def test_table_keys_coefficients_bit_for_bit():
         assert len({_fire_key(node, v) for v in values}) == 2
     # through step, whose value is c * (1+0j): the second pair survives it
     dists = [TermDist(((t, c),)) for c in (complex(-1, -0.0), -1 + 0j)]
-    fires: dict = {}
-    tabled = [step(d, fires) for d in dists]
-    assert len(fires) == 2
+    with session() as s:
+        tabled = [step(d) for d in dists]
+    assert len(s.contractions.entries) == 2
     bits = []
     for got, d in zip(tabled, dists):
-        fresh = step(d)  # a throwaway table
+        fresh = step(d)  # no session open: nothing tabled
         memo: dict = {}
         bits.append(struct(got.dist.entries, memo))
         assert bits[-1] == struct(fresh.dist.entries, memo)
     assert bits[0] != bits[1]
 
 
-def test_session_table_keys_the_eps():
+def test_other_eps_fires_in_a_session_of_its_own():
     # fired below the root, the body loses its 1e-4 summand under eps
-    # 1e-3 only: a key without eps would hand the unpruned result to the
-    # second evaluation of one session
+    # 1e-3 only: a session shared by both eps would hand the unpruned
+    # result to the second evaluation, as the two keys are equal
     d = parse_term(r"(|1>, (\x:B. |0> + 0.0001*|1>) |0>)")
     epss = (get_settings().eps, 1e-3)
     fresh = []
     for eps in epss:
         with local_settings(eps=eps):
             fresh.append(ref_evaluate(d))
+    opened = []
     with session() as s:
         for eps, ref in zip(epss, fresh):
             with local_settings(eps=eps):
+                opened.append(get_session())
                 assert_same_trace(evaluate(d), ref, d)
     assert [len(ref.final.dist) for ref in fresh] == [2, 1]
-    assert sorted(eps for _, _, eps in s.contractions) == sorted(epss)
+    same, own = opened
+    assert same is s and own is not s
+    assert own.contractions.entries.keys() == s.contractions.entries.keys()
+    fired = [list(t.contractions.entries.values()) for t in opened]
+    assert [[len(v) for v in f] for f in fired] == [[2], [1]]
 
 
 def test_session_table_serves_later_evaluations(monkeypatch):
@@ -722,8 +729,8 @@ def carried(monkeypatch):
     counts = {"steps": 0, "shapes": 0}
     original = reduction.step
 
-    def checked(d, fires=None):
-        res = original(d, fires)
+    def checked(d):
+        res = original(d)
         for dist in (d, res.dist) if isinstance(res, Reduced) else (d,):
             shapes = dist.__dict__.get("_shapes")
             if shapes is not None:
