@@ -19,10 +19,10 @@ from basislam import (
     NormalForm,
     Settings,
     check,
-    evaluate,
     local_settings,
     mk_app,
     print_term,
+    run,
     to_vector,
     uses_sharp_binding,
 )
@@ -54,19 +54,19 @@ def run_family(prog, disc_name: str, prefix: str, wires: int) -> bool:
     print(f"{disc_name}:")
     for suffix, (f0, f1) in ORACLE_TABLE.items():
         oracle = prog.defs[f"{prefix}{suffix}"]
-        trace = evaluate(mk_app(disc, oracle))
-        if not isinstance(trace.final, NormalForm):
-            print(f"  {prefix}{suffix:<7} STUCK: {trace.final.reason}")
+        final, fuel_used = run(mk_app(disc, oracle))
+        if not isinstance(final, NormalForm):
+            print(f"  {prefix}{suffix:<7} STUCK: {final.reason}")
             ok = False
             continue
-        bit = answer_bit(trace.final.dist, wires)
+        bit = answer_bit(final.dist, wires)
         expected = f0 ^ f1
         verdict = "balanced" if bit else "constant"
         mark = "ok" if bit == expected else "MISMATCH"
         print(
-            f"  {prefix}{suffix:<8} f=({f0},{f1})  steps={len(trace.steps):<3}"
+            f"  {prefix}{suffix:<8} f=({f0},{f1})  steps={fuel_used:<3}"
             f" answer={bit} ({verdict:<8}) [{mark}]"
-            f"  final: {print_term(trace.final.dist)}"
+            f"  final: {print_term(final.dist)}"
         )
         ok = ok and bit == expected
     return ok
@@ -101,10 +101,10 @@ def main() -> int:
     except ValueError as e:
         ap.error(str(e))
     with local_settings(settings):
-        return run(check_types=not args.no_check)
+        return discriminate(check_types=not args.no_check)
 
 
-def run(check_types: bool) -> int:
+def discriminate(check_types: bool) -> int:
     prog = corpus_program("deutsch")
     ok = run_family(prog, "Deutsch", "OX_", wires=1)
     ok = run_family(prog, "DeutschStd", "OB_", wires=2) and ok

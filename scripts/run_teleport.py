@@ -21,13 +21,13 @@ from basislam import (
     add,
     check,
     dist_eq,
-    evaluate,
     from_vector,
     local_settings,
     mk_app,
     mk_pair,
     norm,
     parse_type,
+    run,
     scale,
     sub,
     zero,
@@ -60,10 +60,10 @@ def main() -> int:
     except ValueError as e:
         ap.error(str(e))
     with local_settings(settings):
-        return run(args.n_states, args.seed)
+        return teleport_states(args.n_states, args.seed)
 
 
-def run(n_states: int, seed: int) -> int:
+def teleport_states(n_states: int, seed: int) -> int:
     prog = corpus_program("teleport")
     teleport = prog.defs["Teleport"]
     rng = np.random.default_rng(seed)
@@ -72,19 +72,19 @@ def run(n_states: int, seed: int) -> int:
     failures = 0
     for k in range(n_states):
         psi = random_state(rng)
-        trace = evaluate(mk_app(teleport, psi))
-        if not isinstance(trace.final, NormalForm):
-            print(f"state {k:2d}: STUCK ({trace.final.reason})")
+        final, fuel_used = run(mk_app(teleport, psi))
+        if not isinstance(final, NormalForm):
+            print(f"state {k:2d}: STUCK ({final.reason})")
             failures += 1
             continue
         expected = analytic_mixture(psi)
-        residual = norm(sub(trace.final.dist, expected))
-        agree = dist_eq(trace.final.dist, expected)
+        residual = norm(sub(final.dist, expected))
+        agree = dist_eq(final.dist, expected)
         worst = max(worst, residual)
         if not agree:
             failures += 1
         print(
-            f"state {k:2d}: steps={len(trace.steps):<3}"
+            f"state {k:2d}: steps={fuel_used:<3}"
             f" residual={residual:.2e}  {'ok' if agree else 'MISMATCH'}"
         )
 

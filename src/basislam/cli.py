@@ -32,7 +32,7 @@ from .core import (
     single,
 )
 from .corpus import format_rows, run_corpus
-from .reduction import NormalForm, evaluate
+from .reduction import NormalForm, evaluate, run
 from .syntax import (
     ParseError,
     load_program,
@@ -115,19 +115,20 @@ def _cmd_parse(args, bases, defs) -> Report:
 
 def _cmd_eval(args, bases, defs) -> Report:
     d = parse_term(args.term, bases, defs)
-    trace = evaluate(d)
-    final = trace.final
+    # only --trace reads the steps; run keeps just the last one
+    result = evaluate(d) if args.trace else run(d)
+    final = result.final
     if isinstance(final, NormalForm):
         normalized, phase = _phase_split(final.dist)
         text = print_term(normalized)
         payload = {
             "normal_form": text,
-            "steps": trace.fuel_used,
+            "steps": result.fuel_used,
             "phase": _complex_pair(phase),
         }
         lines = [
             f"normal form: {text}",
-            f"steps: {trace.fuel_used}",
+            f"steps: {result.fuel_used}",
             f"phase: {_fmt_phase(phase)}",
         ]
         code = 0
@@ -135,16 +136,16 @@ def _cmd_eval(args, bases, defs) -> Report:
         at = None
         if final.offending is not None:
             at = print_term(single(final.offending))
-        payload = {"stuck": final.reason, "at": at, "steps": trace.fuel_used}
+        payload = {"stuck": final.reason, "at": at, "steps": result.fuel_used}
         lines = [f"stuck: {final.reason}"]
         if at is not None:
             lines.append(f"at: {at}")
-        lines.append(f"steps: {trace.fuel_used}")
+        lines.append(f"steps: {result.fuel_used}")
         code = ANALYSIS_FAILURE
     if args.trace:
         steps = [
             {"rule": rule.value, "term": print_term(dist)}
-            for dist, rule in trace.steps
+            for dist, rule in result.steps
         ]
         payload["trace"] = steps
         lines[:0] = [
@@ -266,15 +267,15 @@ def _repl_line(line: str, bases, defs) -> None:
         print(f"{report.label} (deviation {report.deviation:.3g})")
         return
     d = parse_term(line, bases, defs)
-    trace = evaluate(d)
-    if isinstance(trace.final, NormalForm):
-        normalized, phase = _phase_split(trace.final.dist)
-        note = f"[steps {trace.fuel_used}, phase {_fmt_phase(phase)}]"
+    final, fuel_used = run(d)
+    if isinstance(final, NormalForm):
+        normalized, phase = _phase_split(final.dist)
+        note = f"[steps {fuel_used}, phase {_fmt_phase(phase)}]"
         print(f"{print_term(normalized)}  {note}")
     else:
-        print(f"stuck: {trace.final.reason}")
-        if trace.final.offending is not None:
-            print(f"at: {print_term(single(trace.final.offending))}")
+        print(f"stuck: {final.reason}")
+        if final.offending is not None:
+            print(f"at: {print_term(single(final.offending))}")
 
 
 def _cmd_repl(args, bases, defs) -> int:

@@ -14,7 +14,7 @@ from importlib import resources
 
 from .checker import CheckError, check, subject_reduction_harness
 from .core import TermDist, dist_eq, phase_normalize, session
-from .reduction import NormalForm, evaluate
+from .reduction import NormalForm, run
 from .syntax import (
     ParseError,
     Program,
@@ -163,16 +163,14 @@ def _eval_rows(progs: dict[str, Program]) -> list[CorpusRow]:
         except ParseError as e:
             rows.append(CorpusRow("eval", name, False, str(e)))
             continue
-        trace = evaluate(term)
-        if not isinstance(trace.final, NormalForm):
-            rows.append(
-                CorpusRow("eval", name, False, trace.final.reason)
-            )
+        final, fuel_used = run(term)
+        if not isinstance(final, NormalForm):
+            rows.append(CorpusRow("eval", name, False, final.reason))
             continue
-        ok = _phase_eq(trace.final.dist, expected)
-        detail = f"{trace.fuel_used} steps"
+        ok = _phase_eq(final.dist, expected)
+        detail = f"{fuel_used} steps"
         if not ok:
-            detail = f"got {print_term(trace.final.dist)}"
+            detail = f"got {print_term(final.dist)}"
         rows.append(CorpusRow("eval", name, ok, detail))
     return rows
 

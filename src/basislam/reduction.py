@@ -27,7 +27,9 @@ compared only with the kept summands of its shape.  The value and every
 other linear combination are built in one construction
 (`core.combine`).
 
-`evaluate` tables the contractions it fires below a summand's root,
+`evaluate` records every step of the reduction to a normal form, and
+`run` reduces by the same loop but keeps only the answer and the step
+count.  Both table the contractions they fire below a summand's root,
 keyed on the identity of the redex's fields and on the value's terms
 and coefficient bits, so a gate fired on the same value in many
 branches of a superposition is substituted once (see `step`).  The
@@ -43,7 +45,7 @@ import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .basis import expand
 from .core import (
@@ -499,10 +501,47 @@ def step(d: TermDist) -> StepResult:
     return Reduced(result, tag)
 
 
+class Outcome(NamedTuple):
+    """The answer of an evaluation without its steps (see `run`): a
+    normal form or stuck result, and the number of steps taken."""
+
+    final: StepResult
+    fuel_used: int
+
+
+def _reduce(d: TermDist, steps: Optional[list]) -> Outcome:
+    """The reduction loop of `evaluate` and `run`.  Each step is appended
+    to steps, or dropped as soon as the next one exists when steps is
+    None.  The fuel used is counted, not read off steps."""
+    max_steps = get_settings().max_steps
+    fuel_used = 0
+    current = d
+    with session():
+        while True:
+            try:
+                res = step(current)
+            except OverflowError:
+                res = Stuck("coefficient is not finite", None)
+            if isinstance(res, Reduced) and fuel_used == max_steps:
+                res = Stuck(f"fuel exhausted after {max_steps} steps", None)
+            if not isinstance(res, Reduced):
+                break
+            if steps is not None:
+                steps.append((res.dist, res.rule))
+            fuel_used += 1
+            current = res.dist
+    return Outcome(res, fuel_used)
+
+
 def evaluate(d: TermDist) -> Trace:
     """Reduce to normal form, recording every step; stops with a stuck
     result, at a coefficient that is not finite, or after the fuel of
     the current settings runs out.  The fuel used is the step count.
+
+    The trace holds every intermediate distribution until it is dropped,
+    so its memory grows with the steps times their summands.  A caller
+    that reads only the final result and the step count calls `run`,
+    which reduces by the same loop and keeps only the current step.
 
     The steps run in a session, the open one or one of this call's own,
     whose table of contractions serves all of them (see `step`): a gate
@@ -512,24 +551,18 @@ def evaluate(d: TermDist) -> Trace:
     is stored on the terms themselves: their keys, and the instances of
     each body over an orthonormal annotation that `subst_basis`
     substitutes once (see `subst._instance`)."""
-    max_steps = get_settings().max_steps
     trace = Trace()
-    current = d
-    with session():
-        while True:
-            try:
-                res = step(current)
-            except OverflowError:
-                res = Stuck("coefficient is not finite", None)
-            if isinstance(res, Reduced) and len(trace.steps) == max_steps:
-                res = Stuck(f"fuel exhausted after {max_steps} steps", None)
-            if not isinstance(res, Reduced):
-                break
-            trace.steps.append((res.dist, res.rule))
-            current = res.dist
-    trace.final = res
-    trace.fuel_used = len(trace.steps)
+    trace.final, trace.fuel_used = _reduce(d, trace.steps)
     return trace
+
+
+def run(d: TermDist) -> Outcome:
+    """`evaluate`'s final result and fuel used, by the same steps in the
+    same session, without the trace: each intermediate distribution is
+    dropped once the next exists, so memory holds one step, not all of
+    them.  An `Outcome` has no steps field, so code that counts steps
+    reads `fuel_used` rather than the length of an empty list."""
+    return _reduce(d, None)
 
 
 def evaluate_value(d: TermDist) -> Optional[TermDist]:

@@ -12,7 +12,8 @@ a span's generators close under unit combinations, for arrow membership
 and for the checker's Sem rule alike.
 
 numpy is imported inside factor_rank1, the one matrix computation here,
-so a check that never factors a rank-one product does not load it.
+and only for a sum of more than one summand or of another coefficient
+than 1, so a check that factors no such product does not load it.
 """
 
 from __future__ import annotations
@@ -280,6 +281,11 @@ def factor_rank1(
     """Write the sum of c (left x right) as (sum of lefts) x (sum of
     rights) when its coefficient matrix, indexed by the alpha-classes of
     the lefts and of the rights, has rank one; None otherwise."""
+    if len(entries) == 1 and entries[0][2] == 1:
+        # LAPACK gives u = s = vh = 1 for [[1]]: the same two sums, bit
+        # for bit, without loading numpy; combine prunes as below
+        left, right, _ = entries[0]
+        return combine([(1, single(left))]), combine([(1, single(right))])
     import numpy as np
     lefts, li = alpha_classes(lt for lt, _, _ in entries)
     rights, ri = alpha_classes(rt for _, rt, _ in entries)

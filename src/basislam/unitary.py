@@ -30,7 +30,7 @@ from .core import (
     single,
 )
 from .basis import STD, decompose, product_basis, support_arity, to_vector
-from .reduction import NormalForm, Stuck, evaluate
+from .reduction import NormalForm, Stuck, run
 from .subst import fresh_name
 from .syntax import print_basis
 
@@ -89,14 +89,14 @@ def extract_matrix(
     columns = []
     arity: Optional[int] = None
     for k, element in enumerate(dom.elements):
-        trace = evaluate(mk_app(f, element))
-        if isinstance(trace.final, Stuck):
+        final = run(mk_app(f, element)).final
+        if isinstance(final, Stuck):
             raise UnitaryError(
-                f"image of basis element {k} is stuck: {trace.final.reason}"
+                f"image of basis element {k} is stuck: {final.reason}"
             )
-        if not isinstance(trace.final, NormalForm):
+        if not isinstance(final, NormalForm):
             raise UnitaryError(f"image of basis element {k}: no normal form")
-        image = trace.final.dist
+        image = final.dist
         n = support_arity(image)
         if n is None:
             raise UnitaryError(

@@ -13,6 +13,7 @@ import struct
 import numpy as np
 import pytest
 
+from basislam import checker, typesem
 from basislam.basis import HAD, NAMED_BASES, STD
 from basislam.core import (
     Ket,
@@ -25,6 +26,7 @@ from basislam.core import (
     get_settings,
     inner_product,
     is_value_dist,
+    local_settings,
     mk_pair,
     scale,
     sc_is_zero,
@@ -33,7 +35,7 @@ from basislam.core import (
     term_eq,
     zero,
 )
-from basislam.corpus import corpus_program
+from basislam.corpus import corpus_program, run_corpus
 from basislam.syntax import parse_type
 from basislam.typesem import (
     Prod,
@@ -227,6 +229,41 @@ def test_factoring_matches_the_linear_scan(seed):
         assert _bits(got[0]) == _bits(want[0])
         assert _bits(got[1]) == _bits(want[1])
     assert outcomes == {True, False}
+
+
+def test_factoring_matches_the_svd_on_every_corpus_input(monkeypatch):
+    # a one-summand sum with coefficient 1 is factored without numpy; on
+    # every input a corpus run factors, the factors are the SVD's
+    inputs = []
+
+    def recording(entries):
+        inputs.append((list(entries), get_settings()))
+        return factor_rank1(entries)
+
+    for module in (checker, typesem):
+        monkeypatch.setattr(module, "factor_rank1", recording)
+    assert all(r.ok for r in run_corpus())
+    monkeypatch.undo()
+    units = sum(len(e) == 1 and e[0][2] == 1 for e, _ in inputs)
+    assert 0 < units < len(inputs)
+    for entries, settings in inputs:
+        with local_settings(settings):
+            want, got = ref_factor_rank1(entries), factor_rank1(entries)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert _bits(got[0]) == _bits(want[0])
+                assert _bits(got[1]) == _bits(want[1])
+
+
+@pytest.mark.parametrize("eps", [1e-9, 2.0])  # 2.0 prunes the unit too
+@pytest.mark.parametrize("c", [1 + 0j, complex(1, -0.0), 1.0])
+def test_unit_summand_factors_as_the_svd(eps, c):
+    entries = [(Ket(0), Pair(Ket(1), Ket(0)), c)]
+    with local_settings(eps=eps):
+        want, got = ref_factor_rank1(entries), factor_rank1(entries)
+    assert _bits(got[0]) == _bits(want[0])
+    assert _bits(got[1]) == _bits(want[1])
+    assert len(got[0]) == (eps < 1)
 
 
 # ---------------------------------------------------------------------------

@@ -34,11 +34,11 @@ from basislam.core import (
     session,
 )
 from basislam.corpus import EVAL_CASES, load_corpus, run_corpus
-from basislam.reduction import evaluate, evaluate_value
+from basislam.reduction import evaluate, evaluate_value, run
 from basislam.syntax import parse_term, parse_type
 from basislam.typesem import Undecidable, is_member_phase, realizes
 from test_golden_derivations import GOLDEN, golden_rows
-from test_step import assert_same_trace
+from test_step import assert_same_final, assert_same_trace
 
 
 def _corpus_run(capsys, monkeypatch) -> tuple[int, str, list]:
@@ -277,21 +277,33 @@ def test_corpus_runs_in_one_session_that_tables(monkeypatch):
 
 def test_corpus_evaluations_match_sessionless_traces(monkeypatch):
     # every trace a corpus run makes with the session's contractions,
-    # bit for bit the trace of the same input with no session open
+    # bit for bit the trace of the same input with no session open; and
+    # every answer-only run, the final result and fuel of that trace
     runs = []
+    outcomes = []
 
     def recording(d):
         runs.append((d, evaluate(d), get_settings()))
         return runs[-1][1]
 
-    for module in (reduction, checker, corpus, unitary):
+    def recording_run(d):
+        outcomes.append((d, run(d), get_settings()))
+        return outcomes[-1][1]
+
+    for module in (reduction, checker):
         monkeypatch.setattr(module, "evaluate", recording)
+    for module in (reduction, corpus, unitary):
+        monkeypatch.setattr(module, "run", recording_run)
     assert all(r.ok for r in run_corpus())
     monkeypatch.undo()
     assert len(runs) > 100
+    assert len(outcomes) > 60
     for d, trace, settings in runs:
         with local_settings(settings):
             assert_same_trace(trace, evaluate(d), d)
+    for d, (final, fuel_used), settings in outcomes:
+        with local_settings(settings):
+            assert_same_final(final, fuel_used, evaluate(d))
 
 
 def test_corpus_membership_verdicts_match_fresh_ones(monkeypatch):

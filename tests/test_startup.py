@@ -67,6 +67,20 @@ def test_commands_without_matrices_leave_numpy_out(argv):
     assert out and not loaded
 
 
+# a product of one-summand unit sums is factored without an SVD
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "(|0>, |1>)", "[B] * [B]"],
+        ["check", "CNOT", "[B] -> [B] -> [B] * [B]", "--def", GATES],
+    ],
+    ids=["pair", "CNOT"],
+)
+def test_checks_of_unit_products_leave_numpy_out(argv):
+    out, loaded = numpy_after(f"assert cli.main({argv!r}) == 0")
+    assert out and not loaded
+
+
 def test_unitary_loads_numpy_and_works():
     out, loaded = numpy_after(
         f"assert cli.main(['unitary', 'Hd', '--def', {GATES!r}]) == 0"

@@ -273,17 +273,29 @@ def assert_same_trace(new: Trace, ref: Trace, d) -> None:
             # a summand kept from the previous step is the same object
             assert prev_new.get(id(t), -1) == prev_ref.get(id(u), -1)
         prev_new, prev_ref = _positions(dn), _positions(dr)
-    assert type(new.final) is type(ref.final)
-    assert new.fuel_used == ref.fuel_used
-    if isinstance(new.final, Stuck):
-        assert new.final.reason == ref.final.reason
-        assert struct(new.final.offending, memo) == struct(
-            ref.final.offending, memo
-        )
-    else:
+    assert_same_final(new.final, new.fuel_used, ref, memo)
+    if isinstance(new.final, NormalForm):
         # a normal form is the last step's distribution, or d itself
         assert new.final.dist is (new.steps[-1][0] if new.steps else d)
         assert ref.final.dist is (ref.steps[-1][0] if ref.steps else d)
+
+
+def assert_same_final(final, fuel_used: int, ref: Trace, memo=None) -> None:
+    """final and fuel_used are ref's: the same kind of result after the
+    same number of steps, with the same stuck reason and offending term,
+    or a normal form of the same entries, coefficients bit for bit."""
+    memo = {} if memo is None else memo
+    assert type(final) is type(ref.final)
+    assert fuel_used == ref.fuel_used
+    if isinstance(final, Stuck):
+        assert final.reason == ref.final.reason
+        assert struct(final.offending, memo) == struct(
+            ref.final.offending, memo
+        )
+    else:
+        assert struct(final.dist.entries, memo) == struct(
+            ref.final.dist.entries, memo
+        )
 
 
 def check(d) -> Trace:
