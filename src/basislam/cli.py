@@ -322,6 +322,30 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+# Each subcommand: its name, its help, its positionals (dest, metavar)
+# and its handler; and the one flag of its own that a command may take.
+_TERM = ("term", "TERM")
+_TYPE = ("type_", "TYPE")
+_COMMANDS = (
+    ("parse", "parse a term and print its canonical form", (_TERM,),
+     _cmd_parse),
+    ("eval", "reduce a term to normal form", (_TERM,), _cmd_eval),
+    ("check", "check a closed term against a type", (_TERM, _TYPE),
+     _cmd_check),
+    ("ortho", "decide the orthogonality judgement for two terms",
+     (("left", "TERM"), ("right", "TERM"), _TYPE), _cmd_ortho),
+    ("unitary", "extract the matrix of an abstraction and test unitarity",
+     (_TERM,), _cmd_unitary),
+    ("repl", "interactive read-eval loop", (), _cmd_repl),
+    ("corpus", "run the bundled example corpus and print a result table",
+     (), _cmd_corpus),
+)
+_FLAGS = {
+    "parse": ("--type", "treat the input as a type instead of a term"),
+    "eval": ("--trace", "print every reduction step"),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built on first use: parse_args gives
@@ -368,66 +392,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "parse",
-        parents=[common],
-        help="parse a term and print its canonical form",
-    )
-    p.add_argument("term", metavar="TERM")
-    p.add_argument(
-        "--type",
-        action="store_true",
-        help="treat the input as a type instead of a term",
-    )
-    p.set_defaults(handler=_cmd_parse)
-
-    p = sub.add_parser(
-        "eval", parents=[common], help="reduce a term to normal form"
-    )
-    p.add_argument("term", metavar="TERM")
-    p.add_argument(
-        "--trace", action="store_true", help="print every reduction step"
-    )
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser(
-        "check",
-        parents=[common],
-        help="check a closed term against a type",
-    )
-    p.add_argument("term", metavar="TERM")
-    p.add_argument("type_", metavar="TYPE")
-    p.set_defaults(handler=_cmd_check)
-
-    p = sub.add_parser(
-        "ortho",
-        parents=[common],
-        help="decide the orthogonality judgement for two terms",
-    )
-    p.add_argument("left", metavar="TERM")
-    p.add_argument("right", metavar="TERM")
-    p.add_argument("type_", metavar="TYPE")
-    p.set_defaults(handler=_cmd_ortho)
-
-    p = sub.add_parser(
-        "unitary",
-        parents=[common],
-        help="extract the matrix of an abstraction and test unitarity",
-    )
-    p.add_argument("term", metavar="TERM")
-    p.set_defaults(handler=_cmd_unitary)
-
-    p = sub.add_parser(
-        "repl", parents=[common], help="interactive read-eval loop"
-    )
-    p.set_defaults(handler=_cmd_repl)
-
-    p = sub.add_parser(
-        "corpus",
-        parents=[common],
-        help="run the bundled example corpus and print a result table",
-    )
-    p.set_defaults(handler=_cmd_corpus)
+    for name, text, positionals, handler in _COMMANDS:
+        p = sub.add_parser(name, parents=[common], help=text)
+        for dest, metavar in positionals:
+            p.add_argument(dest, metavar=metavar)
+        if name in _FLAGS:
+            flag, flag_help = _FLAGS[name]
+            p.add_argument(flag, action="store_true", help=flag_help)
+        p.set_defaults(handler=handler)
     return parser
 
 

@@ -191,18 +191,23 @@ Basis = Union[AbsBasis, Ortho]
 # Nodes are frozen dataclasses, so assigning to a field raises, but each
 # class writes its fields straight into its instance dict: the __init__
 # that dataclass generates for a frozen class makes one object.__setattr__
-# call per field.  `_value` is the pure-value flag, fixed when the node
-# is built: a class attribute of every class but Pair, which stores
-# whether both its children are pure values.
+# call per field.  The pure-value flag `_value` and the shape key
+# `_shape` are fixed when a node is built, from its children's (see Node
+# keys): `_value` is a class attribute of every class but Pair, `_shape`
+# one of Var alone.
 
 
 @dataclass(frozen=True, eq=False)
 class Var:
     name: str
     _value = True
+    _shape = hash((1,))
 
     def __init__(self, name: str):
         self.__dict__["name"] = name
+
+
+_KET_SHAPES = (hash((0, 0)), hash((0, 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +219,9 @@ class Ket:
         bit = int(bit)
         if bit not in (0, 1):
             raise ValueError("ket bit must be 0 or 1")
-        self.__dict__["bit"] = bit
+        fields = self.__dict__
+        fields["bit"] = bit
+        fields["_shape"] = _KET_SHAPES[bit]
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,6 +236,8 @@ class Lam:
         fields["var"] = var
         fields["basis"] = basis
         fields["body"] = body
+        shapes = sorted([t._shape for t, _ in body.entries])
+        fields["_shape"] = hash((3, *shapes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,6 +250,7 @@ class Pair:
         fields["left"] = left
         fields["right"] = right
         fields["_value"] = left._value and right._value
+        fields["_shape"] = hash((2, left._shape, right._shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,6 +263,7 @@ class App:
         fields = self.__dict__
         fields["fun"] = fun
         fields["arg"] = arg
+        fields["_shape"] = hash((4, fun._shape, arg._shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,6 +292,7 @@ class LetPair:
         fields["basis2"] = basis2
         fields["scrutinee"] = scrutinee
         fields["body"] = body
+        fields["_shape"] = hash((5, scrutinee._shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,6 +312,7 @@ class Case:
         fields["scrutinee"] = scrutinee
         fields["patterns"] = patterns
         fields["branches"] = branches
+        fields["_shape"] = hash((6, scrutinee._shape, len(patterns)))
 
 
 PureTerm = Union[Var, Ket, Lam, Pair, App, LetPair, Case]
@@ -333,24 +346,30 @@ class TermDist:
 
 # ---------------------------------------------------------------------------
 # Node keys.  Nodes are immutable, and what a node knows about itself is
-# stored in its own dict.  Two facts are fixed when it is built: the
-# pure-value flag (`_value`, see Pure terms) and, on a distribution of
-# two or more entries that `_build` or a reduction step makes, the eps it
-# was built under (`_eps`, see is_canonical).  A distribution that a
-# step has merged into also carries its entries' shape keys (`_shapes`,
-# see reduction._merge), which the next step's merge reads; a step finds
-# its pending summands afresh from `_value`.  What depends on a whole
-# subterm is computed once, bottom-up on first use: the order key
-# (`_key`), the shape key (`_shape`), the basis names (`_names`), a
-# distribution's free variables (`_fv`), the redex that reduction finds
-# (`_found`) and a body's instances (`_instances`, see subst).  An
-# `Ortho` annotation stores its order key, shape key and names the same
-# way (`_key`, `_shape`, `_names`).  Shape keys and free variables stay
-# lazy: reduction builds step frames and plugged summands that are never
-# asked for them, so computing those facts when a node is built slowed
-# `deep`.  Most nodes that reduction asks about are fresh, so each of
-# these caches is read with `__dict__.get`: a miss costs a dict lookup,
-# where a raised and caught AttributeError costs ten times more.
+# stored in its own dict.  Three facts are fixed when it is built: the
+# pure-value flag (`_value`, see Pure terms), the shape key (`_shape`,
+# see below) and, on a distribution of two or more entries that `_build`
+# or a reduction step makes, the eps it was built under (`_eps`, see
+# is_canonical).  A distribution that a step has merged into also
+# carries its entries' shape keys (`_shapes`, see reduction._merge),
+# which the next step's merge reads; a step finds its pending summands
+# afresh from `_value`.  What depends on a whole subterm is computed
+# once, bottom-up on first use: the order key (`_key`), the basis names
+# (`_names`), a distribution's free variables (`_fv`), the redex that
+# reduction finds (`_found`) and a body's instances (`_instances`, see
+# subst).  Free variables stay lazy: reduction builds step frames and
+# plugged summands that are never asked for them, and computing them
+# when each node is built, from its children's, made `deep` 7% slower
+# (`pass_s` 0.152 -> 0.162 s, 3 alternated pairs, 2-vCPU VM).
+# Most nodes that reduction asks about are fresh, so each lazy fact is
+# read with `__dict__.get`: a miss costs a dict lookup, where a raised
+# and caught AttributeError costs ten times more.
+#
+# By owner, every fact the package stores (tests/test_imports.py checks
+# this list against the writes): term facts (`_value`, `_shape`, `_key`,
+# `_names`, `_found`); distribution facts (`_eps`, `_shapes`, `_key`,
+# `_names`, `_fv`, `_instances`); basis facts (`_key`, `_names`), on an
+# `Ortho` only; type facts (`_key`, see typesem.type_key).
 #
 # The order key (_term_key, _dist_key) is a total order on pure terms:
 # nested tuples, ranks separate constructors, payloads only ever compare
@@ -363,9 +382,16 @@ class TermDist:
 # binder name and every scalar, the things term_eq matches up to alpha or
 # within eps.  So term_eq(a, b) implies shape_key(a) == shape_key(b), and
 # merges and inner products group entries into buckets by shape key and
-# run term_eq only inside a bucket.  A distribution's shape is that of
-# the multiset of its entries' shapes, since _dist_eq matches entries
-# pairwise rather than by position; a basis keys its elements in order.
+# run term_eq only inside a bucket.  A node takes its shape from its
+# children's, one level down, and binders are opaque: merging serves a
+# congruence that never rewrites under a binder.  A let has its
+# scrutinee's shape, a case its scrutinee's and its pattern count, and a
+# lambda the sorted shapes of its body's summands (sorted: _dist_eq
+# matches entries pairwise), else a sum of lambdas that differ only in
+# their bodies would share one bucket.  A case is rebuilt as a frame on
+# every step under it, so its shape costs no more than its scrutinee's,
+# and a sum of cases that differ only in a branch shares one bucket.
+# Coarse shapes change no output: every match still lies in its bucket.
 # alpha_classes (behind group_pairs, rank-one factoring and product
 # membership) scans one bucket the same way.  _build, the hottest path,
 # keeps its buckets inline: a shared helper slowed it.  A reduction step
@@ -376,10 +402,9 @@ class TermDist:
 # one is exact: a hit is what a fresh computation gives, and the tests
 # compare the two (tests/test_nodes.py, test_session.py, test_step.py).
 #
-# - Node facts (`_key`, `_shape`, `_names`, `_fv`, `_found`, `_shapes`):
-#   keyed by the node, stored in its dict, freed with it; one per fact.
-# - Basis facts (`_key`, `_shape`, `_names` on an `Ortho`): the same;
-#   `AbsBasis` has constant ones.
+# - The facts computed on first use (see Node keys): keyed by the node,
+#   or by the `Ortho` or type, stored in its dict, freed with it; one
+#   per fact.  `AbsBasis` has constant ones.
 # - Instances (`_instances`, see subst._instance): on a body, keyed by
 #   the binder name, the basis element object and eps; freed with the
 #   body; per name and eps, one entry per element of the bases the body
@@ -456,65 +481,10 @@ def _dist_key(d: TermDist):
     return k
 
 
-def _basis_shape(b: Basis) -> int:
-    if isinstance(b, AbsBasis):
-        return 0
-    k = b.__dict__.get("_shape")
-    if k is None:
-        k = b.__dict__["_shape"] = hash(
-            tuple(_dist_shape(e) for e in b.elements)
-        )
-    return k
-
-
 def shape_key(t: PureTerm) -> int:
-    """Hash of t with names and scalars left out: term_eq(a, b) implies
+    """The shape key of t, fixed when t was built: term_eq(a, b) implies
     shape_key(a) == shape_key(b)."""
-    k = t.__dict__.get("_shape")
-    if k is not None:
-        return k
-    if isinstance(t, Ket):
-        k = hash((0, t.bit))
-    elif isinstance(t, Var):
-        k = hash((1,))
-    elif isinstance(t, Pair):
-        k = hash((2, shape_key(t.left), shape_key(t.right)))
-    elif isinstance(t, Lam):
-        k = hash((3, _basis_shape(t.basis), _dist_shape(t.body)))
-    elif isinstance(t, App):
-        k = hash((4, shape_key(t.fun), shape_key(t.arg)))
-    elif isinstance(t, LetPair):
-        k = hash(
-            (
-                5,
-                _basis_shape(t.basis1),
-                _basis_shape(t.basis2),
-                shape_key(t.scrutinee),
-                _dist_shape(t.body),
-            )
-        )
-    elif isinstance(t, Case):
-        k = hash(
-            (
-                6,
-                shape_key(t.scrutinee),
-                tuple(_dist_shape(p) for p in t.patterns),
-                tuple(_dist_shape(b) for b in t.branches),
-            )
-        )
-    else:
-        raise TypeError(f"not a pure term: {t!r}")
-    t.__dict__["_shape"] = k
-    return k
-
-
-def _dist_shape(d: TermDist) -> int:
-    k = d.__dict__.get("_shape")
-    if k is None:
-        k = d.__dict__["_shape"] = hash(
-            tuple(sorted(shape_key(t) for t, _ in d.entries))
-        )
-    return k
+    return t._shape
 
 
 # The display key adds to the order key the names of the basis
@@ -781,7 +751,7 @@ def _build(pairs: Iterable[tuple[PureTerm, complex]]) -> TermDist:
     for t, c in pairs:
         if c == 0:
             continue
-        bucket = buckets.setdefault(shape_key(t), [])
+        bucket = buckets.setdefault(t._shape, [])
         for i in bucket:
             u, d = merged[i]
             if term_eq(t, u):
@@ -951,7 +921,7 @@ def alpha_classes(
     index: list[int] = []
     buckets: dict[int, list[int]] = {}  # shape key -> indices into reps
     for t in terms:
-        bucket = buckets.setdefault(shape_key(t), [])
+        bucket = buckets.setdefault(t._shape, [])
         for i in bucket:
             if term_eq(reps[i], t):
                 break
@@ -986,10 +956,10 @@ def inner_product(v: TermDist, w: TermDist) -> complex:
     terms is alpha-respecting syntactic equality of canonical forms."""
     by_shape: dict[int, list[tuple[PureTerm, complex]]] = {}
     for s, b in w.entries:
-        by_shape.setdefault(shape_key(s), []).append((s, b))
+        by_shape.setdefault(s._shape, []).append((s, b))
     acc = 0 + 0j
     for t, a in v.entries:
-        for s, b in by_shape.get(shape_key(t), ()):
+        for s, b in by_shape.get(t._shape, ()):
             if _term_eq(t, s, None, None, 0):
                 acc += a.conjugate() * b
     return acc

@@ -68,7 +68,6 @@ from .core import (
     is_canonical,
     sc_eq,
     session,
-    shape_key,
     single,
     term_eq,
     validate_case_patterns,
@@ -368,7 +367,7 @@ def _merge(d: TermDist, group: list[int], new: TermDist) -> TermDist:
     index = d.__dict__.get("_shapes")
     if index is None:
         index = d.__dict__["_shapes"] = (
-            tuple(shape_key(t) for t, _ in entries),
+            tuple(t._shape for t, _ in entries),
             all(_unit_fixed(c) for _, c in entries),
         )
     kept = list(entries)
@@ -382,7 +381,7 @@ def _merge(d: TermDist, group: list[int], new: TermDist) -> TermDist:
     joined: set[int] = set()
     survivors = []
     for t, c in new.entries:
-        s = shape_key(t)
+        s = t._shape
         j = -1
         for _ in range(shapes.count(s)):
             j = shapes.index(s, j + 1)

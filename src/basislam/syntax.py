@@ -308,14 +308,13 @@ class _Parser:
         value = self.head()
         while True:
             tok = self.peek()
-            if tok.kind == "ket":
-                value = mk_app(value, self.head())
-            elif tok.kind == "ident" and tok.text not in RESERVED:
-                value = mk_app(value, self.head())
-            elif tok.kind == "op" and tok.text == "(":
-                value = mk_app(value, self.head())
-            else:
+            if not (
+                tok.kind == "ket"
+                or tok.kind == "ident" and tok.text not in RESERVED
+                or tok.kind == "op" and tok.text == "("
+            ):
                 return value
+            value = mk_app(value, self.head())
 
     def head(self) -> TermDist:
         tok = self.peek()
@@ -356,25 +355,24 @@ class _Parser:
             return KET_MINUS
         return multi_ket(payload)
 
-    def lam(self) -> TermDist:
-        self.expect_op("\\")
+    def binder(self) -> tuple[Token, Basis]:
+        """`name : basis`, as a lambda and either side of a let bind."""
         name = self.expect_ident()
         self.expect_op(":")
-        basis = self.basis()
+        return name, self.basis()
+
+    def lam(self) -> TermDist:
+        self.expect_op("\\")
+        name, basis = self.binder()
         self.expect_op(".")
-        body = self.term()
-        return mk_lam(name.text, basis, body)
+        return mk_lam(name.text, basis, self.term())
 
     def let(self) -> TermDist:
         self.next()  # let
         self.expect_op("(")
-        n1 = self.expect_ident()
-        self.expect_op(":")
-        b1 = self.basis()
+        n1, b1 = self.binder()
         self.expect_op(",")
-        n2 = self.expect_ident()
-        self.expect_op(":")
-        b2 = self.basis()
+        n2, b2 = self.binder()
         self.expect_op(")")
         self.expect_op("=")
         scrutinee = self.term()
@@ -471,8 +469,6 @@ class _Parser:
             self.next()
             basis = self.basis(allow_abs=False)
             self.expect_op("]")
-            if not isinstance(basis, Ortho):
-                self.err("a basis literal is required here")
             return BasisType(basis)
         if tok.kind == "op" and tok.text == "(":
             self.next()

@@ -19,7 +19,17 @@ from basislam.checker import (
     subject_reduction_harness,
     uses_sharp_binding,
 )
-from basislam.core import App, Ket, Ortho, Var, mk_app, scale, single, zero
+from basislam.core import (
+    App,
+    Ket,
+    Ortho,
+    Var,
+    local_settings,
+    mk_app,
+    scale,
+    single,
+    zero,
+)
 from basislam.corpus import run_corpus
 from basislam.reduction import evaluate_value
 from basislam.syntax import parse_term, parse_type, print_term, print_type
@@ -41,6 +51,14 @@ class TestRuleSelection:
     def test_abstraction_root(self, gates_prog):
         d = _check_def(gates_prog, "NOT", "[B] -> [B]")
         assert d.rule == "UnitLam"
+
+    def test_abstraction_against_a_sharp_arrow(self):
+        d = check({}, parse_term("\\x:B. x"), parse_type("#([B] -> [B])"))
+
+        def rules(d):
+            return [d.rule] + [r for p in d.premises for r in rules(p)]
+
+        assert rules(d) == ["Sub", "UnitLam", "Axiom"]
 
     def test_application_root(self, gates_prog):
         term = parse_term("NOT |0>", defs=gates_prog.defs)
@@ -294,6 +312,16 @@ class TestHarness:
             {}, term, parse_type("#([B] * [B])")
         )
         assert report.ok
+
+    def test_no_fuel_is_a_failure(self):
+        with local_settings(max_steps=0):
+            report = subject_reduction_harness(
+                {}, parse_term("(\\x:B. x) |0>"), parse_type("[B]")
+            )
+        assert not report.ok
+        assert report.failure == (
+            "evaluation did not finish: fuel exhausted after 0 steps"
+        )
 
     def test_untypable_start(self):
         term = parse_term("\\x:B. (x, x)")

@@ -323,6 +323,13 @@ class TestUsage:
         assert "error:" in err
         assert "expected ')'" in err
 
+    def test_abstract_basis_in_a_type_is_usage(self, capsys):
+        code = main(["check", "|0>", "[@fun]"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: 1:2: a basis literal is required here\n"
+        )
+
     def test_missing_definition_file(self, capsys):
         code = main(["eval", "|0>", "--def", "/nonexistent/defs.lb"])
         assert code == 2

@@ -9,6 +9,7 @@ from basislam.core import (
     ABS,
     Ket,
     Lam,
+    Ortho,
     Settings,
     TermDist,
     Var,
@@ -32,7 +33,7 @@ from basislam.core import (
     term_eq,
     zero,
 )
-from basislam.basis import STD
+from basislam.basis import HAD, STD
 from basislam.reduction import step
 
 K0 = single(Ket(0))
@@ -98,6 +99,17 @@ class TestCanonical:
     def test_distinct_terms_not_equal(self):
         assert not dist_eq(K0, K1)
         assert not dist_eq(K0, scale(1.0 + 1e-3, K0))
+
+    def test_annotations_tell_binders_apart(self):
+        # a basis of one element against one of two
+        lam = mk_lam("x", Ortho((K0,)), single(Var("x"))).entries[0][0]
+        assert not term_eq(lam, ident("x").entries[0][0])
+        # lets that differ only in the annotation of their second binder
+        lets = [
+            mk_letpair("a", STD, "b", b, mk_pair(K0, K1), single(Var("a")))
+            for b in (STD, HAD)
+        ]
+        assert not term_eq(lets[0].entries[0][0], lets[1].entries[0][0])
 
     def test_ket_bit_coercion(self):
         assert term_eq(Ket("1"), Ket(1))

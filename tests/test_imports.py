@@ -2,8 +2,9 @@
 re-exporting ``__init__``), the scripts and the tests.  Every private
 module-level name of the package is read somewhere in the package, and
 every parameter of the package and the scripts is read by its
-function.  Every fact the package stores on a node is named in core's
-"Node keys" comment, and that comment names no other."""
+function.  Every fact the package stores on a node, a basis or a type
+is named in core's "Node keys" comment under the kind of object that
+stores it, and that comment names no other."""
 
 import ast
 import pathlib
@@ -310,35 +311,12 @@ def node_facts_written(source: str) -> set[str]:
     """The private names a module writes into a node's dict: an item
     stored into `<x>.__dict__` or into a local named `fields`, or the
     name that `object.__setattr__` sets."""
-    found = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
-            into = node.value
-            if not (
-                isinstance(into, ast.Attribute) and into.attr == "__dict__"
-                or isinstance(into, ast.Name) and into.id == "fields"
-            ):
-                continue
-            key = node.slice
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "__setattr__"
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "object"
-            and len(node.args) > 1
-        ):
-            key = node.args[1]
-        else:
-            continue
-        if isinstance(key, ast.Constant) and str(key.value).startswith("_"):
-            found.add(key.value)
-    return found
+    return {fact for _, fact in facts_written_by_owner(source)}
 
 
-def node_facts_listed(source: str) -> set[str]:
-    """The facts core's "Node keys" comment names: each is introduced
-    as a backquoted private name in parentheses, "(`_key`"."""
+def node_keys_block(source: str) -> str:
+    """Core's comment block from "# Node keys." to the first line that is
+    not a comment, the "Memo tables" included, as one line."""
     lines = source.splitlines()
     start = next(i for i, s in enumerate(lines) if s.startswith("# Node keys."))
     block = []
@@ -346,7 +324,163 @@ def node_facts_listed(source: str) -> set[str]:
         if not line.startswith("#"):
             break
         block.append(line[1:])
-    return set(re.findall(r"\(`(_\w+)`", " ".join(block)))
+    return " ".join(block)
+
+
+def node_facts_listed(source: str) -> set[str]:
+    """The facts core's "Node keys" comment names: each is introduced
+    as a backquoted private name in parentheses, "(`_key`"."""
+    return set(re.findall(r"\(`(_\w+)`", node_keys_block(source)))
+
+
+# The kinds of object a fact is stored on, by the classes that name them.
+FACT_OWNERS = {
+    "term": {"PureTerm", "Var", "Ket", "Lam", "Pair", "App", "LetPair", "Case"},
+    "distribution": {"TermDist"},
+    "basis": {"Basis", "Ortho", "AbsBasis"},
+    "type": {"Type", "BasisType", "Arrow", "Prod", "Sharp"},
+}
+
+
+def _class_names(node) -> set[str]:
+    """The names an annotation or an isinstance class argument mentions,
+    quoted annotations included."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval").body
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _bindings(fn: ast.FunctionDef, cls: str) -> dict[str, set[str]]:
+    """The classes each name in fn may hold, as far as the code tells:
+    the first parameter of a method of cls, a parameter's annotation, a
+    constructor call `x = C(...)`, an alias `fields = x.__dict__` (as
+    "@x"), and a summand `t` of a loop `for t, c in d.entries`."""
+    told: dict[str, set[str]] = {}
+    args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+    for a in args:
+        if a.annotation is not None:
+            told[a.arg] = _class_names(a.annotation)
+    if cls and args:
+        told[args[0].arg] = {cls}
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign):
+            value = node.value
+            if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+                held = value.func.id
+            elif (
+                isinstance(value, ast.Attribute)
+                and value.attr == "__dict__"
+                and isinstance(value.value, ast.Name)
+            ):
+                held = "@" + value.value.id
+            else:
+                continue
+            for t in node.targets:
+                if isinstance(t, ast.Name):
+                    told.setdefault(t.id, set()).add(held)
+        elif (
+            isinstance(node, ast.For)
+            and isinstance(node.target, ast.Tuple)
+            and isinstance(node.target.elts[0], ast.Name)
+            and isinstance(node.iter, ast.Attribute)
+            and node.iter.attr == "entries"
+        ):
+            told.setdefault(node.target.elts[0].id, set()).add("PureTerm")
+    return told
+
+
+def _fact_write(node):
+    """(the expression written to, the fact) when node writes a private
+    name into an object's dict, else None."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+        into, key = node.value, node.slice
+        if isinstance(into, ast.Attribute) and into.attr == "__dict__":
+            into = into.value
+        elif not (isinstance(into, ast.Name) and into.id == "fields"):
+            return None
+    elif (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+        and len(node.args) > 1
+    ):
+        into, key = node.args[0], node.args[1]
+    else:
+        return None
+    if isinstance(key, ast.Constant) and str(key.value).startswith("_"):
+        return into, key.value
+    return None
+
+
+def facts_written_by_owner(source: str) -> set[tuple[str, str]]:
+    """(owner, fact) for each private name a module writes into an
+    object's dict, the owner being the kind of object written to (a key
+    of FACT_OWNERS), or "?" when the code does not tell it.  A write
+    under `if isinstance(x, C):` is on a C."""
+    found = set()
+
+    def classes(name, told, narrowed) -> set[str]:
+        held = narrowed.get(name, told.get(name, set()))
+        for alias in [c for c in held if c.startswith("@")]:
+            held = held - {alias} | classes(alias[1:], told, narrowed)
+        return held
+
+    def visit(node, told, narrowed):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            return  # scanned with its own bindings
+        write = _fact_write(node)
+        if write is not None:
+            into, fact = write
+            held = (
+                classes(into.id, told, narrowed)
+                if isinstance(into, ast.Name)
+                else set()
+            )
+            kinds = {k for k, names in FACT_OWNERS.items() if held & names}
+            found.update((kind, fact) for kind in kinds or {"?"})
+        test = node.test if isinstance(node, ast.If) else None
+        if (
+            isinstance(test, ast.Call)
+            and isinstance(test.func, ast.Name)
+            and test.func.id == "isinstance"
+            and isinstance(test.args[0], ast.Name)
+        ):
+            inner = {**narrowed, test.args[0].id: _class_names(test.args[1])}
+            for stmt in node.body:
+                visit(stmt, told, inner)
+            for stmt in node.orelse:
+                visit(stmt, told, narrowed)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, told, narrowed)
+
+    tree = ast.parse(source)
+    visit(tree, {}, {})  # the module's own statements
+    method_of = {
+        id(fn): cls.name
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+    }
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            told = _bindings(fn, method_of.get(id(fn), ""))
+            for stmt in fn.body:
+                visit(stmt, told, {})
+    return found
+
+
+def facts_listed_by_owner(source: str) -> set[tuple[str, str]]:
+    """(owner, fact) for each fact core's "Node keys" block lists by
+    owner, in a phrase "<owner> facts (`_a`, `_b`, ...)"."""
+    found = set()
+    owners = "|".join(FACT_OWNERS)
+    phrase = rf"\b({owners})\s+facts\s+\(([^)]*)\)"
+    for owner, names in re.findall(phrase, node_keys_block(source)):
+        found.update((owner, n) for n in re.findall(r"`(_\w+)`", names))
+    return found
 
 
 def test_node_fact_detectors():
@@ -367,6 +501,47 @@ def test_node_fact_detectors():
         "\n# after the block (`_other`)\n"
     )
     assert node_facts_listed(comment) == {"_key", "_value"}
+
+
+def test_fact_owner_detectors():
+    src = (
+        "class Pair:\n"
+        "    def __init__(self, left):\n"
+        "        fields = self.__dict__\n        fields['_a'] = 1\n"
+        "def f(t: 'PureTerm', d: Union[PureTerm, TermDist], u):\n"
+        "    t.__dict__['_b'] = 1\n"
+        "    if isinstance(d, TermDist):\n        d.__dict__['_c'] = 2\n"
+        "    d.__dict__['_d'] = 3\n"
+        "    out = TermDist(())\n    object.__setattr__(out, '_e', 4)\n"
+        "    for s, c in d.entries:\n        s.__dict__['_f'] = 5\n"
+        "    u.__dict__['_g'] = u.__dict__['name'] = 6\n"
+        "    def g(b: Basis):\n        b.__dict__['_h'] = 7\n"
+    )
+    assert facts_written_by_owner(src) == {
+        ("term", "_a"), ("term", "_b"), ("distribution", "_c"),
+        ("term", "_d"), ("distribution", "_d"), ("distribution", "_e"),
+        ("term", "_f"), ("?", "_g"), ("basis", "_h"),
+    }
+    comment = (
+        "# Node keys.  By owner: term facts (`_a`,\n# `_b`); basis\n"
+        "# facts (`_c`, on an `Ortho`); node facts (`_x`).\n"
+        "\n# type facts (`_d`)\n"
+    )
+    assert facts_listed_by_owner(comment) == {
+        ("term", "_a"), ("term", "_b"), ("basis", "_c")
+    }
+
+
+def test_node_keys_comment_lists_every_fact_by_owner():
+    package = sorted((ROOT / "src" / "basislam").glob("*.py"))
+    written = set().union(
+        *(facts_written_by_owner(p.read_text(encoding="utf-8")) for p in package)
+    )
+    core = ROOT / "src" / "basislam" / "core.py"
+    listed = facts_listed_by_owner(core.read_text(encoding="utf-8"))
+    assert ("term", "_shape") in listed
+    assert sorted(written - listed) == []  # written, not listed
+    assert sorted(listed - written) == []  # listed, never written
 
 
 def test_node_keys_comment_names_every_node_fact():

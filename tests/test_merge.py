@@ -312,6 +312,38 @@ def test_shape_respects_term_eq():
     assert pairs > 0
 
 
+def test_shape_stops_at_binders():
+    """What lies under a binder leaves a shape as it is: terms that
+    differ only there share a bucket, term_eq still tells them apart,
+    and a merge keeps both."""
+    x, k0, k1 = single(Var("x")), single(Ket(0)), single(Ket(1))
+    one = Ortho((k0,))
+
+    def case(branch):
+        return Case(Var("z"), (k0, k1), (k0, branch))
+
+    pairs = [
+        # lambdas: the annotation, and what lies under a summand's binder
+        (Lam("x", STD, x), Lam("x", one, x)),
+        (Lam("x", STD, single(case(k0))), Lam("x", STD, single(case(x)))),
+        # lets: the annotations and the body
+        (
+            LetPair("x", STD, "y", STD, Var("p"), x),
+            LetPair("x", one, "y", ABS, Var("p"), k1),
+        ),
+        # cases: a branch, and the patterns
+        (case(k0), case(x)),
+        (case(k1), Case(Var("z"), (k1, k0), (k0, k1))),
+    ]
+    for a, b in pairs:
+        assert shape_key(a) == shape_key(b)
+        assert not term_eq(a, b)
+        merged = add(single(a), single(b))
+        assert {id(t) for t, _ in merged} == {id(a), id(b)}
+    # a lambda's shape holds its body's summands, one level down
+    assert shape_key(Lam("x", STD, k0)) != shape_key(Lam("x", STD, k1))
+
+
 # ---------------------------------------------------------------------------
 # Complexity guard: a count of recursive comparisons, not a timing.
 

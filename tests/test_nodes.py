@@ -23,9 +23,7 @@ from basislam.core import (
     Var,
     _basis_key,
     _basis_names,
-    _basis_shape,
     _dist_key,
-    _dist_shape,
     _term_key,
     free_vars,
     is_pure_value,
@@ -166,19 +164,32 @@ def test_copies_keep_the_term_and_the_flag(clone):
 
 def test_cached_keys_match_fresh_ones():
     for d in DISTS:
-        d_key, d_shape, d_fv = _dist_key(d), _dist_shape(d), free_vars(d)
+        d_key, d_fv = _dist_key(d), free_vars(d)
         assert d.__dict__["_key"] is d_key and d.__dict__["_fv"] is d_fv
+        assert "_shape" not in d.__dict__  # only pure terms have shapes
         other = fresh(d)
         assert "_key" not in other.__dict__
-        assert (_dist_key(other), _dist_shape(other)) == (d_key, d_shape)
+        assert _dist_key(other) == d_key
         assert free_vars(other) == d_fv
     for t in TERMS:
         key, shape = _term_key(t), shape_key(t)
-        assert t.__dict__["_key"] is key and t.__dict__["_shape"] == shape
+        assert t.__dict__["_key"] is key and t._shape == shape
         other = fresh(t)
-        assert not {"_key", "_shape", "_found"} & other.__dict__.keys()
+        assert not {"_key", "_found"} & other.__dict__.keys()
         assert (_term_key(other), shape_key(other)) == (key, shape)
         assert free_vars(other) == free_vars(t)
+
+
+def test_shape_of_a_deep_chain_is_read_without_recursion():
+    # each node takes its shape from its children's when it is built
+    chains = []
+    for _ in range(2):
+        t = K0
+        for _ in range(5000):
+            t = Pair(K1, t)
+        chains.append(t)
+    assert shape_key(chains[0]) == shape_key(chains[1])
+    assert shape_key(chains[0]) != shape_key(chains[0].right)
 
 
 def test_cached_basis_facts_match_fresh_ones():
@@ -193,11 +204,10 @@ def test_cached_basis_facts_match_fresh_ones():
     assert len(bases) >= 2
     bases += [product_basis(bases[0], bases[-1]), Ortho((single(K0),))]
     for b in bases:
-        facts = _basis_key(b), _basis_shape(b), _basis_names(b)
-        stored = tuple(b.__dict__[k] for k in ("_key", "_shape", "_names"))
+        facts = _basis_key(b), _basis_names(b)
+        stored = tuple(b.__dict__[k] for k in ("_key", "_names"))
         assert stored == facts and stored[0] is facts[0]
+        assert "_shape" not in b.__dict__  # a basis has no shape
         other = fresh(b)
-        assert not {"_key", "_shape", "_names"} & other.__dict__.keys()
-        assert (
-            _basis_key(other), _basis_shape(other), _basis_names(other)
-        ) == facts
+        assert not {"_key", "_names"} & other.__dict__.keys()
+        assert (_basis_key(other), _basis_names(other)) == facts

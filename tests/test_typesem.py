@@ -196,6 +196,10 @@ class TestArrowMembership:
         bad = Arrow(Sharp(B), Arrow(Sharp(B), Prod(Sharp(B), Sharp(B))))
         assert not is_member(cnot, bad)
 
+    def test_norm_two_abstraction_is_no_member(self):
+        # identity on every basis vector, but twice its norm
+        assert not is_member(parse_term("2 * \\x:B. x"), Arrow(B, B))
+
     def test_realizes_evaluates_first(self, gates_prog):
         d = parse_term("Hd (NOT |1>)", defs=gates_prog.defs)
         assert realizes(d, X)
@@ -231,6 +235,14 @@ class TestSubtype:
 
     def test_sharp_monotone(self):
         assert subtype(Sharp(Prod(B, B)), Sharp(Prod(X, X))) is True
+
+    def test_products_that_are_not_finite(self):
+        # componentwise, since neither side has finitely many members
+        assert subtype(Prod(Sharp(B), Sharp(B)), Prod(Sharp(X), Sharp(X)))
+        assert subtype(Prod(Sharp(B), B), Prod(Sharp(X), X)) is False
+        # an arrow component the semantics cannot decide
+        goal = Prod(Sharp(B), Arrow(X, X))
+        assert subtype(Prod(Sharp(B), Arrow(B, B)), goal) is None
 
 
 class TestFormat:
