@@ -14,7 +14,7 @@ function that checks the single node.  Closed subterms can always fall
 back to direct evaluation against the goal, and a let or case over an
 enumerable context can fall back to a semantic check (Sem) that
 evaluates the images generator by generator and closes them by
-typesem.linear_images_member, the law that arrow membership uses too.
+typesem.pools_realize, the enumerator that arrow membership uses too.
 Both fallbacks are recorded in the derivation, never hidden.
 
 Where several rules could apply, the checker backtracks: each
@@ -47,7 +47,6 @@ from .core import (
     combine,
     dist_display_key,
     dist_eq,
-    first_overlap,
     free_vars,
     get_session,
     inner_product,
@@ -78,10 +77,8 @@ from .typesem import (
     Type,
     Undecidable,
     factor_rank1,
-    is_member,
-    is_member_phase,
-    linear_images_member,
     linear_pool,
+    pools_realize,
     realizes,
     subtype,
     type_eq,
@@ -352,6 +349,8 @@ def _sem_instance(
 
 # The Sem rule's note for each failed condition of its images.
 _SEM_NOTES = {
+    "substitution": "semantic check failed on an enumerated substitution",
+    "value": "semantic check: an instance does not reach a value",
     "image": "semantic image check failed",
     "overlap": "semantic images are not orthogonal",
     "combination": "a combination of semantic images leaves the goal",
@@ -727,68 +726,33 @@ def _require_orthogonal(ctx: Context, parts: list[TermDist]) -> None:
 
 
 def _sem_judge(ctx: Context, d: TermDist, goal: Type) -> Derivation:
-    basis_pools: list[tuple[str, list[TermDist], Basis]] = []
-    sharp_var: Optional[tuple[str, list[TermDist], Basis]] = None
+    names: list[tuple[str, Basis]] = []
+    pools: list[tuple[bool, list[TermDist]]] = []
     for x, span, values, basis in _context_pools(ctx):
-        if not span:
-            basis_pools.append((x, values, basis))
-        elif sharp_var is None:
-            sharp_var = (x, values, basis)
-        else:
+        if span and any(s for s, _ in pools):
             # linearity pins down the images of one span variable
             raise CheckError(
                 "context not basis-enumerable",
                 f"variable {x}",
                 ErrorKind.CONTEXT,
             )
+        names.append((x, basis))
+        pools.append((span, values))
 
-    pools = (values for _, values, _ in basis_pools)
-    for combo in itertools.product(*pools):
-        sigma = {
-            x: (value, basis)
-            for (x, _, basis), value in zip(basis_pools, combo)
-        }
-        if sharp_var is None:
-            if not realizes(_sem_instance(d, sigma), goal):
-                raise CheckError(
-                    "rule not applicable",
-                    "semantic check failed on an enumerated substitution",
-                )
-            continue
-        name, gens, basis = sharp_var
-        images: list[TermDist] = []
-        for g in gens:
-            w = evaluate_value(_sem_instance(d, {**sigma, name: (g, basis)}))
-            if w is None:
-                raise CheckError(
-                    "rule not applicable",
-                    "semantic check: an instance does not reach a value",
-                )
-            images.append(w)
-        _sem_linear_images(images, goal)
-    note = "semantic judgement over the enumerated context"
-    return _node("Sem", ctx, d, goal, note=note)
+    def instance(args: list[TermDist]) -> TermDist:
+        sigma = {x: (a, basis) for (x, basis), a in zip(names, args)}
+        return _sem_instance(d, sigma)
 
-
-def _sem_linear_images(images: list[TermDist], goal: Type) -> None:
-    """The images of an orthonormal generating family decide the goal
-    for every unit combination by typesem.linear_images_member.  One
-    image need only be a member up to a phase, as its phase multiples
-    are all the instances; two or more must be members exactly."""
-    member = is_member_phase if len(images) == 1 else is_member
     try:
-        if not all(member(w, goal) for w in images):
-            failed = "image"
-        elif first_overlap(images) is not None:
-            failed = "overlap"
-        else:
-            failed = linear_images_member(
-                {(i,): w for i, w in enumerate(images)}, goal
-            )
+        failed = pools_realize(pools, instance, goal)
     except Undecidable as e:
         raise CheckError("rule not applicable", str(e))
     if failed is not None:
+        if not any(s for s, _ in pools):  # each substitution one instance
+            failed = "substitution"
         raise CheckError("rule not applicable", _SEM_NOTES[failed])
+    note = "semantic judgement over the enumerated context"
+    return _node("Sem", ctx, d, goal, note=note)
 
 
 # Summands of one constructor: how to refactor the sum into a single

@@ -7,9 +7,10 @@ realizers of the codomain; a sharp type is the span of its argument's
 members intersected with the unit sphere.  Membership is decided where
 the structure allows it and raises Undecidable where it does not.
 
-One linearity law, linear_images_member, decides whether the images of
-a span's generators close under unit combinations, for arrow membership
-and for the checker's Sem rule alike.
+One function, pools_realize, evaluates a map pinned by its generators
+at every tuple of them, for arrow membership and for the checker's Sem
+rule alike, and its linearity law, linear_images_member, decides
+whether the images close under unit combinations.
 
 numpy is imported inside factor_rank1, the one matrix computation here,
 and only for a sum of more than one summand or of another coefficient
@@ -20,7 +21,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import reduce
+from typing import Callable, Optional, Union
 
 from .basis import in_span
 from .core import (
@@ -35,7 +37,6 @@ from .core import (
     basis_eq,
     combine,
     dist_eq,
-    first_overlap,
     get_session,
     group_pairs,
     inner_product,
@@ -328,23 +329,18 @@ def _arrow_member(v: TermDist, t: Arrow) -> bool:
         raise Undecidable()
     # a product of spans: orthonormal images still prove membership, but
     # the combination that witnesses an overlap is not in the domain
-    images: list[TermDist] = []
-    for g in gens:
-        w = evaluate_value(mk_app(v, g))
-        if w is None or not _member(w, cod, True):
-            return False
-        images.append(w)
-    if first_overlap(images) is not None:
+    failed = pools_realize(
+        [(True, gens)], lambda args: mk_app(v, *args), cod
+    )
+    if failed == "overlap":
         raise Undecidable()
-    return True
+    return failed is None
 
 
 def _curried_member(v: TermDist, t: Arrow) -> bool:
     """Arrows with span domains, curried or not: the map extends
     multilinearly from the domain generators, so its behavior is pinned
-    by the images of generator tuples, which must close under
-    linear_images_member.  A finite domain layer admits no
-    superpositions and splits the grid into independent families.  For
+    by the images of generator tuples, which pools_realize decides.  For
     a product codomain only single-axis combinations are realizable by
     arguments, so failures there refute membership, while success with
     more than one span axis is left undecided."""
@@ -359,28 +355,50 @@ def _curried_member(v: TermDist, t: Arrow) -> bool:
     span_cod = isinstance(cur, Sharp) and _has_span(cur)
     if not span_cod and not isinstance(cur, Prod):
         raise Undecidable()
-    finite_axes = [k for k, (sp, _) in enumerate(layers) if not sp]
-    sharp_axes = [k for k, (sp, _) in enumerate(layers) if sp]
-
-    for fixed in itertools.product(*(layers[k][1] for k in finite_axes)):
-        grid: dict[tuple[int, ...], TermDist] = {}
-        index_pools = [range(len(layers[k][1])) for k in sharp_axes]
-        for varying in itertools.product(*index_pools):
-            args = dict(zip(finite_axes, fixed))
-            for k, idx in zip(sharp_axes, varying):
-                args[k] = layers[k][1][idx]
-            app = v
-            for k in range(len(layers)):
-                app = mk_app(app, args[k])
-            w = evaluate_value(app)
-            if w is None or not _member(w, cur, True):
-                return False
-            grid[varying] = w
-        if linear_images_member(grid, cur) is not None:
-            return False
-    if not span_cod and len(sharp_axes) > 1:
+    failed = pools_realize(layers, lambda args: reduce(mk_app, args, v), cur)
+    if failed is not None:
+        return False
+    if not span_cod and sum(span for span, _ in layers) > 1:
         raise Undecidable()
     return True
+
+
+def pools_realize(
+    pools: list[tuple[bool, list[TermDist]]],
+    instance: Callable[[list[TermDist]], TermDist],
+    goal: Type,
+) -> Optional[str]:
+    """Do the instances of a map pinned by its generators realize goal?
+    pools holds one linear_pool per argument.  For each choice of the
+    finite arguments, instance(args) is evaluated at every tuple of span
+    generators in grid order, each image tested before the next, and the
+    grid's images must then close under linear_images_member.  An image
+    is a member up to a global phase when the grid has one point, as its
+    phase multiples are then all the instances, with the verdict that
+    realizes tables; exactly otherwise.  Returns None when every grid
+    closes, "value" for an instance that reaches no value, "image" for
+    an image outside goal, else the law's verdict; an Undecidable
+    propagates."""
+    finite = [k for k, (span, _) in enumerate(pools) if not span]
+    spans = [k for k, (span, _) in enumerate(pools) if span]
+    grid = [range(len(pools[k][1])) for k in spans]
+    one_point = all(len(g) == 1 for g in grid)
+    member = _tabled_member_phase if one_point else is_member
+    for fixed in itertools.product(*(pools[k][1] for k in finite)):
+        images: dict[tuple[int, ...], TermDist] = {}
+        for idx in itertools.product(*grid):
+            chosen = dict(zip(finite, fixed))
+            chosen.update((k, pools[k][1][i]) for k, i in zip(spans, idx))
+            w = evaluate_value(instance([chosen[k] for k in sorted(chosen)]))
+            if w is None:
+                return "value"
+            if not member(w, goal):
+                return "image"
+            images[idx] = w
+        failed = linear_images_member(images, goal)
+        if failed is not None:
+            return failed
+    return None
 
 
 def linear_images_member(
@@ -389,42 +407,56 @@ def linear_images_member(
     """The linearity law: do images that pin down a linear map close
     under unit combinations?  They are keyed by tuples of generator
     indices, one per span argument, and the caller has found each one a
-    member of cod.  One image closes.  Into a sharp type, images close
-    when pairwise orthogonal; into a product, when both
-    half-combinations (phases 1 and i) of every two tuples that differ
-    at one place are members, up to a global phase (only a finite
-    factor could notice one, and two orthogonal members of it never
-    combine into a member).  Returns None when they close, else
-    "overlap", "combination" or, for any other codomain, "shape"."""
+    member of cod.  One image closes.  Otherwise the images must be
+    orthogonal: every two into a sharp type, else every two whose tuples
+    differ at one place.  Into a sharp type, orthogonal images close;
+    into a product, when both half-combinations (phases 1 and i) of
+    every two tuples that differ at one place are members, up to a
+    global phase (only a finite factor could notice one, and two
+    orthogonal members of it never combine into a member).  A product's
+    members have unit norm, so two images whose half-combinations are
+    both members are orthogonal already: testing orthogonality first
+    moves no verdict.  Returns None when they close, else "overlap",
+    "combination" or, for any other codomain, "shape"."""
     if len(images) == 1:
         return None
-    if isinstance(cod, Sharp):
-        overlap = first_overlap(list(images.values()))
-        return None if overlap is None else "overlap"
+    sharp = isinstance(cod, Sharp)
+    pairs = list(itertools.combinations(images, 2))
+    if not sharp:
+        # pairs whose tuples differ at one place, that place varying slowest
+        pairs = [
+            (a, b)
+            for pos in range(len(pairs[0][0]))
+            for a, b in pairs
+            if [q for q in range(len(a)) if a[q] != b[q]] == [pos]
+        ]
+    for a, b in pairs:
+        if not sc_is_zero(inner_product(images[a], images[b])):
+            return "overlap"
+    if sharp:
+        return None
     if not isinstance(cod, Prod):
         return "shape"
     half = 2.0 ** -0.5
-    for pos in range(len(next(iter(images)))):
-        for a, b in itertools.combinations(images, 2):
-            if [q for q in range(len(a)) if a[q] != b[q]] != [pos]:
-                continue  # a and b do not differ at pos only
-            for ph in (1, 1j):
-                combo = combine(
-                    ((half, images[a]), (half * ph, images[b]))
-                )
-                if not _member(combo, cod, True):
-                    return "combination"
+    for a, b in pairs:
+        for ph in (1, 1j):
+            combo = combine(((half, images[a]), (half * ph, images[b])))
+            if not _member(combo, cod, True):
+                return "combination"
     return None
 
 
 def realizes(t: TermDist, goal: Type) -> bool:
     """A distribution realizes a type when it reduces to a value that is
-    a member up to a global phase.  Inside a session the verdict is
-    tabled under the normal form's order key and the goal's key; an
-    Undecidable propagates and stores nothing."""
+    a member up to a global phase."""
     w = evaluate_value(t)
-    if w is None:
-        return False
+    return w is not None and _tabled_member_phase(w, goal)
+
+
+def _tabled_member_phase(w: TermDist, goal: Type) -> bool:
+    """is_member_phase, tabled inside a session under the value's order
+    key and the goal's key; an Undecidable propagates and stores
+    nothing."""
     current = get_session()
     if current is None:
         return is_member_phase(w, goal)

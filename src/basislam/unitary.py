@@ -30,7 +30,7 @@ from .core import (
     single,
 )
 from .basis import STD, decompose, product_basis, support_arity, to_vector
-from .reduction import NormalForm, Stuck, run
+from .reduction import Stuck, run
 from .subst import fresh_name
 from .syntax import print_basis
 
@@ -94,8 +94,6 @@ def extract_matrix(
             raise UnitaryError(
                 f"image of basis element {k} is stuck: {final.reason}"
             )
-        if not isinstance(final, NormalForm):
-            raise UnitaryError(f"image of basis element {k}: no normal form")
         image = final.dist
         n = support_arity(image)
         if n is None:

@@ -13,6 +13,7 @@ from basislam.checker import (
     Derivation,
     _check,
     _sem_judge,
+    _synth,
     _Tried,
     check,
     check_orthogonality,
@@ -20,6 +21,7 @@ from basislam.checker import (
     uses_sharp_binding,
 )
 from basislam.core import (
+    ABS,
     App,
     Ket,
     Ortho,
@@ -223,6 +225,19 @@ class TestDiagnostics:
         assert e.value.note == (
             "semantic check: a context value is outside its annotation span"
         )
+
+    def test_sem_undecidable_instance_is_a_check_error(self):
+        # the instance is an arrow into [B] from a span, whose membership
+        # is undecidable; it used to escape as typesem.Undecidable
+        term = parse_term("let (x:B, y:B) = (|0>, |0>) in \\z:B. z")
+        with pytest.raises(CheckError) as e:
+            _sem_judge({}, term, parse_type("#[B] -> [B]"))
+        assert e.value.message == "rule not applicable"
+        assert e.value.note == "membership undecidable for this domain"
+
+    def test_no_type_for_an_application_whose_argument_fails(self):
+        ctx = {"f": Binding(parse_type("[X] -> [B]"), ABS)}
+        assert _synth(ctx, parse_term("f |0>")) is None
 
     def test_duplication_beats_fallback(self):
         # the evaluation fallback must not rescue a copied span variable

@@ -132,6 +132,15 @@ class TestCheck:
         assert code == 1
         assert "type error: linear variable duplicated: x" in out
 
+    def test_undecidable_sem_membership_is_a_type_error(self, capsys):
+        # the Sem rule's instance is an arrow whose membership is
+        # undecidable; it used to escape main as typesem.Undecidable
+        term = r"let (x:B, y:B) = (|0>, |0>) in \z:B. z"
+        code = main(["check", term, "#[B] -> [B]"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out == "type error: subtype check failed #[B] ≤ [B]\n"
+
     def test_json(self, capsys):
         code = main(["check", "|0>", "[B]", "--json"])
         payload = json.loads(capsys.readouterr().out)
@@ -265,6 +274,27 @@ class TestUnitary:
         out = capsys.readouterr().out
         assert code == 1
         assert "error: matrix extraction needs a single abstraction" in out
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (
+                ["--max-steps", "0", r"\x:B. NOT x"],
+                "image of basis element 0 is stuck: "
+                "fuel exhausted after 0 steps",
+            ),
+            ([r"\x:B. y"], "image of basis element 0 is not a qubit value"),
+            (
+                [r"\x:B. case x of {|0> -> |0> | |1> -> |00>}"],
+                "images have mixed qubit arities",
+            ),
+        ],
+        ids=["stuck", "not-a-qubit-value", "mixed-arities"],
+    )
+    def test_image_errors(self, capsys, gates_path, args, error):
+        code = main(["unitary", *args, "--def", gates_path])
+        assert code == 1
+        assert capsys.readouterr().out == f"error: {error}\n"
 
     # The images are finite, but their gram matrix overflows: before,
     # `--json` printed `Infinity` and NaN, and numpy warned on stderr.

@@ -4,8 +4,9 @@
 tuples close under unit combinations.  The references below are the
 earlier code, which wrote that check out three times: the Sem rule's
 image check, the span-domain tail of arrow membership, and the grid of
-curried membership.  On generated image families and maps, the Sem rule
-must give the same note, and arrow membership the same verdicts.
+curried membership.  All three now enumerate through
+`typesem.pools_realize`.  On generated image families and maps, the Sem
+rule must give the same note, and arrow membership the same verdicts.
 """
 
 import itertools
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from basislam.basis import HAD, NAMED_BASES, STD, product_basis
-from basislam.checker import CheckError, _sem_linear_images
+from basislam.checker import _SEM_NOTES
 from basislam.core import (
     Ket,
     Lam,
@@ -48,6 +49,7 @@ from basislam.typesem import (
     is_member_phase,
     linear_images_member,
     linear_pool,
+    pools_realize,
     realizes,
     span_generators,
 )
@@ -304,12 +306,13 @@ SEM_CASES = [
 
 
 def sem_note(images, goal):
+    """The Sem rule's note for a span variable whose generators have
+    these images."""
     try:
-        _sem_linear_images(images, goal)
-    except CheckError as e:
-        assert e.message == "rule not applicable"
-        return e.note
-    return None
+        failed = pools_realize([(True, images)], lambda args: args[0], goal)
+    except Undecidable as e:
+        return str(e)
+    return None if failed is None else _SEM_NOTES[failed]
 
 
 @pytest.mark.parametrize(

@@ -256,22 +256,22 @@ def test_corpus_runs_in_one_session_that_tables(monkeypatch):
     assert get_session() is None
     assert seen and seen[0] is not None
     assert all(s is seen[0] for s in seen)
-    # Without the tables the run evaluates 459 distinct inputs 12,440
+    # Without the tables the run evaluates 456 distinct inputs 12,261
     # times and derives 1,149 distinct judgements 21,864 times.  A miss
     # tables its answer under every step of its trace too, and each
     # harness seeds the table with its own trace, so a step's re-check
-    # finds its evaluation tabled: 162 of the 459 inputs are evaluated.
+    # finds its evaluation tabled: 159 of the 456 inputs are evaluated.
     s = seen[0]
-    assert (s.evaluations.misses, s.evaluations.hits) == (162, 1292)
+    assert (s.evaluations.misses, s.evaluations.hits) == (159, 1291)
     assert (s.judgements.misses, s.judgements.hits) == (1149, 1541)
     # Untabled, `realizes` asks for 445 verdicts on 142 distinct (normal
     # form, goal) pairs.  28 of the pairs are Undecidable, which stores
     # nothing, so each of their 32 requests misses: 114 + 32 misses.
     assert (s.memberships.misses, s.memberships.hits) == (146, 295)
-    # with a table per evaluation, 1,713 fires; the session's table fires
+    # with a table per evaluation, 1,709 fires; the session's table fires
     # each contraction below a summand's root once per run, 324 of them,
-    # and the 646 root fires are never tabled
-    assert (len(fires), sum(fires)) == (970, 646)
+    # and the 642 root fires are never tabled
+    assert (len(fires), sum(fires)) == (966, 642)
     assert (s.contractions.misses, s.contractions.hits) == (324, 909)
 
 
@@ -307,31 +307,32 @@ def test_corpus_evaluations_match_sessionless_traces(monkeypatch):
 
 
 def test_corpus_membership_verdicts_match_fresh_ones(monkeypatch):
+    # every tabled verdict, through `realizes` or straight from
+    # `pools_realize`, is asked for by `typesem._tabled_member_phase`
     calls = []  # each verdict, or None where it was Undecidable
+    tabled = typesem._tabled_member_phase
 
-    def recording(t, goal):
+    def recording(w, goal):
         at = len(calls)  # a verdict can ask for others first
-        calls.append((t, goal, get_settings(), None))
-        verdict = realizes(t, goal)
-        calls[at] = (t, goal, get_settings(), verdict)
+        calls.append((w, goal, get_settings(), None))
+        verdict = tabled(w, goal)
+        calls[at] = (w, goal, get_settings(), verdict)
         return verdict
 
-    for module in (checker, typesem):
-        monkeypatch.setattr(module, "realizes", recording)
+    monkeypatch.setattr(typesem, "_tabled_member_phase", recording)
     with session() as s:
         assert all(r.ok for r in run_corpus())
     monkeypatch.undo()
     assert s.memberships.hits > 0
     undecided = 0
-    for t, goal, settings, verdict in calls:
+    for w, goal, settings, verdict in calls:
         with local_settings(settings):
-            w = evaluate_value(t)
             if verdict is None:
                 with pytest.raises(Undecidable):
                     is_member_phase(w, goal)
                 undecided += 1
             else:
-                assert verdict == (w is not None and is_member_phase(w, goal))
+                assert verdict == is_member_phase(w, goal)
     assert undecided > 0
 
 

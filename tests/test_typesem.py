@@ -22,6 +22,8 @@ from basislam.typesem import (
     BasisType,
     Prod,
     Sharp,
+    Undecidable,
+    _curried_member,
     _has_span,
     finite_members,
     is_member,
@@ -200,6 +202,11 @@ class TestArrowMembership:
         # identity on every basis vector, but twice its norm
         assert not is_member(parse_term("2 * \\x:B. x"), Arrow(B, B))
 
+    def test_arrow_domain_has_no_linear_pool(self, gates_prog):
+        goal = parse_type("#[B] -> ([B] -> [B]) -> #[B]")
+        with pytest.raises(Undecidable):
+            _curried_member(gates_prog.defs["CNOT"], goal)
+
     def test_realizes_evaluates_first(self, gates_prog):
         d = parse_term("Hd (NOT |1>)", defs=gates_prog.defs)
         assert realizes(d, X)
@@ -243,6 +250,11 @@ class TestSubtype:
         # an arrow component the semantics cannot decide
         goal = Prod(Sharp(B), Arrow(X, X))
         assert subtype(Prod(Sharp(B), Arrow(B, B)), goal) is None
+
+    def test_undecidable_member_leaves_subtyping_undecided(self):
+        # |0> is no abstraction, and the span of an arrow type has no
+        # other certificate of membership
+        assert subtype(B, Sharp(Arrow(B, B))) is None
 
 
 class TestFormat:
