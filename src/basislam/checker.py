@@ -42,10 +42,10 @@ from .core import (
     PureTerm,
     TermDist,
     Var,
-    basis_display_key,
+    _basis_key,
+    _dist_key,
     basis_eq,
     combine,
-    dist_display_key,
     dist_eq,
     free_vars,
     get_session,
@@ -324,11 +324,11 @@ def _judgement_key(ctx: Context, d: TermDist, goal: Type):
     return (
         tuple(
             sorted(
-                (x, type_key(b.type), basis_display_key(b.basis))
+                (x, type_key(b.type), _basis_key(b.basis))
                 for x, b in ctx.items()
             )
         ),
-        dist_display_key(d),
+        _dist_key(d),
         type_key(goal),
     )
 

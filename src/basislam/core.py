@@ -79,10 +79,9 @@ class Session:
     reduction fires below a summand's root.  A session is bound to the
     settings it was opened under: a `local_settings` block with other
     settings runs in a fresh session, so no key holds the settings.
-    Keys are exact (variable names and scalars as stored), so a hit
-    returns what a fresh computation would.  Only a judgement's key
-    holds the basis names too: a normal form and a verdict are read for
-    a verdict.  See "Memo tables" below."""
+    Keys are exact (variable names, basis names and scalars as stored),
+    so a hit returns, and prints, what a fresh computation would.  See
+    "Memo tables" below."""
 
     def __init__(self) -> None:
         self.evaluations = Table()
@@ -174,7 +173,8 @@ ABS = AbsBasis()
 @dataclass(frozen=True, eq=False)
 class Ortho:
     elements: tuple["TermDist", ...]
-    name: Optional[str] = None  # display only, ignored by comparisons
+    # ignored by term_eq and basis_eq; last in the order key
+    name: Optional[str] = None
 
     def __repr__(self) -> str:
         return f"Ortho({self.name or len(self.elements)})"
@@ -354,29 +354,32 @@ class TermDist:
 # carries its entries' shape keys (`_shapes`, see reduction._merge),
 # which the next step's merge reads; a step finds its pending summands
 # afresh from `_value`.  What depends on a whole subterm is computed
-# once, bottom-up on first use: the order key (`_key`), the basis names
-# (`_names`), a distribution's free variables (`_fv`), the redex that
-# reduction finds (`_found`) and a body's instances (`_instances`, see
-# subst).  Free variables stay lazy: reduction builds step frames and
-# plugged summands that are never asked for them, and computing them
-# when each node is built, from its children's, made `deep` 7% slower
-# (`pass_s` 0.152 -> 0.162 s, 3 alternated pairs, 2-vCPU VM).
+# once, bottom-up on first use: the order key (`_key`), a distribution's
+# free variables (`_fv`), the redex that reduction finds (`_found`) and a
+# body's instances (`_instances`, see subst).  Free variables stay lazy:
+# reduction builds step frames and plugged summands that are never asked
+# for them, and computing them when each node is built, from its
+# children's, made `deep` 7% slower (`pass_s` 0.152 -> 0.162 s, 3
+# alternated pairs, 2-vCPU VM).
 # Most nodes that reduction asks about are fresh, so each lazy fact is
 # read with `__dict__.get`: a miss costs a dict lookup, where a raised
 # and caught AttributeError costs ten times more.
 #
 # By owner, every fact the package stores (tests/test_imports.py checks
 # this list against the writes): term facts (`_value`, `_shape`, `_key`,
-# `_names`, `_found`); distribution facts (`_eps`, `_shapes`, `_key`,
-# `_names`, `_fv`, `_instances`); basis facts (`_key`, `_names`), on an
-# `Ortho` only; type facts (`_key`, see typesem.type_key).
+# `_found`); distribution facts (`_eps`, `_shapes`, `_key`, `_fv`,
+# `_instances`); basis facts (`_key`), on an `Ortho` only; type facts
+# (`_key`, see typesem.type_key).
 #
-# The order key (_term_key, _dist_key) is a total order on pure terms:
-# nested tuples, ranks separate constructors, payloads only ever compare
-# within one constructor.  Variables are keyed by name (free and bound
-# alike), so the order is a fixed deterministic convention, not
-# alpha-invariant; it only fixes the entry order of a canonical
-# distribution.
+# The order key (_term_key, _dist_key, _basis_key) is a total order on
+# pure terms: nested tuples, ranks separate constructors, payloads only
+# ever compare within one constructor.  Variables are keyed by name (free
+# and bound alike), so the order is a fixed deterministic convention, not
+# alpha-invariant; it fixes the entry order of a canonical distribution.
+# It is also exact: an `Ortho` key ends with the basis name ("" when it
+# has none), so nodes with equal keys print alike, and it is the one key
+# of every table.  The name comes last so that it only breaks ties
+# between annotations with equal elements.
 #
 # The shape key (shape_key) is an int that leaves out every variable and
 # binder name and every scalar, the things term_eq matches up to alpha or
@@ -399,8 +402,9 @@ class TermDist:
 # carried from step to step in `_shapes`, in place of buckets.
 #
 # Memo tables, all of them, each with its key, lifetime and bound.  Every
-# one is exact: a hit is what a fresh computation gives, and the tests
-# compare the two (tests/test_nodes.py, test_session.py, test_step.py).
+# one is exact, basis names included: a hit is, and prints as, what a
+# fresh computation gives, and the tests compare the two
+# (tests/test_nodes.py, test_session.py, test_step.py).
 #
 # - The facts computed on first use (see Node keys): keyed by the node,
 #   or by the `Ortho` or type, stored in its dict, freed with it; one
@@ -420,7 +424,7 @@ class TermDist:
 #   - `memberships`: the normal form's order key and the goal's
 #     `type_key`, to the verdict; an Undecidable stores nothing
 #     (typesem.realizes);
-#   - `judgements`: the usable context, the term's display key and the
+#   - `judgements`: the usable context, the term's order key and the
 #     goal's `type_key`, to the derivation or the error's fields
 #     (checker._judgement_key);
 #   - `contractions`: the identity of the redex's fields and the value's
@@ -434,7 +438,8 @@ def _basis_key(b: Basis):
         return (0, ())
     k = b.__dict__.get("_key")
     if k is None:
-        k = b.__dict__["_key"] = (1, tuple(_dist_key(e) for e in b.elements))
+        elements = tuple(_dist_key(e) for e in b.elements)
+        k = b.__dict__["_key"] = (1, elements, b.name or "")
     return k
 
 
@@ -485,65 +490,6 @@ def shape_key(t: PureTerm) -> int:
     """The shape key of t, fixed when t was built: term_eq(a, b) implies
     shape_key(a) == shape_key(b)."""
     return t._shape
-
-
-# The display key adds to the order key the names of the basis
-# annotations, which it leaves out: a name is display only, but a table
-# whose hits must print like fresh results keys on it.  Given equal order
-# keys, the annotations sit at the same places, so the names in a fixed
-# pre-order suffice.
-
-
-def _names(t: Union[PureTerm, TermDist]) -> tuple:
-    if isinstance(t, (Var, Ket)):
-        return ()
-    k = t.__dict__.get("_names")
-    if k is not None:
-        return k
-    if isinstance(t, TermDist):
-        k = tuple(n for u, _ in t.entries for n in _names(u))
-    elif isinstance(t, Pair):
-        k = _names(t.left) + _names(t.right)
-    elif isinstance(t, App):
-        k = _names(t.fun) + _names(t.arg)
-    elif isinstance(t, Lam):
-        k = _basis_names(t.basis) + _names(t.body)
-    elif isinstance(t, LetPair):
-        k = (
-            _basis_names(t.basis1)
-            + _basis_names(t.basis2)
-            + _names(t.scrutinee)
-            + _names(t.body)
-        )
-    elif isinstance(t, Case):
-        k = _names(t.scrutinee) + tuple(
-            n for d in t.patterns + t.branches for n in _names(d)
-        )
-    else:
-        raise TypeError(f"not a pure term: {t!r}")
-    t.__dict__["_names"] = k
-    return k
-
-
-def _basis_names(b: Basis) -> tuple:
-    if isinstance(b, AbsBasis):
-        return ()
-    k = b.__dict__.get("_names")
-    if k is None:
-        k = b.__dict__["_names"] = (b.name,) + tuple(
-            n for e in b.elements for n in _names(e)
-        )
-    return k
-
-
-def dist_display_key(d: TermDist):
-    """The order key of d with the names of its basis annotations."""
-    return _dist_key(d), _names(d)
-
-
-def basis_display_key(b: Basis):
-    """The order key of a basis with its name and those inside it."""
-    return _basis_key(b), _basis_names(b)
 
 
 # ---------------------------------------------------------------------------

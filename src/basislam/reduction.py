@@ -569,8 +569,8 @@ def evaluate_value(d: TermDist) -> Optional[TermDist]:
     runs out.  Inside a session each input is evaluated at most once,
     and a miss also tables its answer under every distribution its trace
     passes through (see `table_trace`), so a later call on one of them
-    is a hit.  The key leaves out the names of basis annotations, so the
-    normal form is meant for a verdict, not for printing."""
+    is a hit.  The key is the order key, basis names included, so a hit
+    prints like a fresh result."""
     current = get_session()
     if current is None:  # then table_trace tables nothing
         return table_trace(d, evaluate(d))
@@ -594,8 +594,8 @@ def table_trace(d: TermDist, trace: Trace) -> Optional[TermDist]:
     - A trace that ran out of fuel says nothing about its steps: a step
       could finish with fresh fuel.  So the steps of a trace that used
       all its fuel, a conservative test, are not stored.
-    - The key leaves out basis names, as `evaluate_value`'s does: the
-      stored normal form is meant for a verdict, not for printing."""
+    - The key holds basis names, as `evaluate_value`'s does: a stored
+      normal form prints like a fresh one."""
     answer = trace.final.dist if isinstance(trace.final, NormalForm) else None
     current = get_session()
     if current is None:

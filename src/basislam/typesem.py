@@ -31,9 +31,9 @@ from .core import (
     Pair,
     PureTerm,
     TermDist,
+    _basis_key,
     _dist_key,
     alpha_classes,
-    basis_display_key,
     basis_eq,
     combine,
     dist_eq,
@@ -103,7 +103,7 @@ def type_key(t: Type):
     if k is not None:
         return k
     if isinstance(t, BasisType):
-        k = (0, basis_display_key(t.basis))
+        k = (0, _basis_key(t.basis))
     elif isinstance(t, Arrow):
         k = (1, type_key(t.dom), type_key(t.cod))
     elif isinstance(t, Prod):

@@ -37,6 +37,9 @@ from .syntax import print_basis
 if TYPE_CHECKING:
     import numpy as np
 GRAM_TOL = 1e-6
+# the widest image a matrix column is built for: 2**16 complex entries,
+# 1 MiB; a 40-qubit column would ask for 16 TiB
+MAX_IMAGE_QUBITS = 16
 
 
 class UnitaryError(Exception):
@@ -99,6 +102,11 @@ def extract_matrix(
         if n is None:
             raise UnitaryError(
                 f"image of basis element {k} is not a qubit value"
+            )
+        if n > MAX_IMAGE_QUBITS:
+            raise UnitaryError(
+                f"image of basis element {k} has {n} qubits, more than "
+                f"the {MAX_IMAGE_QUBITS} a matrix column is built for"
             )
         if arity is None:
             arity = n

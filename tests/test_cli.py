@@ -16,6 +16,7 @@ from basislam.cli import _build_parser, main
 from basislam.core import get_settings, local_settings
 from basislam.syntax import parse_type
 from basislam.typesem import type_eq
+from basislam.unitary import MAX_IMAGE_QUBITS
 import test_golden_cli as golden
 
 
@@ -288,8 +289,17 @@ class TestUnitary:
                 [r"\x:B. case x of {|0> -> |0> | |1> -> |00>}"],
                 "images have mixed qubit arities",
             ),
+            *(
+                (
+                    [rf"\x:B. |{'0' * n}>"],
+                    f"image of basis element 0 has {n} qubits, more than "
+                    f"the {MAX_IMAGE_QUBITS} a matrix column is built for",
+                )
+                for n in (40, MAX_IMAGE_QUBITS + 1)
+            ),
         ],
-        ids=["stuck", "not-a-qubit-value", "mixed-arities"],
+        ids=["stuck", "not-a-qubit-value", "mixed-arities", "40-qubits",
+             "one-past-the-bound"],
     )
     def test_image_errors(self, capsys, gates_path, args, error):
         code = main(["unitary", *args, "--def", gates_path])

@@ -35,6 +35,7 @@ from basislam.core import (
 )
 from basislam.basis import HAD, STD
 from basislam.reduction import step
+from basislam.syntax import parse_term, print_term
 
 K0 = single(Ket(0))
 K1 = single(Ket(1))
@@ -99,6 +100,21 @@ class TestCanonical:
     def test_distinct_terms_not_equal(self):
         assert not dist_eq(K0, K1)
         assert not dist_eq(K0, scale(1.0 + 1e-3, K0))
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            r"(\x:B. |0>) + (\x:{|0>, |1>}. |1>)",
+            r"(\x:{|0>, |1>}. |1>) + (\x:B. |0>)",
+        ],
+        ids=["named-first", "literal-first"],
+    )
+    def test_equal_annotations_are_ordered_by_name(self, src):
+        # the basis name ends an annotation's order key ("" when it has
+        # none), so it sorts before the bodies do
+        assert print_term(parse_term(src)) == (
+            r"(\x:{|0>, |1>}. |1>) + (\x:B. |0>)"
+        )
 
     def test_annotations_tell_binders_apart(self):
         # a basis of one element against one of two

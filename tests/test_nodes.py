@@ -22,7 +22,6 @@ from basislam.core import (
     TermDist,
     Var,
     _basis_key,
-    _basis_names,
     _dist_key,
     _term_key,
     free_vars,
@@ -33,6 +32,7 @@ from basislam.core import (
 )
 from basislam.corpus import corpus_program
 from basislam.reduction import evaluate
+from basislam.syntax import print_term
 
 NODES = (Var, Ket, Lam, Pair, App, LetPair, Case)
 
@@ -64,14 +64,19 @@ def subterms(x):
             yield from subterms(getattr(x, f.name))
 
 
-def fresh(x):
+def fresh(x, unnamed=False):
     """A copy of x rebuilt through the constructors, sharing no node and
-    holding no cache."""
+    holding no cache; with unnamed, every `Ortho` in it loses its name."""
     if isinstance(x, tuple):
-        return tuple(fresh(y) for y in x)
+        return tuple(fresh(y, unnamed) for y in x)
     if isinstance(x, (TermDist, Ortho) + NODES):
-        fields = dataclasses.fields(x)
-        return type(x)(**{f.name: fresh(getattr(x, f.name)) for f in fields})
+        fields = {
+            f.name: fresh(getattr(x, f.name), unnamed)
+            for f in dataclasses.fields(x)
+        }
+        if unnamed and isinstance(x, Ortho):
+            fields["name"] = None
+        return type(x)(**fields)
     return x
 
 
@@ -178,6 +183,16 @@ def test_cached_keys_match_fresh_ones():
         assert not {"_key", "_found"} & other.__dict__.keys()
         assert (_term_key(other), shape_key(other)) == (key, shape)
         assert free_vars(other) == free_vars(t)
+    assert not any("_names" in x.__dict__ for x in DISTS + TERMS)
+
+
+def test_equal_keys_print_alike():
+    # the order key holds every basis name, so it is exact for printing
+    unnamed = [fresh(d, unnamed=True) for d in DISTS]
+    assert any(_dist_key(u) != _dist_key(d) for u, d in zip(unnamed, DISTS))
+    printed = {}
+    for d in DISTS + unnamed:
+        assert printed.setdefault(_dist_key(d), print_term(d)) == print_term(d)
 
 
 def test_shape_of_a_deep_chain_is_read_without_recursion():
@@ -204,10 +219,10 @@ def test_cached_basis_facts_match_fresh_ones():
     assert len(bases) >= 2
     bases += [product_basis(bases[0], bases[-1]), Ortho((single(K0),))]
     for b in bases:
-        facts = _basis_key(b), _basis_names(b)
-        stored = tuple(b.__dict__[k] for k in ("_key", "_names"))
-        assert stored == facts and stored[0] is facts[0]
-        assert "_shape" not in b.__dict__  # a basis has no shape
+        key = _basis_key(b)
+        assert b.__dict__["_key"] is key
+        # a basis has no shape, and its name is in its key
+        assert not {"_shape", "_names"} & b.__dict__.keys()
         other = fresh(b)
-        assert not {"_key", "_names"} & other.__dict__.keys()
-        assert (_basis_key(other), _basis_names(other)) == facts
+        assert "_key" not in other.__dict__
+        assert _basis_key(other) == key

@@ -35,7 +35,7 @@ from basislam.core import (
 )
 from basislam.corpus import EVAL_CASES, load_corpus, run_corpus
 from basislam.reduction import evaluate, evaluate_value, run
-from basislam.syntax import parse_term, parse_type
+from basislam.syntax import parse_term, parse_type, print_term
 from basislam.typesem import Undecidable, is_member_phase, realizes
 from test_golden_derivations import GOLDEN, golden_rows
 from test_step import assert_same_final, assert_same_trace
@@ -118,6 +118,16 @@ def test_basis_names_key_separate_entries():
         for d in derivations[:2]
     ]
     assert names == [{"B"}, {None}]
+
+
+def test_evaluation_hit_prints_its_own_basis_names():
+    named = parse_term("(\\f:@fun. f) (\\x:B. x)")
+    literal = parse_term("(\\f:@fun. f) (\\x:{|0>, |1>}. x)")
+    with session() as s:
+        evaluate_value(named)
+        got = evaluate_value(literal)
+    assert print_term(got) == "\\x:{|0>, |1>}. x"
+    assert (s.evaluations.misses, s.evaluations.hits) == (2, 0)
 
 
 def test_work_under_other_settings_is_tabled_apart(gates_prog):

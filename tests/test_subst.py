@@ -42,8 +42,8 @@ from basislam.core import (
     Pair,
     TermDist,
     Var,
+    _dist_key,
     add,
-    dist_display_key,
     dist_eq,
     free_vars,
     get_settings,
@@ -353,7 +353,7 @@ def _assert_same(got, ref):
         assert got == ref
         return
     assert isinstance(got, TermDist)
-    assert dist_display_key(got) == dist_display_key(ref)
+    assert _dist_key(got) == _dist_key(ref)
     assert _bits(got) == _bits(ref)
 
 
