@@ -42,8 +42,8 @@ from .core import (
     PureTerm,
     TermDist,
     Var,
-    _basis_key,
-    _dist_key,
+    _basis_id,
+    _dist_id,
     basis_eq,
     combine,
     dist_eq,
@@ -320,15 +320,17 @@ def _synth_value(d: TermDist) -> Optional[Type]:
 
 def _judgement_key(ctx: Context, d: TermDist, goal: Type):
     """Exact key of a judgement: the usable context, the term and the
-    goal with every basis name (derivations carry them)."""
+    goal with every basis name (derivations carry them).  The term and
+    each annotation are keyed on their ids in the open session, equal
+    exactly when their order keys are."""
     return (
         tuple(
             sorted(
-                (x, type_key(b.type), _basis_key(b.basis))
+                (x, type_key(b.type), _basis_id(b.basis))
                 for x, b in ctx.items()
             )
         ),
-        _dist_key(d),
+        _dist_id(d),
         type_key(goal),
     )
 

@@ -13,6 +13,7 @@ not a superposition of functions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -72,6 +73,11 @@ class Table:
         return value
 
 
+# Session serials.  Unlike an object id, a serial is never reused, so an
+# id cached by a closed session never passes for one of a later session.
+_serials = itertools.count()
+
+
 class Session:
     """The tables of one command: the normal form of each evaluated
     input, the membership verdict of each normal form in each goal, the
@@ -80,10 +86,18 @@ class Session:
     settings it was opened under: a `local_settings` block with other
     settings runs in a fresh session, so no key holds the settings.
     Keys are exact (variable names, basis names and scalars as stored),
-    so a hit returns, and prints, what a fresh computation would.  See
-    "Memo tables" below."""
+    so a hit returns, and prints, what a fresh computation would.
+
+    The first three tables key a term, a distribution or an annotation
+    on its id in this session, a small int interned in `ids` (see Node
+    keys).  A node caches its id with this session's `serial`, never the
+    session itself, so a closed session is freed with its tables, and a
+    node read in a later session is interned again there.  See "Memo
+    tables" below."""
 
     def __init__(self) -> None:
+        self.serial = next(_serials)
+        self.ids: dict[tuple, int] = {}
         self.evaluations = Table()
         self.memberships = Table()
         self.judgements = Table()
@@ -355,21 +369,22 @@ class TermDist:
 # which the next step's merge reads; a step finds its pending summands
 # afresh from `_value`.  What depends on a whole subterm is computed
 # once, bottom-up on first use: the order key (`_key`), a distribution's
-# free variables (`_fv`), the redex that reduction finds (`_found`) and a
-# body's instances (`_instances`, see subst).  Free variables stay lazy:
-# reduction builds step frames and plugged summands that are never asked
-# for them, and computing them when each node is built, from its
-# children's, made `deep` 7% slower (`pass_s` 0.152 -> 0.162 s, 3
-# alternated pairs, 2-vCPU VM).
+# free variables (`_fv`), the redex that reduction finds (`_found`), a
+# body's instances (`_instances`, see subst) and, once a session table
+# reads it, the node's id in that session (`_id`, see below).  Free
+# variables stay lazy: reduction builds step frames and plugged summands
+# that are never asked for them, and computing them when each node is
+# built, from its children's, made `deep` 7% slower (`pass_s` 0.152 ->
+# 0.162 s, 3 alternated pairs, 2-vCPU VM).
 # Most nodes that reduction asks about are fresh, so each lazy fact is
 # read with `__dict__.get`: a miss costs a dict lookup, where a raised
 # and caught AttributeError costs ten times more.
 #
 # By owner, every fact the package stores (tests/test_imports.py checks
 # this list against the writes): term facts (`_value`, `_shape`, `_key`,
-# `_found`); distribution facts (`_eps`, `_shapes`, `_key`, `_fv`,
-# `_instances`); basis facts (`_key`), on an `Ortho` only; type facts
-# (`_key`, see typesem.type_key).
+# `_id`, `_found`); distribution facts (`_eps`, `_shapes`, `_key`, `_id`,
+# `_fv`, `_instances`); basis facts (`_key`, `_id`), on an `Ortho` only;
+# type facts (`_key`, see typesem.type_key).
 #
 # The order key (_term_key, _dist_key, _basis_key) is a total order on
 # pure terms: nested tuples, ranks separate constructors, payloads only
@@ -377,9 +392,25 @@ class TermDist:
 # and bound alike), so the order is a fixed deterministic convention, not
 # alpha-invariant; it fixes the entry order of a canonical distribution.
 # It is also exact: an `Ortho` key ends with the basis name ("" when it
-# has none), so nodes with equal keys print alike, and it is the one key
-# of every table.  The name comes last so that it only breaks ties
-# between annotations with equal elements.
+# has none), so nodes with equal keys print alike.  The name comes last
+# so that it only breaks ties between annotations with equal elements.
+#
+# The id (_term_id, _dist_id, _basis_id) stands for the order key inside
+# one session, so that a table lookup hashes a few ints, not a tuple as
+# large as the term.  A node's signature mirrors its key case by case:
+# the rank (7 for `AbsBasis`, 8 for an `Ortho`, 9 for a distribution, so
+# that no two kinds of node share a signature), the atoms (names, ket
+# bit, pattern count, the basis name or "", each coefficient as stored)
+# and the children's ids.  Two complex numbers are equal, and hash
+# alike, exactly when the float pairs the key holds are equal (0.0 and
+# -0.0 included), and the entry's own object costs no new float.  The
+# open session interns a signature in `Session.ids`, numbering them in
+# order of first use, so ids do not depend on the hash seed, and two
+# nodes have equal ids in a session exactly when their order keys are
+# equal.  A node caches the pair (session serial, id) in `_id`, and a
+# pair from another session is stale: the node is interned afresh.  Ids
+# stay lazy, as free variables do, and for the same reason: most nodes
+# are never keyed by a table.  An id is read only inside a session.
 #
 # The shape key (shape_key) is an int that leaves out every variable and
 # binder name and every scalar, the things term_eq matches up to alpha or
@@ -418,15 +449,16 @@ class TermDist:
 #   settings it was opened under: a `local_settings` block with other
 #   settings runs in a fresh session that closes with the block, and
 #   one with equal settings keeps the open one, so no key holds them.
-#   - `evaluations`: the input's order key, to its normal form or None,
-#     also stored under every step of a miss's trace
-#     (reduction.table_trace);
-#   - `memberships`: the normal form's order key and the goal's
-#     `type_key`, to the verdict; an Undecidable stores nothing
-#     (typesem.realizes);
-#   - `judgements`: the usable context, the term's order key and the
-#     goal's `type_key`, to the derivation or the error's fields
-#     (checker._judgement_key);
+#   - `ids`: a node's signature, to its id (see Node keys); one entry
+#     per distinct signature among the nodes the next three tables key
+#     on, their subterms and annotations included;
+#   - `evaluations`: the input's id, to its normal form or None, also
+#     stored under every step of a miss's trace (reduction.table_trace);
+#   - `memberships`: the normal form's id and the goal's `type_key`, to
+#     the verdict; an Undecidable stores nothing (typesem.realizes);
+#   - `judgements`: the usable context (each name's type key and
+#     annotation id), the term's id and the goal's `type_key`, to the
+#     derivation or the error's fields (checker._judgement_key);
 #   - `contractions`: the identity of the redex's fields and the value's
 #     term objects and coefficient bits, to what fired, below a
 #     summand's root only (reduction.step).  `evaluate` opens a session
@@ -484,6 +516,75 @@ def _dist_key(d: TermDist):
             (_term_key(t), (c.real, c.imag)) for t, c in d.entries
         )
     return k
+
+
+def _intern(signature: tuple) -> int:
+    ids = _session.ids
+    return ids.setdefault(signature, len(ids))
+
+
+def _basis_id(b: Basis) -> int:
+    if isinstance(b, AbsBasis):
+        return _intern((7,))
+    serial = _session.serial
+    k = b.__dict__.get("_id")
+    if k is None or k[0] != serial:
+        signature = (8, b.name or "", *[_dist_id(e) for e in b.elements])
+        k = b.__dict__["_id"] = (serial, _intern(signature))
+    return k[1]
+
+
+def _term_id(t: PureTerm) -> int:
+    serial = _session.serial
+    k = t.__dict__.get("_id")
+    if k is not None and k[0] == serial:
+        return k[1]
+    if isinstance(t, Ket):
+        signature = (0, t.bit)
+    elif isinstance(t, Var):
+        signature = (1, t.name)
+    elif isinstance(t, Pair):
+        signature = (2, _term_id(t.left), _term_id(t.right))
+    elif isinstance(t, Lam):
+        signature = (3, t.var, _basis_id(t.basis), _dist_id(t.body))
+    elif isinstance(t, App):
+        signature = (4, _term_id(t.fun), _term_id(t.arg))
+    elif isinstance(t, LetPair):
+        signature = (
+            5,
+            t.var1,
+            _basis_id(t.basis1),
+            t.var2,
+            _basis_id(t.basis2),
+            _term_id(t.scrutinee),
+            _dist_id(t.body),
+        )
+    elif isinstance(t, Case):
+        signature = (
+            6,
+            len(t.patterns),
+            _term_id(t.scrutinee),
+            *[_dist_id(p) for p in t.patterns],
+            *[_dist_id(b) for b in t.branches],
+        )
+    else:
+        raise TypeError(f"not a pure term: {t!r}")
+    i = _intern(signature)
+    t.__dict__["_id"] = (serial, i)
+    return i
+
+
+def _dist_id(d: TermDist) -> int:
+    """d's id in the open session: equal exactly when the order keys are
+    (see Node keys)."""
+    serial = _session.serial
+    k = d.__dict__.get("_id")
+    if k is None or k[0] != serial:
+        signature = [9]
+        for t, c in d.entries:
+            signature += (_term_id(t), c)
+        k = d.__dict__["_id"] = (serial, _intern(tuple(signature)))
+    return k[1]
 
 
 def shape_key(t: PureTerm) -> int:

@@ -58,7 +58,7 @@ from .core import (
     PureTerm,
     TermDist,
     Var,
-    _dist_key,
+    _dist_id,
     _entry_key,
     _term_key,
     add,
@@ -569,13 +569,14 @@ def evaluate_value(d: TermDist) -> Optional[TermDist]:
     runs out.  Inside a session each input is evaluated at most once,
     and a miss also tables its answer under every distribution its trace
     passes through (see `table_trace`), so a later call on one of them
-    is a hit.  The key is the order key, basis names included, so a hit
-    prints like a fresh result."""
+    is a hit.  The key is the input's id in the session, equal exactly
+    when the order keys are, basis names included, so a hit prints like
+    a fresh result."""
     current = get_session()
     if current is None:  # then table_trace tables nothing
         return table_trace(d, evaluate(d))
     return current.evaluations.memo(
-        _dist_key(d), lambda: table_trace(d, evaluate(d))
+        _dist_id(d), lambda: table_trace(d, evaluate(d))
     )
 
 
@@ -594,7 +595,8 @@ def table_trace(d: TermDist, trace: Trace) -> Optional[TermDist]:
     - A trace that ran out of fuel says nothing about its steps: a step
       could finish with fresh fuel.  So the steps of a trace that used
       all its fuel, a conservative test, are not stored.
-    - The key holds basis names, as `evaluate_value`'s does: a stored
+    - The key is each distribution's id in the session, as
+      `evaluate_value`'s is, and ids tell basis names apart: a stored
       normal form prints like a fresh one."""
     answer = trace.final.dist if isinstance(trace.final, NormalForm) else None
     current = get_session()
@@ -605,7 +607,7 @@ def table_trace(d: TermDist, trace: Trace) -> Optional[TermDist]:
         dists += [dist for dist, _ in trace.steps]
     entries = current.evaluations.entries
     for dist in dists:
-        entries.setdefault(_dist_key(dist), answer)
+        entries.setdefault(_dist_id(dist), answer)
     return answer
 
 

@@ -32,7 +32,7 @@ from .core import (
     PureTerm,
     TermDist,
     _basis_key,
-    _dist_key,
+    _dist_id,
     alpha_classes,
     basis_eq,
     combine,
@@ -454,14 +454,14 @@ def realizes(t: TermDist, goal: Type) -> bool:
 
 
 def _tabled_member_phase(w: TermDist, goal: Type) -> bool:
-    """is_member_phase, tabled inside a session under the value's order
-    key and the goal's key; an Undecidable propagates and stores
+    """is_member_phase, tabled inside a session under the value's id in
+    the session and the goal's key; an Undecidable propagates and stores
     nothing."""
     current = get_session()
     if current is None:
         return is_member_phase(w, goal)
     return current.memberships.memo(
-        (_dist_key(w), type_key(goal)), lambda: is_member_phase(w, goal)
+        (_dist_id(w), type_key(goal)), lambda: is_member_phase(w, goal)
     )
 
 
