@@ -369,13 +369,14 @@ class TermDist:
 # which the next step's merge reads; a step finds its pending summands
 # afresh from `_value`.  What depends on a whole subterm is computed
 # once, bottom-up on first use: the order key (`_key`), a distribution's
-# free variables (`_fv`), the redex that reduction finds (`_found`), a
-# body's instances (`_instances`, see subst) and, once a session table
-# reads it, the node's id in that session (`_id`, see below).  Free
-# variables stay lazy: reduction builds step frames and plugged summands
-# that are never asked for them, and computing them when each node is
-# built, from its children's, made `deep` 7% slower (`pass_s` 0.152 ->
-# 0.162 s, 3 alternated pairs, 2-vCPU VM).
+# free variables (`_fv`), the redex that reduction finds in the node,
+# its frames counted from the node whatever the node sits under
+# (`_found`), a body's instances (`_instances`, see subst) and, once a
+# session table reads it, the node's id in that session (`_id`, see
+# below).  Free variables stay lazy: reduction builds step frames and
+# plugged summands that are never asked for them, and computing them
+# when each node is built, from its children's, made `deep` 7% slower
+# (`pass_s` 0.152 -> 0.162 s, 3 alternated pairs, 2-vCPU VM).
 # Most nodes that reduction asks about are fresh, so each lazy fact is
 # read with `__dict__.get`: a miss costs a dict lookup, where a raised
 # and caught AttributeError costs ten times more.
@@ -460,9 +461,10 @@ class TermDist:
 #     annotation id), the term's id and the goal's `type_key`, to the
 #     derivation or the error's fields (checker._judgement_key);
 #   - `contractions`: the identity of the redex's fields and the value's
-#     term objects and coefficient bits, to what fired, below a
-#     summand's root only (reduction.step).  `evaluate` opens a session
-#     for the length of its call when none is open.
+#     term objects and coefficient bits, to what fired, below the root
+#     of a whole summand only (reduction.step; a redex under `run`'s
+#     stack of frames is below it).  `evaluate` and `run` open a session
+#     for the length of their call when none is open.
 
 
 def _basis_key(b: Basis):
@@ -650,16 +652,14 @@ def _term_eq(
         return _term_eq(a.fun, b.fun, ea, eb, depth) and _term_eq(
             a.arg, b.arg, ea, eb, depth
         )
+    # binders of one name over one env bind alike: one new env serves
+    # both sides, so a shared body still compares by identity
     if isinstance(a, Lam):
         if not basis_eq(a.basis, b.basis):
             return False
-        return _dist_eq(
-            a.body,
-            b.body,
-            _Env(ea, a.var, depth),
-            _Env(eb, b.var, depth),
-            depth + 1,
-        )
+        ea2 = _Env(ea, a.var, depth)
+        eb2 = ea2 if ea is eb and a.var == b.var else _Env(eb, b.var, depth)
+        return _dist_eq(a.body, b.body, ea2, eb2, depth + 1)
     if isinstance(a, LetPair):
         if not (
             basis_eq(a.basis1, b.basis1) and basis_eq(a.basis2, b.basis2)
@@ -667,13 +667,12 @@ def _term_eq(
             return False
         if not _term_eq(a.scrutinee, b.scrutinee, ea, eb, depth):
             return False
-        return _dist_eq(
-            a.body,
-            b.body,
-            _Env(_Env(ea, a.var1, depth), a.var2, depth + 1),
-            _Env(_Env(eb, b.var1, depth), b.var2, depth + 1),
-            depth + 2,
-        )
+        ea2 = _Env(_Env(ea, a.var1, depth), a.var2, depth + 1)
+        if ea is eb and (a.var1, a.var2) == (b.var1, b.var2):
+            eb2 = ea2
+        else:
+            eb2 = _Env(_Env(eb, b.var1, depth), b.var2, depth + 1)
+        return _dist_eq(a.body, b.body, ea2, eb2, depth + 2)
     if isinstance(a, Case):
         if len(a.patterns) != len(b.patterns):
             return False
@@ -696,6 +695,8 @@ def _dist_eq(
     eb: Optional[_Env],
     depth: int,
 ) -> bool:
+    if a is b and ea is eb:  # finite coefficients: each entry matches itself
+        return True
     if len(a.entries) != len(b.entries):
         return False
     used = [False] * len(b.entries)

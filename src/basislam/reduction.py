@@ -16,7 +16,11 @@ fired in new nodes along the frames only, and each new summand's redex
 search resumes where the fired part was plugged in rather than at its
 root (refocusing, Danvy & Nielsen 2004), so a step costs the fire and a
 walk of the frames, not a fresh search and a canonical rebuild of the
-path.
+path.  When only the answer is read, the loop does not plug at all
+while every summand fires under the same frames: it keeps those frames
+as a stack and reduces what fired in place, a CK machine (Felleisen &
+Friedman 1986), so a step of a gate chain costs no walk of the chain
+above it (see `_Focus`).
 
 A step finds its pending summands, those not yet values, afresh from
 the pure-value flag each node fixes when it is built; the pick and the
@@ -27,9 +31,10 @@ compared only with the kept summands of its shape.  The value and every
 other linear combination are built in one construction
 (`core.combine`).
 
-`evaluate` records every step of the reduction to a normal form, and
-`run` reduces by the same loop but keeps only the answer and the step
-count.  Both table the contractions they fire below a summand's root,
+`evaluate` records every step of the reduction to a normal form, so it
+plugs at every step; `run` takes the same steps, keeps only the answer
+and the step count, and reduces under the stack.  Both table the
+contractions they fire below a summand's root,
 keyed on the identity of the redex's fields and on the value's terms
 and coefficient bits, so a gate fired on the same value in many
 branches of a superposition is substituted once (see `step`).  The
@@ -242,10 +247,13 @@ def _same_redex(a: _Redex, b: _Redex) -> bool:
     return term_eq(a.redex_repr, b.redex_repr)
 
 
-def _plug(r: _Redex, fired: TermDist) -> TermDist:
-    """fired put back in r's place: each entry wrapped in a new node per
-    frame, innermost first.  Every other child is the frame's own object,
-    so nothing beside the path is rebuilt, re-keyed or re-validated.
+def _plug(
+    frames: tuple[tuple[PureTerm, RuleTag], ...], fired: TermDist
+) -> TermDist:
+    """fired put back under frames, a redex's or `run`'s stack: each
+    entry wrapped in a new node per frame, innermost first.  Every other
+    child is the frame's own object, so nothing beside the path is
+    rebuilt, re-keyed or re-validated.
 
     The wrapped entries are already the distribution `_build` would make
     of them, and are returned as they stand.  fired is canonical; nodes
@@ -258,14 +266,13 @@ def _plug(r: _Redex, fired: TermDist) -> TermDist:
     `_find`).  Below its lowest node that is not a pure value nothing
     changed, and at each frame above it the search goes down into that
     node, so those frames stand and the search starts at that node."""
-    frames = r.frames
     if not frames:
         return fired
     for frame, _ in frames:  # as mk_case did, the innermost first
         if isinstance(frame, Case):
             validate_case_patterns(frame.patterns)
     # mk_pair and mk_app multiplied each coefficient by 1+0j, which can
-    # flip the sign of a zero part and changes nothing twice
+    # flip the sign of a zero part and changes no nonzero one twice
     unit = any(isinstance(frame, (Pair, App)) for frame, _ in frames)
     tails: dict[int, tuple] = {}  # one tuple per level, shared by summands
     entries = []
@@ -284,8 +291,14 @@ def _plug(r: _Redex, fired: TermDist) -> TermDist:
         if above or not t._value:
             t.__dict__["_found"] = _search(low, above)
         entries.append((t, c * (1 + 0j) if unit else c))
+    return _stamped(entries)
+
+
+def _stamped(entries: list[tuple[PureTerm, complex]]) -> TermDist:
+    """entries, canonical under the current eps, as the distribution
+    `_build` makes of them: stamped with that eps when two or more."""
     out = TermDist(tuple(entries))
-    if len(entries) > 1:  # as _build stamps it
+    if len(entries) > 1:
         out.__dict__["_eps"] = get_settings().eps
     return out
 
@@ -454,7 +467,24 @@ def step(d: TermDist) -> StepResult:
     - A hit never hands back a summand that a previous step holds.  At
       the root (no frames) `_plug` returns the fired distribution
       itself, so root fires neither read nor write the table; below the
-      root `_plug` wraps every fired summand in new nodes."""
+      root `_plug` wraps every fired summand in new nodes.  `run` tables
+      a fire at the root of its focus under a stack of frames, as one
+      below the root, and reduces the tabled result in place: it records
+      no step, so no two steps are seen to share a summand."""
+    picked = _pick(d)
+    if not isinstance(picked, tuple):
+        return picked
+    return _reduced(d, *picked)
+
+
+def _pick(
+    d: TermDist,
+) -> Union[tuple[_Redex, list[int], TermDist], StepResult]:
+    """What d's step fires: the redex of its canonically first reducible
+    summand, the positions of its group (the summands sharing that
+    context and redex) and the value the group fires on, their slots
+    recombined.  When no summand fires, the step's result: d as a normal
+    form, or the stuck position of d's first pending summand."""
     entries = d.entries
     pending = [i for i, (t, _) in enumerate(entries) if not t._value]
     for at, i in enumerate(pending):
@@ -471,17 +501,33 @@ def step(d: TermDist) -> StepResult:
         if isinstance(f, _Redex) and _same_redex(f, picked):
             group.append(j)
             pieces.append((entries[j][1], single(f.slot)))
-    value = combine(pieces)
+    return picked, group, combine(pieces)
+
+
+def _contract(
+    r: _Redex, value: TermDist, below_root: bool
+) -> Union[TermDist, Stuck]:
+    """What r fires to on value: the open session's tabled result when
+    the redex lies below the root of its whole summand, a fresh one
+    otherwise (see `step`)."""
     current = get_session()
-    if picked.frames and current is not None:
-        fired = current.contractions.memo(
-            _fire_key(picked.redex_repr, value), lambda: _fire(picked, value)
+    if below_root and current is not None:
+        return current.contractions.memo(
+            _fire_key(r.redex_repr, value), lambda: _fire(r, value)
         )
-    else:  # a root fire is not tabled: see the last rule above
-        fired = _fire(picked, value)
+    return _fire(r, value)  # a root fire is not tabled: see `step`
+
+
+def _reduced(
+    d: TermDist, r: _Redex, group: list[int], value: TermDist
+) -> StepResult:
+    """d's step once `_pick` has found what fires: the contraction, put
+    back in place and merged with the summands that do not fire."""
+    fired = _contract(r, value, bool(r.frames))
     if isinstance(fired, Stuck):
         return fired
-    plugged = _plug(picked, fired)
+    entries = d.entries
+    plugged = _plug(r.frames, fired)
     if len(group) == len(entries):
         result = plugged
     elif is_canonical(d):
@@ -496,8 +542,97 @@ def step(d: TermDist) -> StepResult:
     elif len(group) == 1 and not sc_eq(entries[group[0]][1], 1):
         tag = RuleTag.CTX_SCALAR
     else:
-        tag = picked.rule
+        tag = r.rule
     return Reduced(result, tag)
+
+
+class _Focus:
+    """`run`'s distribution, kept as a focus under a stack of frames that
+    every summand of the focus sits under (a CK machine's continuation,
+    Felleisen & Friedman 1986).  The whole distribution is the focus put
+    back under the stack by `_plug`, its coefficients the focus's own: a
+    focus fired under a `Pair` or `App` frame already carries the factor
+    1+0j that `_plug` puts on, and a second factor changes no nonzero
+    coefficient, so the stack stays valid as frames are popped.
+
+    A step whose group is the whole focus, and whose redex lies below the
+    root of the whole summand, pushes the redex's frames onto the stack
+    and makes what fired the focus, where `step` would plug it through
+    them all.  A focus of values is wrapped in the innermost frame, one
+    node per summand, and that frame popped.  A focus that mixes values
+    with other summands, or whose group is not all of it, is put back
+    under the whole stack, and `step` goes on from the whole
+    distribution."""
+
+    def __init__(self, d: TermDist) -> None:
+        self.focus = d
+        self.stack: list[tuple[PureTerm, RuleTag]] = []  # outermost first
+        self.units = 0  # the `Pair` and `App` frames in the stack
+        self.cases: list[Case] = []  # its `Case` frames, outermost first
+
+    def step(self) -> StepResult:
+        """`step` of the whole distribution, bit for bit.  A `Reduced`
+        result carries the focus and its redex's rule while the stack
+        holds frames; `run` reads neither."""
+        self._refocus()
+        picked = _pick(self.focus)
+        if not isinstance(picked, tuple):  # a normal form has no stack
+            return picked
+        r, group, value = picked
+        whole = len(group) == len(self.focus.entries)
+        if not (whole and (self.stack or r.frames)):
+            if self.stack:  # a group that is not all of the focus
+                self._unstack()
+                res = step(self.focus)
+            else:
+                res = _reduced(self.focus, r, group, value)
+            if isinstance(res, Reduced):
+                self.focus = res.dist
+            return res
+        fired = _contract(r, value, True)
+        if isinstance(fired, Stuck):
+            return fired
+        for frame, rule in reversed(r.frames):
+            self.stack.append((frame, rule))
+            if isinstance(frame, (Pair, App)):
+                self.units += 1
+            elif isinstance(frame, Case):
+                self.cases.append(frame)
+        for frame in reversed(self.cases):  # as `_plug` does, innermost first
+            validate_case_patterns(frame.patterns)
+        if self.units:
+            fired = TermDist(
+                tuple((t, c * (1 + 0j)) for t, c in fired.entries)
+            )
+        self.focus = fired
+        return Reduced(fired, r.rule)
+
+    def _refocus(self) -> None:
+        """Pop the stack while the focus holds only values, each wrapped
+        in the innermost frame; a focus that mixes values with other
+        summands is put back under the whole stack."""
+        while self.stack:
+            values = [t._value for t, _ in self.focus.entries]
+            if not all(values):
+                if any(values):
+                    self._unstack()
+                return
+            frame, rule = self.stack.pop()
+            if isinstance(frame, (Pair, App)):
+                self.units -= 1
+            elif isinstance(frame, Case):
+                self.cases.pop()
+            rebuild = _REBUILD[rule]
+            self.focus = _stamped(
+                [(rebuild(frame, t), c) for t, c in self.focus.entries]
+            )
+
+    def _unstack(self) -> None:
+        """Put the focus back under the whole stack, which empties."""
+        self.focus = _plug(tuple(reversed(self.stack)), self.focus)
+        self.stack.clear()
+        self.units = 0
+        self.cases.clear()
 
 
 class Outcome(NamedTuple):
@@ -511,14 +646,23 @@ class Outcome(NamedTuple):
 def _reduce(d: TermDist, steps: Optional[list]) -> Outcome:
     """The reduction loop of `evaluate` and `run`.  Each step is appended
     to steps, or dropped as soon as the next one exists when steps is
-    None.  The fuel used is counted, not read off steps."""
+    None.  The fuel used is counted, not read off steps.
+
+    With no steps kept, the loop reduces a `_Focus` under a stack of
+    frames, not the whole distribution: a step that fires every summand
+    under shared frames does not plug what fired back in, so a chain of
+    n gates builds O(n) nodes, not O(n^2).  Every step gives what `step`
+    gives, so the answer, the fuel used and the tables are the same.  A
+    recorded step needs the whole distribution, so `evaluate` plugs at
+    every step, as `step` does."""
     max_steps = get_settings().max_steps
     fuel_used = 0
     current = d
+    focus = _Focus(d) if steps is None else None
     with session():
         while True:
             try:
-                res = step(current)
+                res = step(current) if focus is None else focus.step()
             except OverflowError:
                 res = Stuck("coefficient is not finite", None)
             if isinstance(res, Reduced) and fuel_used == max_steps:
@@ -560,7 +704,13 @@ def run(d: TermDist) -> Outcome:
     same session, without the trace: each intermediate distribution is
     dropped once the next exists, so memory holds one step, not all of
     them.  An `Outcome` has no steps field, so code that counts steps
-    reads `fuel_used` rather than the length of an empty list."""
+    reads `fuel_used` rather than the length of an empty list.
+
+    No step is read, so none is plugged back into the whole
+    distribution while every summand fires under the same frames: the
+    frames wait on a stack and only the innermost is wrapped when what
+    fired is a value (see `_Focus`).  A chain of n gates builds O(n)
+    nodes here, where `evaluate` builds O(n^2)."""
     return _reduce(d, None)
 
 

@@ -39,7 +39,7 @@ from basislam.core import (
     single,
     term_eq,
 )
-from basislam import reduction, subst
+from basislam import checker, reduction, subst
 from basislam.corpus import corpus_program
 from basislam.reduction import NormalForm, evaluate
 
@@ -348,20 +348,26 @@ def test_shape_stops_at_binders():
 # Complexity guard: a count of recursive comparisons, not a timing.
 
 
-def _count_term_eq(monkeypatch, term) -> tuple[TermDist, int]:
-    """The normal form of term and the recursive _term_eq calls made."""
-    calls = 0
+def _term_eq_calls(monkeypatch) -> list[int]:
+    """A one-element list counting the recursive _term_eq calls made from
+    now on."""
+    calls = [0]
     original = core._term_eq
 
     def counted(*args):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return original(*args)
 
     monkeypatch.setattr(core, "_term_eq", counted)
+    return calls
+
+
+def _count_term_eq(monkeypatch, term) -> tuple[TermDist, int]:
+    """The normal form of term and the recursive _term_eq calls made."""
+    calls = _term_eq_calls(monkeypatch)
     trace = evaluate(term)
     assert isinstance(trace.final, NormalForm)
-    return trace.final.dist, calls
+    return trace.final.dist, calls[0]
 
 
 def test_hd_layer_comparisons_stay_linear(monkeypatch):
@@ -492,3 +498,29 @@ def test_gate_chain_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_shared_body_under_binders_of_one_name_compares_once(monkeypatch):
+    # `checker._factor_scrutinee` compares each let of a sum with the
+    # first one, that one's scrutinee put in: the same body object under
+    # binders of the same names.  With a new env on each side the body
+    # was walked every time: 818 recursive _term_eq calls here, and 406
+    # for the two abstractions below.  One env shared by both sides lets
+    # the body compare by identity: 4 and 1.
+    gates = corpus_program("gates").defs
+    body = single(Var("a"))
+    for _ in range(40):
+        body = mk_app(gates["NOT"], body)
+    body = mk_pair(body, single(Var("b")))
+    lets = add(
+        *(
+            single(LetPair("a", STD, "b", STD, Pair(Ket(i), Ket(1 - i)), body))
+            for i in (0, 1)
+        )
+    )
+    calls = _term_eq_calls(monkeypatch)
+    factored = checker._factor_scrutinee(lets)
+    assert factored is not None and len(factored[1]) == 2
+    # two abstractions of one name over the same body object
+    assert term_eq(Lam("x", STD, body), Lam("x", STD, body))
+    assert calls[0] <= 10

@@ -252,14 +252,29 @@ def test_corpus_runs_in_one_session_that_tables(monkeypatch):
         seen.append(get_session())
         return original(*args)
 
-    fires = []  # whether each fire is at its summand's root
-    fire = reduction._fire
+    # whether each fire is at the root of its whole summand: `run` fires
+    # a redex at the root of its focus under the frames of a stack, so
+    # the redex's own frames do not tell; a root fire is the one made
+    # outside a lookup in the session's table of contractions
+    fires = []
+    lookups = []  # the contraction lookups in progress
+    fire, memo = reduction._fire, Table.memo
 
     def counted(r, value):
-        fires.append(not r.frames)
+        fires.append(not lookups)
         return fire(r, value)
 
+    def tracked(table, key, compute):
+        if table is not get_session().contractions:
+            return memo(table, key, compute)
+        lookups.append(key)
+        try:
+            return memo(table, key, compute)
+        finally:
+            lookups.pop()
+
     monkeypatch.setattr(corpus, "check", recording)
+    monkeypatch.setattr(Table, "memo", tracked)
     monkeypatch.setattr(reduction, "_fire", counted)
     rows = run_corpus()
     assert all(r.ok for r in rows)

@@ -419,10 +419,10 @@ def test_plug_gives_what_build_and_a_fresh_search_give(monkeypatch):
     plug = reduction._plug
     plugs = resumed = 0
 
-    def pinned(r, fired):
+    def pinned(frames, fired):
         nonlocal plugs, resumed
-        out = plug(r, fired)
-        if not r.frames:  # a root fire hands back fired itself
+        out = plug(frames, fired)
+        if not frames:  # a root fire hands back fired itself
             assert out is fired
             return out
         plugs += 1
