@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 from .core import (
@@ -40,6 +39,7 @@ from .core import (
     Ortho,
     Pair,
     PureTerm,
+    Record,
     TermDist,
     Var,
     _basis_id,
@@ -53,6 +53,7 @@ from .core import (
     is_closed,
     mk_app,
     mk_pair,
+    replace,
     sc_eq,
     sc_is_zero,
     session,
@@ -86,10 +87,11 @@ from .typesem import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class Binding:
-    type: Type
-    basis: Basis
+class Binding(Record, frozen=True, eq=False):
+    def __init__(self, type: Type, basis: Basis):
+        fields = self.__dict__
+        fields["type"] = type
+        fields["basis"] = basis
 
 
 Context = dict[str, Binding]
@@ -146,14 +148,23 @@ class _Tried:
         return min(self.errors, key=lambda e: e.kind)
 
 
-@dataclass(frozen=True)
-class Derivation:
-    rule: str
-    ctx: tuple[tuple[str, Binding], ...]
-    term: TermDist
-    goal: Type
-    premises: tuple["Derivation", ...] = ()
-    note: str = ""
+class Derivation(Record, frozen=True):
+    def __init__(
+        self,
+        rule: str,
+        ctx: tuple[tuple[str, Binding], ...],
+        term: TermDist,
+        goal: Type,
+        premises: tuple["Derivation", ...] = (),
+        note: str = "",
+    ):
+        fields = self.__dict__
+        fields["rule"] = rule
+        fields["ctx"] = ctx
+        fields["term"] = term
+        fields["goal"] = goal
+        fields["premises"] = premises
+        fields["note"] = note
 
     def walk(self):
         yield self
@@ -834,19 +845,24 @@ def check_orthogonality(
     )
 
 
-@dataclass
-class HarnessStep:
-    index: int
-    rule: str
-    ok: bool
-    message: str = ""
+class HarnessStep(Record):
+    def __init__(self, index: int, rule: str, ok: bool, message: str = ""):
+        self.index = index
+        self.rule = rule
+        self.ok = ok
+        self.message = message
 
 
-@dataclass
-class HarnessReport:
-    ok: bool
-    steps: list[HarnessStep] = field(default_factory=list)
-    failure: str = ""
+class HarnessReport(Record):
+    def __init__(
+        self,
+        ok: bool,
+        steps: Optional[list[HarnessStep]] = None,
+        failure: str = "",
+    ):
+        self.ok = ok
+        self.steps = [] if steps is None else steps
+        self.failure = failure
 
 
 def subject_reduction_harness(

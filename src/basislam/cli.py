@@ -18,7 +18,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
 from typing import NamedTuple, Optional
 
 from .basis import Ortho
@@ -231,7 +230,7 @@ def _cmd_corpus(args, bases, defs) -> Report:
     rows = run_corpus()
     passed = sum(1 for r in rows if r.ok)
     payload = {
-        "rows": [asdict(r) for r in rows],
+        "rows": [{n: getattr(r, n) for n in r._fields} for r in rows],
         "passed": passed,
         "failed": len(rows) - passed,
     }

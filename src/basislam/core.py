@@ -16,12 +16,78 @@ from __future__ import annotations
 import itertools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from reprlib import recursive_repr
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 
-@dataclass(frozen=True)
-class Settings:
+# ---------------------------------------------------------------------------
+# Records.  Every node, type and record class of the package derives from
+# `Record`, which defines once the methods that each class would
+# otherwise write out: a repr, a field-wise equality and hash, and the
+# refusal to assign to or delete an attribute.  A class's fields are its
+# constructor's parameters, in order.  The class keywords read as the
+# decorator flags of the standard library's dataclasses: without
+# `frozen=True` attributes are set as usual and instances do not hash,
+# and `eq=False` keeps the identity equality and hash that nodes need.
+# A frozen constructor writes its fields into the instance dict.  No
+# method is generated at class creation, so importing the package
+# compiles no code.
+
+
+class FrozenError(AttributeError):
+    """An assignment to, or deletion of, an attribute of a frozen record."""
+
+
+class Record:
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = False, eq: bool = True) -> None:
+        super().__init_subclass__()
+        if "__init__" in cls.__dict__:
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1 : code.co_argcount]
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+        if not eq:
+            cls.__eq__ = object.__eq__
+            cls.__hash__ = object.__hash__
+        elif not frozen:
+            cls.__hash__ = None
+
+    @recursive_repr()
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, n) for n in self._fields])
+
+
+def replace(record: Record, /, **changes):
+    """A copy of record with changes: its class's constructor runs on
+    every field, so the constructor's checks apply to the new values."""
+    for name in record._fields:
+        changes.setdefault(name, getattr(record, name))
+    return type(record)(**changes)
+
+
+class Settings(Record, frozen=True):
     """The analysis settings, one value for the whole package.
 
     eps: tolerance of every scalar comparison, orthogonality and norm
@@ -32,19 +98,23 @@ class Settings:
     extraction.
     """
 
-    eps: float = 1e-9
-    max_steps: int = 100000
+    # the defaults, also class attributes: option defaults read them
+    eps = 1e-9
+    max_steps = 100000
 
-    def __post_init__(self) -> None:
+    def __init__(self, eps: float = eps, max_steps: int = max_steps):
         # a bool is an int, but neither a tolerance nor a step bound
-        if type(self.eps) is bool or not isinstance(self.eps, (int, float)):
+        if type(eps) is bool or not isinstance(eps, (int, float)):
             raise TypeError("eps must be a real number")
-        if not 0 < self.eps < math.inf:  # also false for nan
+        if not 0 < eps < math.inf:  # also false for nan
             raise ValueError("eps must be positive and finite")
-        if type(self.max_steps) is bool or not isinstance(self.max_steps, int):
+        if type(max_steps) is bool or not isinstance(max_steps, int):
             raise TypeError("max steps must be an integer")
-        if self.max_steps < 0:
+        if max_steps < 0:
             raise ValueError("max steps must be non-negative")
+        fields = self.__dict__
+        fields["eps"] = eps
+        fields["max_steps"] = max_steps
 
 
 _MISSING = object()  # no stored value is this object
@@ -175,8 +245,7 @@ def sc_is_zero(a: complex) -> bool:
 # orthonormality lives in basis.py; these classes are plain structure.
 
 
-@dataclass(frozen=True, eq=False)
-class AbsBasis:
+class AbsBasis(Record, frozen=True, eq=False):
     def __repr__(self) -> str:
         return "AbsBasis"
 
@@ -184,11 +253,16 @@ class AbsBasis:
 ABS = AbsBasis()
 
 
-@dataclass(frozen=True, eq=False)
-class Ortho:
-    elements: tuple["TermDist", ...]
-    # ignored by term_eq and basis_eq; last in the order key
-    name: Optional[str] = None
+class Ortho(Record, frozen=True, eq=False):
+    def __init__(
+        self,
+        elements: tuple["TermDist", ...],
+        # ignored by term_eq and basis_eq; last in the order key
+        name: Optional[str] = None,
+    ):
+        fields = self.__dict__
+        fields["elements"] = elements
+        fields["name"] = name
 
     def __repr__(self) -> str:
         return f"Ortho({self.name or len(self.elements)})"
@@ -202,18 +276,15 @@ Basis = Union[AbsBasis, Ortho]
 # pure terms; children it never rewrites under (lambda bodies, let bodies,
 # case branches) stay full distributions.
 #
-# Nodes are frozen dataclasses, so assigning to a field raises, but each
-# class writes its fields straight into its instance dict: the __init__
-# that dataclass generates for a frozen class makes one object.__setattr__
-# call per field.  The pure-value flag `_value` and the shape key
+# Nodes are frozen records (see Records), so assigning to a field raises
+# `FrozenError`, and each constructor writes its fields straight into the
+# instance dict.  The pure-value flag `_value` and the shape key
 # `_shape` are fixed when a node is built, from its children's (see Node
 # keys): `_value` is a class attribute of every class but Pair, `_shape`
 # one of Var alone.
 
 
-@dataclass(frozen=True, eq=False)
-class Var:
-    name: str
+class Var(Record, frozen=True, eq=False):
     _value = True
     _shape = hash((1,))
 
@@ -224,9 +295,7 @@ class Var:
 _KET_SHAPES = (hash((0, 0)), hash((0, 1)))
 
 
-@dataclass(frozen=True, eq=False)
-class Ket:
-    bit: int  # 0 or 1
+class Ket(Record, frozen=True, eq=False):
     _value = True
 
     def __init__(self, bit: int):
@@ -238,11 +307,7 @@ class Ket:
         fields["_shape"] = _KET_SHAPES[bit]
 
 
-@dataclass(frozen=True, eq=False)
-class Lam:
-    var: str
-    basis: Basis
-    body: "TermDist"
+class Lam(Record, frozen=True, eq=False):
     _value = True
 
     def __init__(self, var: str, basis: Basis, body: "TermDist"):
@@ -254,11 +319,7 @@ class Lam:
         fields["_shape"] = hash((3, *shapes))
 
 
-@dataclass(frozen=True, eq=False)
-class Pair:
-    left: "PureTerm"
-    right: "PureTerm"
-
+class Pair(Record, frozen=True, eq=False):
     def __init__(self, left: "PureTerm", right: "PureTerm"):
         fields = self.__dict__
         fields["left"] = left
@@ -267,10 +328,7 @@ class Pair:
         fields["_shape"] = hash((2, left._shape, right._shape))
 
 
-@dataclass(frozen=True, eq=False)
-class App:
-    fun: "PureTerm"
-    arg: "PureTerm"
+class App(Record, frozen=True, eq=False):
     _value = False
 
     def __init__(self, fun: "PureTerm", arg: "PureTerm"):
@@ -280,14 +338,7 @@ class App:
         fields["_shape"] = hash((4, fun._shape, arg._shape))
 
 
-@dataclass(frozen=True, eq=False)
-class LetPair:
-    var1: str
-    basis1: Basis
-    var2: str
-    basis2: Basis
-    scrutinee: "PureTerm"
-    body: "TermDist"
+class LetPair(Record, frozen=True, eq=False):
     _value = False
 
     def __init__(
@@ -309,11 +360,7 @@ class LetPair:
         fields["_shape"] = hash((5, scrutinee._shape))
 
 
-@dataclass(frozen=True, eq=False)
-class Case:
-    scrutinee: "PureTerm"
-    patterns: tuple["TermDist", ...]
-    branches: tuple["TermDist", ...]
+class Case(Record, frozen=True, eq=False):
     _value = False
 
     def __init__(
@@ -336,11 +383,8 @@ PureTerm = Union[Var, Ket, Lam, Pair, App, LetPair, Case]
 # Term distributions.
 
 
-@dataclass(frozen=True, eq=False)
-class TermDist:
+class TermDist(Record, frozen=True, eq=False):
     """Canonical map from pure terms to nonzero complex coefficients."""
-
-    entries: tuple[tuple[PureTerm, complex], ...]
 
     def __init__(self, entries: tuple[tuple[PureTerm, complex], ...]):
         self.__dict__["entries"] = entries

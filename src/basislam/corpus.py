@@ -9,11 +9,8 @@ the command line renders as a pass/fail table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib import resources
-
 from .checker import CheckError, check, subject_reduction_harness
-from .core import TermDist, dist_eq, phase_normalize, session
+from .core import Record, TermDist, dist_eq, phase_normalize, session
 from .reduction import NormalForm, run
 from .syntax import (
     ParseError,
@@ -31,6 +28,10 @@ CORPUS_NAMES = ("gates", "deutsch", "teleport")
 
 
 def corpus_text(name: str) -> str:
+    # imported here, not at the top: importlib.resources loads tempfile,
+    # pathlib and zipfile, and inspect on Python 3.12 and later
+    from importlib import resources
+
     return (
         resources.files("basislam") / "corpus" / f"{name}.lb"
     ).read_text(encoding="utf-8")
@@ -44,12 +45,12 @@ def load_corpus() -> dict[str, Program]:
     return {name: corpus_program(name) for name in CORPUS_NAMES}
 
 
-@dataclass
-class CorpusRow:
-    section: str
-    name: str
-    ok: bool
-    detail: str = ""
+class CorpusRow(Record):
+    def __init__(self, section: str, name: str, ok: bool, detail: str = ""):
+        self.section = section
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
 # (program, term, normal form up to global phase, preserved judgement)

@@ -49,7 +49,6 @@ import enum
 import math
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
 from .basis import expand
@@ -61,6 +60,7 @@ from .core import (
     Ortho,
     Pair,
     PureTerm,
+    Record,
     TermDist,
     Var,
     _dist_id,
@@ -103,31 +103,38 @@ class RuleTag(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, eq=False)
-class Reduced:
-    dist: TermDist
-    rule: RuleTag
+class Reduced(Record, frozen=True, eq=False):
+    def __init__(self, dist: TermDist, rule: RuleTag):
+        fields = self.__dict__
+        fields["dist"] = dist
+        fields["rule"] = rule
 
 
-@dataclass(frozen=True, eq=False)
-class NormalForm:
-    dist: TermDist
+class NormalForm(Record, frozen=True, eq=False):
+    def __init__(self, dist: TermDist):
+        self.__dict__["dist"] = dist
 
 
-@dataclass(frozen=True, eq=False)
-class Stuck:
-    reason: str
-    offending: Optional[PureTerm]
+class Stuck(Record, frozen=True, eq=False):
+    def __init__(self, reason: str, offending: Optional[PureTerm]):
+        fields = self.__dict__
+        fields["reason"] = reason
+        fields["offending"] = offending
 
 
 StepResult = Union[Reduced, NormalForm, Stuck]
 
 
-@dataclass
-class Trace:
-    steps: list[tuple[TermDist, RuleTag]] = field(default_factory=list)
-    final: Optional[StepResult] = None
-    fuel_used: int = 0
+class Trace(Record):
+    def __init__(
+        self,
+        steps: Optional[list[tuple[TermDist, RuleTag]]] = None,
+        final: Optional[StepResult] = None,
+        fuel_used: int = 0,
+    ):
+        self.steps = [] if steps is None else steps
+        self.final = final
+        self.fuel_used = fuel_used
 
 
 # ---------------------------------------------------------------------------
@@ -139,18 +146,25 @@ class Trace:
 # value slot.  The rule at the root names the step.
 
 
-@dataclass(frozen=True)
-class _Redex:
+class _Redex(Record, frozen=True):
     """A redex located in a summand: its frames, innermost first, each a
     node rebuilt around the hole with the context rule of the hole's
     position; the redex node with the hole at its value slot; the value
     in that slot; and the rule that names the step.  The frames hold only
     nodes below the summand's root, so no cycle holds a summand."""
 
-    frames: tuple[tuple[PureTerm, RuleTag], ...]
-    redex_repr: PureTerm  # beta App, LetPair or Case, the hole at the slot
-    slot: PureTerm
-    rule: RuleTag  # the outermost frame's rule, or the redex's own
+    def __init__(
+        self,
+        frames: tuple[tuple[PureTerm, RuleTag], ...],
+        redex_repr: PureTerm,  # beta App, LetPair or Case, hole at the slot
+        slot: PureTerm,
+        rule: RuleTag,  # the outermost frame's rule, or the redex's own
+    ):
+        fields = self.__dict__
+        fields["frames"] = frames
+        fields["redex_repr"] = redex_repr
+        fields["slot"] = slot
+        fields["rule"] = rule
 
 
 _Found = Union[_Redex, Stuck]

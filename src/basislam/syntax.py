@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .core import (
@@ -35,6 +34,7 @@ from .core import (
     Ortho,
     Pair,
     PureTerm,
+    Record,
     TermDist,
     Var,
     combine,
@@ -522,18 +522,23 @@ def parse_type(
 # Program files.
 
 
-@dataclass
-class Goal:
-    name: str
-    type: Type
-    line: int
+class Goal(Record):
+    def __init__(self, name: str, type: Type, line: int):
+        self.name = name
+        self.type = type
+        self.line = line
 
 
-@dataclass
-class Program:
-    bases: dict[str, Ortho] = field(default_factory=dict)
-    defs: dict[str, TermDist] = field(default_factory=dict)
-    goals: list[Goal] = field(default_factory=list)
+class Program(Record):
+    def __init__(
+        self,
+        bases: Optional[dict[str, Ortho]] = None,
+        defs: Optional[dict[str, TermDist]] = None,
+        goals: Optional[list[Goal]] = None,
+    ):
+        self.bases = {} if bases is None else bases
+        self.defs = {} if defs is None else defs
+        self.goals = [] if goals is None else goals
 
     def all_bases(self) -> dict[str, Ortho]:
         merged = _default_bases()

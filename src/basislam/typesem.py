@@ -20,7 +20,6 @@ than 1, so a check that factors no such product does not load it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Optional, Union
 
@@ -30,6 +29,7 @@ from .core import (
     Ortho,
     Pair,
     PureTerm,
+    Record,
     TermDist,
     _basis_key,
     _dist_id,
@@ -52,35 +52,37 @@ from .core import (
 from .reduction import evaluate_value
 
 
-@dataclass(frozen=True, eq=False)
-class BasisType:
-    basis: Ortho
+class BasisType(Record, frozen=True, eq=False):
+    def __init__(self, basis: Ortho):
+        self.__dict__["basis"] = basis
 
 
-@dataclass(frozen=True, eq=False)
-class Arrow:
-    dom: "Type"
-    cod: "Type"
+class Arrow(Record, frozen=True, eq=False):
+    def __init__(self, dom: "Type", cod: "Type"):
+        fields = self.__dict__
+        fields["dom"] = dom
+        fields["cod"] = cod
 
 
-@dataclass(frozen=True, eq=False)
-class Prod:
-    left: "Type"
-    right: "Type"
+class Prod(Record, frozen=True, eq=False):
+    def __init__(self, left: "Type", right: "Type"):
+        fields = self.__dict__
+        fields["left"] = left
+        fields["right"] = right
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Sharp:
+class Sharp(Record, frozen=True, eq=False):
     """#A.  Since ##A = #A, the sharp of a sharp type is that type itself,
-    so no type value holds # directly under #."""
+    so no type value holds # directly under #.  Built in `__new__`, not
+    `__init__`, which would run again on the inner Sharp returned."""
 
-    inner: "Type"
+    _fields = ("inner",)
 
     def __new__(cls, inner: "Type") -> "Sharp":
         if isinstance(inner, Sharp):
             return inner
         self = object.__new__(cls)
-        object.__setattr__(self, "inner", inner)
+        self.__dict__["inner"] = inner
         return self
 
     def __getnewargs__(self) -> tuple["Type"]:  # copy and pickle

@@ -14,12 +14,12 @@ so importing this module does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .core import (
     Lam,
     Ortho,
+    Record,
     TermDist,
     Var,
     free_vars,
@@ -46,13 +46,20 @@ class UnitaryError(Exception):
     pass
 
 
-@dataclass
-class UnitaryReport:
-    matrix: np.ndarray
-    basis: Ortho
-    square: bool
-    deviation: float
-    witness: tuple[int, int, complex]
+class UnitaryReport(Record):
+    def __init__(
+        self,
+        matrix: np.ndarray,
+        basis: Ortho,
+        square: bool,
+        deviation: float,
+        witness: tuple[int, int, complex],
+    ):
+        self.matrix = matrix
+        self.basis = basis
+        self.square = square
+        self.deviation = deviation
+        self.witness = witness
 
     @property
     def isometry(self) -> bool:

@@ -3,7 +3,6 @@ construction, copies and pickles, and cached keys, of nodes and of
 basis annotations, that agree with fresh ones."""
 
 import copy
-import dataclasses
 import pickle
 
 import numpy as np
@@ -14,6 +13,7 @@ from basislam.basis import STD, product_basis
 from basislam.core import (
     App,
     Case,
+    FrozenError,
     Ket,
     Lam,
     LetPair,
@@ -26,6 +26,7 @@ from basislam.core import (
     _term_key,
     free_vars,
     is_pure_value,
+    replace,
     shape_key,
     single,
     term_eq,
@@ -60,8 +61,8 @@ def subterms(x):
         yield from subterms(x.elements)
     elif isinstance(x, NODES):
         yield x
-        for f in dataclasses.fields(x):
-            yield from subterms(getattr(x, f.name))
+        for name in x._fields:
+            yield from subterms(getattr(x, name))
 
 
 def fresh(x, unnamed=False):
@@ -70,10 +71,7 @@ def fresh(x, unnamed=False):
     if isinstance(x, tuple):
         return tuple(fresh(y, unnamed) for y in x)
     if isinstance(x, (TermDist, Ortho) + NODES):
-        fields = {
-            f.name: fresh(getattr(x, f.name), unnamed)
-            for f in dataclasses.fields(x)
-        }
+        fields = {name: fresh(getattr(x, name), unnamed) for name in x._fields}
         if unnamed and isinstance(x, Ortho):
             fields["name"] = None
         return type(x)(**fields)
@@ -110,15 +108,27 @@ def test_every_kind_is_sampled():
     assert any(isinstance(t.left, Pair) for t in TERMS if isinstance(t, Pair))
 
 
+def test_walks_descend_into_annotations_and_bodies():
+    inner = Ket(1)  # in an annotation's element, in a lambda's body
+    body = single(Lam("y", Ortho((single(inner),), "B"), single(X)))
+    t = Lam("x", STD, body)
+    assert any(s is inner for s in subterms(t))
+    copied = fresh(t).body.entries[0][0].basis
+    assert copied.name == "B" and copied is not body.entries[0][0].basis
+    assert copied.elements[0].entries[0][0] is not inner
+    assert fresh(t, unnamed=True).body.entries[0][0].basis.name is None
+
+
 @pytest.mark.parametrize("cls", NODES + (TermDist,), ids=lambda c: c.__name__)
 def test_fields_are_frozen(cls):
     node = BY_KIND[cls] if cls is not TermDist else DISTS[0]
-    for f in dataclasses.fields(node):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(node, f.name, getattr(node, f.name))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(node, f.name)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert node._fields
+    for name in node._fields:
+        with pytest.raises(FrozenError):
+            setattr(node, name, getattr(node, name))
+        with pytest.raises(FrozenError):
+            delattr(node, name)
+    with pytest.raises(FrozenError):
         node._value = True
 
 
@@ -142,7 +152,7 @@ def test_value_flag_matches_the_recursive_definition():
 def test_replace_sets_the_flag_afresh():
     pair = Pair(K0, K1)
     _term_key(pair)
-    stuck = dataclasses.replace(pair, right=REDEX)
+    stuck = replace(pair, right=REDEX)
     assert stuck._value is False and "_key" not in stuck.__dict__
     assert repr(stuck) == f"Pair(left={K0!r}, right={REDEX!r})"
 

@@ -1,4 +1,6 @@
-"""Start-up cost: only the commands that build matrices load numpy.
+"""Start-up cost: only the commands that build matrices load numpy, and
+no command loads `dataclasses` or `inspect`, which cost more to import
+than the package's own classes.
 
 Each case runs in a fresh interpreter, since the test process itself has
 numpy loaded long before.
@@ -51,6 +53,25 @@ def test_import_leaves_numpy_out(module):
     assert run_fresh(
         f"import sys, {module}\nprint('numpy' in sys.modules)"
     ) == ["False"]
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import basislam",
+        "import basislam.cli",
+        "import basislam.cli as cli\n"
+        "argv = ['eval', '--json', '--def', GATES, 'Hd |0>']\n"
+        "assert cli.main(argv) == 0",
+    ],
+    ids=["basislam", "cli", "eval"],
+)
+def test_no_class_generation_modules_are_loaded(statement):
+    lines = run_fresh(
+        f"import sys\nGATES = {GATES!r}\n{statement}\n"
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    )
+    assert lines[-1] == "[]"
 
 
 @pytest.mark.parametrize(

@@ -20,9 +20,8 @@ tabled ones; the tests after the deep chains pin the plug and the
 table's own rules.
 """
 
-import dataclasses
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -37,8 +36,10 @@ from basislam.core import (
     Ket,
     Lam,
     LetPair,
+    Ortho,
     Pair,
     PureTerm,
+    Record,
     TermDist,
     Var,
     add,
@@ -75,8 +76,7 @@ from basislam.syntax import parse_term
 # subst_term and a rebuilt rest.
 
 
-@dataclass(frozen=True)
-class _Redex:
+class _Redex(NamedTuple):
     context: PureTerm
     redex_repr: PureTerm  # beta App, LetPair or Case, hole at the slot
     slot: PureTerm
@@ -246,14 +246,26 @@ def struct(x, memo):
         k = (x.real.hex(), x.imag.hex())
     elif isinstance(x, tuple):
         k = tuple(struct(y, memo) for y in x)
-    elif dataclasses.is_dataclass(x):
+    elif isinstance(x, Record):
         k = (type(x).__name__,) + tuple(
-            struct(getattr(x, f.name), memo) for f in dataclasses.fields(x)
+            struct(getattr(x, name), memo) for name in x._fields
         )
     else:
         k = x
     memo[id(x)] = k
     return k
+
+
+def test_struct_descends_into_annotations_and_bodies():
+    one = ((1.0).hex(), (0.0).hex())
+    basis = Ortho((single(Ket(1)),), "B")
+    t = Lam("x", basis, single(Pair(Var("x"), Ket(0))))
+    assert struct(t, {}) == (
+        "Lam",
+        "x",
+        ("Ortho", (("TermDist", ((("Ket", 1), one),)),), "B"),
+        ("TermDist", ((("Pair", ("Var", "x"), ("Ket", 0)), one),)),
+    )
 
 
 def _positions(d) -> dict[int, int]:
@@ -452,9 +464,9 @@ def test_plug_gives_what_build_and_a_fresh_search_give(monkeypatch):
                 [f for f, _ in stored.frames] + [stored.redex_repr],
                 [g for g, _ in fresh.frames] + [fresh.redex_repr],
             ):
-                assert type(f) is type(g)
-                for field in dataclasses.fields(f):
-                    assert getattr(f, field.name) is getattr(g, field.name)
+                assert type(f) is type(g) and f._fields
+                for name in f._fields:
+                    assert getattr(f, name) is getattr(g, name)
         return out
 
     monkeypatch.setattr(reduction, "_plug", pinned)

@@ -12,7 +12,6 @@ call (which computes the instances) and on later ones (which reuse
 them).
 """
 
-import dataclasses
 import struct
 
 import numpy as np
@@ -40,6 +39,7 @@ from basislam.core import (
     LetPair,
     Ortho,
     Pair,
+    Record,
     TermDist,
     Var,
     _dist_key,
@@ -334,11 +334,22 @@ def _bits(x):
         return _dd(x.real, x.imag)
     if isinstance(x, tuple):
         return tuple(_bits(y) for y in x)
-    if dataclasses.is_dataclass(x):
+    if isinstance(x, Record):
         return (type(x).__name__,) + tuple(
-            _bits(getattr(x, f.name)) for f in dataclasses.fields(x)
+            _bits(getattr(x, name)) for name in x._fields
         )
     return x
+
+
+def test_bits_descend_into_annotations_and_bodies():
+    def lam(imag):
+        basis = Ortho((TermDist(((Ket(1), complex(1.0, imag)),)),), "B")
+        return Lam("x", basis, single(Ket(0)))
+
+    got = _bits(lam(-0.0))
+    assert got[:2] == ("Lam", "x") and got[2][0] == "Ortho"
+    assert got[2][1][0] == ("TermDist", ((("Ket", 1), _dd(1.0, -0.0)),))
+    assert got != _bits(lam(0.0))  # a sign inside the annotation shows
 
 
 def _outcome(f):

@@ -1,7 +1,6 @@
 """Concrete syntax: exact printer output, parse/print round trips,
 positioned errors, and program files."""
 
-import dataclasses
 import gc
 import hashlib
 import json
@@ -18,7 +17,19 @@ import gen
 import oracles
 from basislam import core, syntax
 from basislam.basis import KET_MINUS, KET_PLUS
-from basislam.core import Ket, add, dist_eq, is_closed, scale, single, sub
+from basislam.core import (
+    Ket,
+    Lam,
+    Ortho,
+    Record,
+    TermDist,
+    add,
+    dist_eq,
+    is_closed,
+    scale,
+    single,
+    sub,
+)
 from basislam.corpus import (
     CORPUS_NAMES,
     corpus_program,
@@ -389,11 +400,23 @@ def bits(x):
         return (x.real.hex(), x.imag.hex())
     if isinstance(x, tuple):
         return tuple(bits(y) for y in x)
-    if dataclasses.is_dataclass(x):
+    if isinstance(x, Record):
         return (type(x).__name__,) + tuple(
-            bits(getattr(x, f.name)) for f in dataclasses.fields(x)
+            bits(getattr(x, name)) for name in x._fields
         )
     return x
+
+
+def test_bits_descend_into_annotations_and_bodies():
+    basis = Ortho((TermDist(((Ket(1), 0.5j),)),), "B")
+    got = bits(Lam("x", basis, single(Ket(0))))
+    assert got[:2] == ("Lam", "x")
+    assert got[2] == (
+        "Ortho",
+        (("TermDist", ((("Ket", 1), ((0.0).hex(), (0.5).hex())),)),),
+        "B",
+    )
+    assert got[3] == ("TermDist", ((("Ket", 0), ((1.0).hex(), (0.0).hex())),))
 
 
 GATES = corpus_program("gates").defs

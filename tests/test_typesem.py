@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 import pickle
 
@@ -15,7 +14,7 @@ from basislam.basis import (
     PHI_PLUS,
     STD,
 )
-from basislam.core import Ket, local_settings, mk_pair, scale, single
+from basislam.core import Ket, local_settings, mk_pair, replace, scale, single
 from basislam.syntax import parse_term, parse_type, print_type
 from basislam.typesem import (
     Arrow,
@@ -48,7 +47,7 @@ def _is_normal(t) -> bool:
         return True
     if isinstance(t, Sharp):
         return not isinstance(t.inner, Sharp) and _is_normal(t.inner)
-    return all(_is_normal(getattr(t, f.name)) for f in dataclasses.fields(t))
+    return all(_is_normal(getattr(t, name)) for name in t._fields)
 
 
 def _pickled(t):
@@ -68,7 +67,7 @@ class TestNormalize:
         assert type_eq(t, Arrow(Sharp(B), Prod(Sharp(X), B)))
 
     def test_replace_keeps_sharp_normal(self):
-        t = dataclasses.replace(Sharp(B), inner=Sharp(X))
+        t = replace(Sharp(B), inner=Sharp(X))
         assert _is_normal(t)
         assert type_eq(t, Sharp(X))
 
@@ -77,6 +76,12 @@ class TestNormalize:
         for clone in (copy.copy, copy.deepcopy, _pickled):
             assert type_eq(clone(t), t)
         assert type_eq(copy.copy(Sharp(B)), Sharp(B))
+
+    def test_normal_check_descends_into_arrows_and_products(self):
+        nested = object.__new__(Sharp)  # # under #, as no constructor builds
+        nested.__dict__["inner"] = Sharp(B)
+        assert _is_normal(nested.inner)
+        assert not _is_normal(Arrow(B, Prod(X, nested)))
 
     def test_type_eq_is_multiset_on_bases(self):
         flipped = BasisType(type(STD)((K1, K0)))
