@@ -20,7 +20,12 @@ path.  When only the answer is read, the loop does not plug at all
 while every summand fires under the same frames: it keeps those frames
 as a stack and reduces what fired in place, a CK machine (Felleisen &
 Friedman 1986), so a step of a gate chain costs no walk of the chain
-above it (see `_Focus`).
+above it (see `_Focus`).  Values that return to a redex frame, a beta
+`App` of a `Lam` or a `case` or `let` whose values hold no free
+variable, fire that frame at once, its node standing for the redex (the
+machine's return transition): a gate's argument is not wrapped in a new
+node, searched again and regrouped, so 200 gates on a ket build 200
+`App` nodes, the frames of the first search, and search 7 times.
 
 A step finds its pending summands, those not yet values, afresh from
 the pure-value flag each node fixes when it is built; the pick and the
@@ -560,6 +565,15 @@ def _reduced(
     return Reduced(result, tag)
 
 
+# The rule a redex frame fires by, keyed by its context rule: a `case`
+# or `let` frame, or an application frame whose function is a `Lam`.
+_RETURN: dict[RuleTag, RuleTag] = {
+    RuleTag.CTX_APP_RIGHT: RuleTag.BETA,
+    RuleTag.CTX_CASE: RuleTag.CASE_MATCH,
+    RuleTag.CTX_LET: RuleTag.LET_TENSOR,
+}
+
+
 class _Focus:
     """`run`'s distribution, kept as a focus under a stack of frames that
     every summand of the focus sits under (a CK machine's continuation,
@@ -572,11 +586,13 @@ class _Focus:
     A step whose group is the whole focus, and whose redex lies below the
     root of the whole summand, pushes the redex's frames onto the stack
     and makes what fired the focus, where `step` would plug it through
-    them all.  A focus of values is wrapped in the innermost frame, one
-    node per summand, and that frame popped.  A focus that mixes values
-    with other summands, or whose group is not all of it, is put back
-    under the whole stack, and `step` goes on from the whole
-    distribution."""
+    them all.  A focus of values returns to the innermost frame, which is
+    popped.  When that frame is a redex frame, a beta application of a
+    `Lam` to the hole, or a `case` or `let` on it, the step fires it at
+    once (the CK machine's return transition, see `_refocus`); any other
+    frame wraps each value in one new node.  A focus that mixes values with
+    other summands, or whose group is not all of it, is put back under
+    the whole stack, and `step` goes on from the whole distribution."""
 
     def __init__(self, d: TermDist) -> None:
         self.focus = d
@@ -586,24 +602,34 @@ class _Focus:
 
     def step(self) -> StepResult:
         """`step` of the whole distribution, bit for bit.  A `Reduced`
-        result carries the focus and its redex's rule while the stack
-        holds frames; `run` reads neither."""
-        self._refocus()
-        picked = _pick(self.focus)
-        if not isinstance(picked, tuple):  # a normal form has no stack
-            return picked
-        r, group, value = picked
-        whole = len(group) == len(self.focus.entries)
-        if not (whole and (self.stack or r.frames)):
-            if self.stack:  # a group that is not all of the focus
-                self._unstack()
-                res = step(self.focus)
-            else:
-                res = _reduced(self.focus, r, group, value)
-            if isinstance(res, Reduced):
-                self.focus = res.dist
-            return res
-        fired = _contract(r, value, True)
+        result carries the focus and its redex's own rule whenever the
+        step fires the whole focus without plugging it; `run` reads
+        neither."""
+        r = self._refocus()
+        if r is not None:  # a redex frame the focus's values returned to
+            # what `combine` makes of the slots the frame would wrap: the
+            # focus is canonical under the current eps, so only the
+            # factor 1+0j of `single` reaches the coefficients
+            value = _stamped(
+                [(t, c * (1 + 0j)) for t, c in self.focus.entries]
+            )
+        else:
+            picked = _pick(self.focus)
+            if not isinstance(picked, tuple):  # a normal form has no stack
+                return picked
+            r, group, value = picked
+            whole = len(group) == len(self.focus.entries)
+            if not (whole and (self.stack or r.frames)):
+                if self.stack:  # a group that is not all of the focus
+                    self._unstack()
+                    res = step(self.focus)
+                else:
+                    res = _reduced(self.focus, r, group, value)
+                if isinstance(res, Reduced):
+                    self.focus = res.dist
+                return res
+        # a fire with no frame left below the root is a root fire
+        fired = _contract(r, value, bool(self.stack or r.frames))
         if isinstance(fired, Stuck):
             return fired
         for frame, rule in reversed(r.frames):
@@ -621,25 +647,55 @@ class _Focus:
         self.focus = fired
         return Reduced(fired, r.rule)
 
-    def _refocus(self) -> None:
-        """Pop the stack while the focus holds only values, each wrapped
-        in the innermost frame; a focus that mixes values with other
-        summands is put back under the whole stack."""
+    def _refocus(self) -> Optional[_Redex]:
+        """Pop the stack while the focus holds only values, and return the
+        redex that the popped frame is when the values fire in it at once.
+
+        That is the CK machine's return transition, taken when the focus
+        is not empty and the frame is a redex frame (`_RETURN`): a beta
+        frame, whose `App` has a `Lam` function, or a `case` or `let`
+        frame none of whose values is a `Var`, since a free variable there
+        sticks, and `_pick` would skip it.  Wrapped in the frame, every
+        summand would be a redex with no frames and that frame, hole at
+        the slot, as `redex_repr`, all of them one group: so the frame
+        itself is the redex, and `step` fires it on the focus without
+        building, searching or comparing the wrapped summands.  A popped
+        `Case` frame is the redex, and is not validated.
+
+        Any other frame wraps each value in one new node, and popping goes
+        on; an empty focus wraps nothing, so it is never fired.  A focus
+        that mixes values with other summands is put back under the whole
+        stack."""
         while self.stack:
-            values = [t._value for t, _ in self.focus.entries]
+            entries = self.focus.entries
+            values = [t._value for t, _ in entries]
             if not all(values):
                 if any(values):
                     self._unstack()
-                return
+                return None
             frame, rule = self.stack.pop()
             if isinstance(frame, (Pair, App)):
                 self.units -= 1
             elif isinstance(frame, Case):
                 self.cases.pop()
+            own = _RETURN.get(rule)
+            if (
+                own is not None
+                and entries
+                and (
+                    isinstance(frame.fun, Lam)
+                    if rule is RuleTag.CTX_APP_RIGHT
+                    else not any(isinstance(t, Var) for t, _ in entries)
+                )
+            ):
+                # the focus fills the slot, which no one term does: the
+                # hole stands in for it, and only `_pick` reads a slot
+                return _Redex((), frame, _HOLE_VAR, own)
             rebuild = _REBUILD[rule]
             self.focus = _stamped(
-                [(rebuild(frame, t), c) for t, c in self.focus.entries]
+                [(rebuild(frame, t), c) for t, c in entries]
             )
+        return None
 
     def _unstack(self) -> None:
         """Put the focus back under the whole stack, which empties."""
@@ -722,9 +778,11 @@ def run(d: TermDist) -> Outcome:
 
     No step is read, so none is plugged back into the whole
     distribution while every summand fires under the same frames: the
-    frames wait on a stack and only the innermost is wrapped when what
-    fired is a value (see `_Focus`).  A chain of n gates builds O(n)
-    nodes here, where `evaluate` builds O(n^2)."""
+    frames wait on a stack, and what fired to values returns to the
+    innermost one, which fires on them at once when it is a redex frame
+    and is wrapped around them otherwise (see `_Focus`).  A chain of n
+    gates builds n `App` nodes here, the frames of its first search,
+    where `evaluate` builds O(n^2)."""
     return _reduce(d, None)
 
 
