@@ -432,30 +432,31 @@ class TermDist(Record, frozen=True, eq=False):
 # type facts (`_key`, see typesem.type_key).
 #
 # The order key (_term_key, _dist_key, _basis_key) is a total order on
-# pure terms: nested tuples, ranks separate constructors, payloads only
-# ever compare within one constructor.  Variables are keyed by name (free
-# and bound alike), so the order is a fixed deterministic convention, not
-# alpha-invariant; it fixes the entry order of a canonical distribution.
-# It is also exact: an `Ortho` key ends with the basis name ("" when it
-# has none), so nodes with equal keys print alike.  The name comes last
-# so that it only breaks ties between annotations with equal elements.
-#
-# The id (_term_id, _dist_id, _basis_id) stands for the order key inside
+# pure terms, and the id (_term_id, _dist_id, _basis_id) stands for it in
 # one session, so that a table lookup hashes a few ints, not a tuple as
-# large as the term.  A node's signature mirrors its key case by case:
-# the rank (7 for `AbsBasis`, 8 for an `Ortho`, 9 for a distribution, so
-# that no two kinds of node share a signature), the atoms (names, ket
-# bit, pattern count, the basis name or "", each coefficient as stored)
-# and the children's ids.  Two complex numbers are equal, and hash
-# alike, exactly when the float pairs the key holds are equal (0.0 and
-# -0.0 included), and the entry's own object costs no new float.  The
-# open session interns a signature in `Session.ids`, numbering them in
-# order of first use, so ids do not depend on the hash seed, and two
-# nodes have equal ids in a session exactly when their order keys are
-# equal.  A node caches the pair (session serial, id) in `_id`, and a
-# pair from another session is stale: the node is interned afresh.  Ids
-# stay lazy, as free variables do, and for the same reason: most nodes
-# are never keyed by a table.  An id is read only inside a session.
+# large as the term.  A term's key and id both come from _signature, a
+# flat tuple of its rank, its atoms (names, ket bit, pattern count) and
+# its children's keys or ids.  The rank separates constructors; within
+# one, every field has one type at one place, and a case's pattern count
+# comes first, so it fixes the length before any child is compared.
+# Variables are keyed by name (free and bound alike), so the order is a
+# fixed deterministic convention, not alpha-invariant; it fixes the entry
+# order of a canonical distribution.  Distributions and bases keep two
+# builders each.  A distribution's key holds each coefficient as a float
+# pair, since complex numbers do not order; its id holds the entry's own
+# complex object, equal and hashing alike exactly when the float pairs
+# are (0.0 and -0.0 included), at no new float.  An `Ortho` key ends with
+# the basis name ("" when it has none): the key is exact (equal keys
+# print alike), and the name only breaks ties between annotations with
+# equal elements.  In an id's signature, ranks 7 (`AbsBasis`), 8
+# (`Ortho`) and 9 (distribution) keep the kinds of node apart.  The open
+# session interns a signature in `Session.ids`, numbering them in order
+# of first use, so ids do not depend on the hash seed, and two nodes
+# have equal ids in a session exactly when their order keys are equal.
+# A node caches the pair (session serial, id) in `_id`, and a pair from
+# another session is stale: the node is interned afresh.  Ids stay lazy,
+# as free variables do, and for the same reason: most nodes are never
+# keyed by a table.  An id is read only inside a session.
 #
 # The shape key (shape_key) is an int that leaves out every variable and
 # binder name and every scalar, the things term_eq matches up to alpha or
@@ -511,6 +512,40 @@ class TermDist(Record, frozen=True, eq=False):
 #     for the length of their call when none is open.
 
 
+def _signature(t: PureTerm, term, dist, basis) -> tuple:
+    """t's flat signature: its rank, its atoms and its children, each
+    child keyed by the function given for its kind (see Node keys)."""
+    if isinstance(t, Ket):
+        return (0, t.bit)
+    if isinstance(t, Var):
+        return (1, t.name)
+    if isinstance(t, Pair):
+        return (2, term(t.left), term(t.right))
+    if isinstance(t, Lam):
+        return (3, t.var, basis(t.basis), dist(t.body))
+    if isinstance(t, App):
+        return (4, term(t.fun), term(t.arg))
+    if isinstance(t, LetPair):
+        return (
+            5,
+            t.var1,
+            basis(t.basis1),
+            t.var2,
+            basis(t.basis2),
+            term(t.scrutinee),
+            dist(t.body),
+        )
+    if isinstance(t, Case):
+        return (
+            6,
+            len(t.patterns),
+            term(t.scrutinee),
+            *[dist(p) for p in t.patterns],
+            *[dist(b) for b in t.branches],
+        )
+    raise TypeError(f"not a pure term: {t!r}")
+
+
 def _basis_key(b: Basis):
     if isinstance(b, AbsBasis):
         return (0, ())
@@ -523,35 +558,10 @@ def _basis_key(b: Basis):
 
 def _term_key(t: PureTerm):
     k = t.__dict__.get("_key")
-    if k is not None:
-        return k
-    if isinstance(t, Ket):
-        k = (0, (t.bit,), ())
-    elif isinstance(t, Var):
-        k = (1, (t.name,), ())
-    elif isinstance(t, Pair):
-        k = (2, (), (_term_key(t.left), _term_key(t.right)))
-    elif isinstance(t, Lam):
-        k = (3, (t.var, _basis_key(t.basis)), (_dist_key(t.body),))
-    elif isinstance(t, App):
-        k = (4, (), (_term_key(t.fun), _term_key(t.arg)))
-    elif isinstance(t, LetPair):
-        k = (
-            5,
-            (t.var1, _basis_key(t.basis1), t.var2, _basis_key(t.basis2)),
-            (_term_key(t.scrutinee), _dist_key(t.body)),
+    if k is None:
+        k = t.__dict__["_key"] = _signature(
+            t, _term_key, _dist_key, _basis_key
         )
-    elif isinstance(t, Case):
-        k = (
-            6,
-            (len(t.patterns),),
-            (_term_key(t.scrutinee),)
-            + tuple(_dist_key(p) for p in t.patterns)
-            + tuple(_dist_key(b) for b in t.branches),
-        )
-    else:
-        raise TypeError(f"not a pure term: {t!r}")
-    t.__dict__["_key"] = k
     return k
 
 
@@ -583,46 +593,16 @@ def _basis_id(b: Basis) -> int:
 def _term_id(t: PureTerm) -> int:
     serial = _session.serial
     k = t.__dict__.get("_id")
-    if k is not None and k[0] == serial:
-        return k[1]
-    if isinstance(t, Ket):
-        signature = (0, t.bit)
-    elif isinstance(t, Var):
-        signature = (1, t.name)
-    elif isinstance(t, Pair):
-        signature = (2, _term_id(t.left), _term_id(t.right))
-    elif isinstance(t, Lam):
-        signature = (3, t.var, _basis_id(t.basis), _dist_id(t.body))
-    elif isinstance(t, App):
-        signature = (4, _term_id(t.fun), _term_id(t.arg))
-    elif isinstance(t, LetPair):
-        signature = (
-            5,
-            t.var1,
-            _basis_id(t.basis1),
-            t.var2,
-            _basis_id(t.basis2),
-            _term_id(t.scrutinee),
-            _dist_id(t.body),
-        )
-    elif isinstance(t, Case):
-        signature = (
-            6,
-            len(t.patterns),
-            _term_id(t.scrutinee),
-            *[_dist_id(p) for p in t.patterns],
-            *[_dist_id(b) for b in t.branches],
-        )
-    else:
-        raise TypeError(f"not a pure term: {t!r}")
-    i = _intern(signature)
-    t.__dict__["_id"] = (serial, i)
-    return i
+    if k is None or k[0] != serial:
+        signature = _signature(t, _term_id, _dist_id, _basis_id)
+        k = t.__dict__["_id"] = (serial, _intern(signature))
+    return k[1]
 
 
 def _dist_id(d: TermDist) -> int:
-    """d's id in the open session: equal exactly when the order keys are
-    (see Node keys)."""
+    """d's id in the open session: equal exactly when the order keys are.
+    Its signature holds each entry's term id and coefficient object, where
+    the key holds a float pair (see Node keys)."""
     serial = _session.serial
     k = d.__dict__.get("_id")
     if k is None or k[0] != serial:

@@ -598,13 +598,14 @@ class _Focus:
         self.focus = d
         self.stack: list[tuple[PureTerm, RuleTag]] = []  # outermost first
         self.units = 0  # the `Pair` and `App` frames in the stack
-        self.cases: list[Case] = []  # its `Case` frames, outermost first
 
     def step(self) -> StepResult:
         """`step` of the whole distribution, bit for bit.  A `Reduced`
         result carries the focus and its redex's own rule whenever the
         step fires the whole focus without plugging it; `run` reads
-        neither."""
+        neither.  Each `Case` frame is validated once, as it is pushed,
+        where `step` validates every frame it plugs through at every
+        step: `run` keeps one eps, so the errors are the same."""
         r = self._refocus()
         if r is not None:  # a redex frame the focus's values returned to
             # what `combine` makes of the slots the frame would wrap: the
@@ -632,14 +633,13 @@ class _Focus:
         fired = _contract(r, value, bool(self.stack or r.frames))
         if isinstance(fired, Stuck):
             return fired
+        for frame, _ in r.frames:  # as `_plug` does, innermost first
+            if isinstance(frame, Case):
+                validate_case_patterns(frame.patterns)
         for frame, rule in reversed(r.frames):
             self.stack.append((frame, rule))
             if isinstance(frame, (Pair, App)):
                 self.units += 1
-            elif isinstance(frame, Case):
-                self.cases.append(frame)
-        for frame in reversed(self.cases):  # as `_plug` does, innermost first
-            validate_case_patterns(frame.patterns)
         if self.units:
             fired = TermDist(
                 tuple((t, c * (1 + 0j)) for t, c in fired.entries)
@@ -676,8 +676,6 @@ class _Focus:
             frame, rule = self.stack.pop()
             if isinstance(frame, (Pair, App)):
                 self.units -= 1
-            elif isinstance(frame, Case):
-                self.cases.pop()
             own = _RETURN.get(rule)
             if (
                 own is not None
@@ -702,7 +700,6 @@ class _Focus:
         self.focus = _plug(tuple(reversed(self.stack)), self.focus)
         self.stack.clear()
         self.units = 0
-        self.cases.clear()
 
 
 class Outcome(NamedTuple):

@@ -2,7 +2,8 @@
 
 `golden_cli.json` holds the stdout and the exit code of `corpus` and
 `corpus --json`; of `eval --trace` and `eval --trace --json` for every
-definition of the bundled programs and every `EVAL_CASES` term; of
+definition of the bundled programs, every `EVAL_CASES` term and the
+`MIXED_CASES` sums; of
 `unitary` and `unitary --json` for every definition of `gates.lb` and
 `deutsch.lb`; of `check` and `check --json` for every `goal`; of `parse`
 and `parse --json` on the `EVAL_CASES` terms and, with `--type`, on their
@@ -37,6 +38,13 @@ ORTHO_CASES = [
     ("gates", "CNOT |+> |0>", "CNOT |-> |0>", "#([B] * [B])"),
 ]
 
+# (program, term): sums whose steps mix summands of several constructors,
+# so that the order key fixes the entry order of every printed step
+MIXED_CASES = [
+    ("gates", "(Hd |0>, (NOT (Hd |1>), Hd |0>))"),
+    ("gates", r"(\x:X. x) + (\y:B. NOT y)"),
+]
+
 
 def commands() -> list[tuple[str, list[str]]]:
     """(program or "", argv without --def) for every pinned command."""
@@ -44,6 +52,7 @@ def commands() -> list[tuple[str, list[str]]]:
     out: list[tuple[str, list[str]]] = [("", ["corpus", "--json"])]
     terms = [(p, name) for p in CORPUS_NAMES for name in progs[p].defs]
     terms += [(p, src) for p, src, _, _ in EVAL_CASES]
+    terms += MIXED_CASES
     for pname, src in terms:
         out.append((pname, ["eval", "--trace", src]))
         out.append((pname, ["eval", "--trace", "--json", src]))

@@ -2,7 +2,7 @@
 
 `core._build` and `core.inner_product` compare entries only inside
 buckets of equal shape key.  The references below are the earlier
-pairwise versions, kept verbatim with their uncached order key; the
+pairwise versions, kept verbatim with an uncached order key; the
 bucketed versions must return the same entries (the same representative
 objects, bitwise-equal coefficients, the same order) and the same inner
 products.  The shape key itself must satisfy term_eq(a, b) =>
@@ -42,49 +42,12 @@ from basislam.core import (
 from basislam import checker, reduction, subst
 from basislam.corpus import corpus_program
 from basislam.reduction import NormalForm, evaluate
+from test_nodes import ref_term_key
 
 
 # ---------------------------------------------------------------------------
-# References: the pairwise merge and inner product, with the order key
-# recomputed on every call.
-
-
-def _ref_basis_key(b):
-    if isinstance(b, AbsBasis):
-        return (0, ())
-    return (1, tuple(_ref_dist_key(e) for e in b.elements))
-
-
-def _ref_term_key(t):
-    if isinstance(t, Ket):
-        return (0, (t.bit,), ())
-    if isinstance(t, Var):
-        return (1, (t.name,), ())
-    if isinstance(t, Pair):
-        return (2, (), (_ref_term_key(t.left), _ref_term_key(t.right)))
-    if isinstance(t, Lam):
-        return (3, (t.var, _ref_basis_key(t.basis)), (_ref_dist_key(t.body),))
-    if isinstance(t, App):
-        return (4, (), (_ref_term_key(t.fun), _ref_term_key(t.arg)))
-    if isinstance(t, LetPair):
-        return (
-            5,
-            (t.var1, _ref_basis_key(t.basis1), t.var2, _ref_basis_key(t.basis2)),
-            (_ref_term_key(t.scrutinee), _ref_dist_key(t.body)),
-        )
-    if isinstance(t, Case):
-        return (
-            6,
-            (len(t.patterns),),
-            (_ref_term_key(t.scrutinee),)
-            + tuple(_ref_dist_key(p) for p in t.patterns)
-            + tuple(_ref_dist_key(b) for b in t.branches),
-        )
-    raise TypeError(f"not a pure term: {t!r}")
-
-
-def _ref_dist_key(d):
-    return tuple((_ref_term_key(t), (c.real, c.imag)) for t, c in d.entries)
+# References: the pairwise merge and inner product, with the nested order
+# key of test_nodes recomputed on every call.
 
 
 def ref_build(pairs):
@@ -99,7 +62,7 @@ def ref_build(pairs):
         else:
             merged.append((t, complex(c)))
     pruned = [(t, c) for t, c in merged if not core.sc_is_zero(c)]
-    pruned.sort(key=lambda e: _ref_term_key(e[0]))
+    pruned.sort(key=lambda e: ref_term_key(e[0]))
     return TermDist(tuple(pruned))
 
 

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import gen
-from basislam.basis import STD, product_basis
+from basislam.basis import BELL, HAD, STD, multi_ket, product_basis
 from basislam.core import (
+    ABS,
+    AbsBasis,
     App,
     Case,
     FrozenError,
@@ -26,6 +28,11 @@ from basislam.core import (
     _term_key,
     free_vars,
     is_pure_value,
+    mk_app,
+    mk_case,
+    mk_lam,
+    mk_letpair,
+    mk_pair,
     replace,
     shape_key,
     single,
@@ -217,15 +224,21 @@ def test_shape_of_a_deep_chain_is_read_without_recursion():
     assert shape_key(chains[0]) != shape_key(chains[0].right)
 
 
-def test_cached_basis_facts_match_fresh_ones():
-    annotations = {}  # by identity
-    for t in TERMS:
+def annotations(terms) -> list:
+    """The annotations of the lambdas and lets among terms, one per
+    object."""
+    found = {}  # by identity
+    for t in terms:
         if isinstance(t, Lam):
-            annotations[id(t.basis)] = t.basis
+            found[id(t.basis)] = t.basis
         elif isinstance(t, LetPair):
-            annotations[id(t.basis1)] = t.basis1
-            annotations[id(t.basis2)] = t.basis2
-    bases = [b for b in annotations.values() if isinstance(b, Ortho)]
+            found[id(t.basis1)] = t.basis1
+            found[id(t.basis2)] = t.basis2
+    return list(found.values())
+
+
+def test_cached_basis_facts_match_fresh_ones():
+    bases = [b for b in annotations(TERMS) if isinstance(b, Ortho)]
     assert len(bases) >= 2
     bases += [product_basis(bases[0], bases[-1]), Ortho((single(K0),))]
     for b in bases:
@@ -236,3 +249,107 @@ def test_cached_basis_facts_match_fresh_ones():
         other = fresh(b)
         assert "_key" not in other.__dict__
         assert _basis_key(other) == key
+
+
+# ---------------------------------------------------------------------------
+# The order key against the nested one it replaced, kept here as the
+# reference: (rank, atoms, children's keys).  The flat key must order
+# every pair of nodes as the nested one does.
+
+
+def ref_basis_key(b):
+    if isinstance(b, AbsBasis):
+        return (0, ())
+    return (1, tuple(ref_dist_key(e) for e in b.elements), b.name or "")
+
+
+def ref_term_key(t):
+    if isinstance(t, Ket):
+        return (0, (t.bit,), ())
+    if isinstance(t, Var):
+        return (1, (t.name,), ())
+    if isinstance(t, Pair):
+        return (2, (), (ref_term_key(t.left), ref_term_key(t.right)))
+    if isinstance(t, Lam):
+        return (3, (t.var, ref_basis_key(t.basis)), (ref_dist_key(t.body),))
+    if isinstance(t, App):
+        return (4, (), (ref_term_key(t.fun), ref_term_key(t.arg)))
+    if isinstance(t, LetPair):
+        return (
+            5,
+            (t.var1, ref_basis_key(t.basis1), t.var2, ref_basis_key(t.basis2)),
+            (ref_term_key(t.scrutinee), ref_dist_key(t.body)),
+        )
+    if isinstance(t, Case):
+        return (
+            6,
+            (len(t.patterns),),
+            (ref_term_key(t.scrutinee),)
+            + tuple(ref_dist_key(p) for p in t.patterns)
+            + tuple(ref_dist_key(b) for b in t.branches),
+        )
+    raise TypeError(f"not a pure term: {t!r}")
+
+
+def ref_dist_key(d):
+    return tuple((ref_term_key(t), (c.real, c.imag)) for t, c in d.entries)
+
+
+def _order_pool():
+    """Open terms, lambdas over named, unnamed and differing annotations,
+    cases of 2 and 4 patterns over scrutinees that order against their
+    pattern counts, lets, generated terms and every step of their
+    evaluations, each with its subterms and a fresh copy."""
+    gates = corpus_program("gates").defs
+    x, y, k0, k1 = (single(t) for t in (Var("x"), Var("y"), K0, K1))
+    plus = HAD.elements[0]
+    unnamed = Ortho(STD.elements)
+    bodies = (x, y, k0, plus, mk_pair(x, k1))
+    dists = [mk_pair(x, k0), mk_pair(k0, x), mk_app(single(Var("f")), x)]
+    dists += [
+        mk_lam(v, b, body)
+        for v in ("x", "y")
+        for b in (STD, unnamed, HAD, ABS, product_basis(STD, HAD))
+        for body in bodies
+    ]
+    quads = tuple(multi_ket(bits) for bits in ("00", "01", "10", "11"))
+    for s in (k0, k1, x, mk_app(gates["NOT"], x), mk_pair(k0, k1)):
+        dists += [
+            mk_case(s, STD.elements, (k1, x)),
+            mk_case(s, STD.elements, (k0, plus)),
+            mk_case(s, HAD.elements, (k1, x)),
+            mk_case(s, quads, (k0, k1, x, y)),
+            mk_case(s, BELL.elements, (k1, k1, k0, x)),
+        ]
+        dists += [
+            mk_letpair("a", b1, "b", b2, s, body)
+            for b1, b2 in ((STD, STD), (STD, HAD), (ABS, unnamed))
+            for body in (x, mk_pair(single(Var("b")), single(Var("a"))))
+        ]
+    rng = np.random.default_rng(35)
+    for _ in range(12):
+        d = gen.closed_term(rng)[0]
+        dists += [d] + [step for step, _ in evaluate(d).steps]
+    terms = {id(t): t for t in subterms(tuple(dists))}  # by identity
+    terms = list(terms.values())
+    terms += [fresh(t) for t in terms[::5]]
+    return dists + [fresh(d) for d in dists[::5]], terms
+
+
+def assert_same_order(nodes, key, ref_key):
+    """key and ref_key order every pair of nodes alike, equal ones too."""
+    keys = [(key(x), ref_key(x)) for x in nodes]
+    for i, (k, r) in enumerate(keys):
+        for k2, r2 in keys[i + 1 :]:
+            assert (k > k2) - (k < k2) == (r > r2) - (r < r2), (r, r2)
+
+
+def test_flat_key_orders_as_the_nested_key():
+    dists, terms = _order_pool()
+    bases = annotations(terms)
+    cases = {len(t.patterns) for t in terms if isinstance(t, Case)}
+    assert cases == {2, 4} and len(terms) > 500
+    assert len(bases) > 5 and ABS in bases
+    assert_same_order(terms, _term_key, ref_term_key)
+    assert_same_order(dists, _dist_key, ref_dist_key)
+    assert_same_order(bases, _basis_key, ref_basis_key)

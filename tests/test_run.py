@@ -203,6 +203,32 @@ def test_case_frame_validated_under_the_current_eps(src):
         check(d)
 
 
+def test_case_frame_validated_once_when_pushed(monkeypatch):
+    # `evaluate` plugs each of the 40 fires back through the `Case` frame
+    # and validates its patterns each time; `run` keeps the frame on its
+    # stack and validated it once, when it was pushed
+    d = core.mk_case(
+        gate_chain(20),
+        (single(Ket(0)), single(Ket(1))),
+        (single(Ket(1)), single(Ket(0))),
+    )
+    calls = 0
+    validate = reduction.validate_case_patterns
+
+    def counted(patterns):
+        nonlocal calls
+        calls += 1
+        validate(patterns)
+
+    monkeypatch.setattr(reduction, "validate_case_patterns", counted)
+    for evaluation, want in ((evaluate, 40), (run, 1)):
+        calls = 0
+        outcome = evaluation(d)
+        assert isinstance(outcome.final, NormalForm)
+        assert outcome.fuel_used == 41
+        assert calls == want, evaluation.__name__
+
+
 def test_gate_chain_builds_a_few_nodes_a_step(monkeypatch):
     # Plugging every fire back through the chain above it built 60,499
     # `App` nodes for the 400 steps of 200 gates.  Under a stack, a fire
